@@ -2,7 +2,7 @@
 
 The continuous estimation service (:mod:`repro.service`) keeps overlays
 alive across epochs.  Re-sampling ``G = H ∪ L`` from scratch on every
-membership change costs a full per-node BFS sweep
+membership change recomputes the ``k``-ball of all ``n`` nodes
 (:func:`repro.graphs.smallworld.build_small_world`); a churn delta only
 touches a handful of nodes, so :class:`ResidentGraph` patches the resident
 structures incrementally instead:
@@ -18,9 +18,10 @@ structures incrementally instead:
   moves are independent — no chained swaps), and a delta with ``l``
   leavers relabels at most ``l`` nodes.
 * ``L`` lives as per-node adjacency chunks (``B_H(v, k) \\ {v}`` with
-  distances, the unit :func:`repro.graphs.smallworld.ball_chunk`
-  produces).  After patching ``H``, only the chunks the delta could have
-  touched are recomputed.  ``B(v, k)`` changes only if some path of
+  distances, the rows :func:`repro.graphs.smallworld.k_balls` produces).
+  After patching ``H``, only the chunks the delta could have touched are
+  recomputed, in one :func:`~repro.graphs.smallworld.k_balls` call.
+  ``B(v, k)`` changes only if some path of
   length ``<= k`` from ``v`` uses a changed edge; following that path
   from ``v``, the prefix up to the *first* changed edge uses only
   unchanged edges — so it is a valid path in both the old and the new
@@ -53,7 +54,7 @@ import numpy as np
 
 from .._types import Int8Array, Int64Array, IntArray
 from .hgraph import hgraph_from_cycles
-from .smallworld import SmallWorldNetwork, ball_chunk, build_small_world
+from .smallworld import SmallWorldNetwork, build_small_world, k_balls
 
 __all__ = ["AppliedDelta", "ResidentGraph"]
 
@@ -342,9 +343,13 @@ class ResidentGraph:
                 self._chunks[v] = (nodes[reorder], dists[reorder])
 
         # 7. Recompute exactly the touched chunks against the patched H.
+        # Rows are copied out so no chunk pins the whole result buffer.
         indptr, indices = self._h_csr()
-        for v in sorted(affected):
-            self._chunks[v] = ball_chunk(indptr, indices, v, k)
+        srcs = sorted(affected)
+        ptr, nodes, dists = k_balls(indptr, indices, np.array(srcs, np.int64), k)
+        for i, v in enumerate(srcs):
+            lo, hi = ptr[i], ptr[i + 1]
+            self._chunks[v] = (nodes[lo:hi].copy(), dists[lo:hi].copy())
 
         self.version += 1
         self._snapshot = None

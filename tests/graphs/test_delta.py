@@ -13,6 +13,7 @@ import pytest
 from repro.graphs import (
     AppliedDelta,
     ResidentGraph,
+    ball_chunk,
     build_small_world,
     hgraph_from_cycles,
 )
@@ -87,6 +88,31 @@ class TestLocality:
         assert 0 < applied.recomputed < rg.n // 2
         snap = rg.snapshot()
         assert_net_equal(snap, cold_rebuild(snap))
+
+    @pytest.mark.parametrize(
+        "n,d,seed,leaves,joins,rng_seed,recomputed",
+        [
+            (512, 8, 5, [100], 1, 9, 425),
+            (300, 6, 2, [7, 150, 299], 2, 4, 139),
+        ],
+    )
+    def test_patched_chunks_equal_per_node_ball_chunk(
+        self, n, d, seed, leaves, joins, rng_seed, recomputed
+    ):
+        # The patch recomputes its affected set in one all-sources pass;
+        # every resident chunk must still equal the one-source ball_chunk
+        # on the patched H, and the affected set (pinned count) must not
+        # grow, so the patch stays local.
+        rg = ResidentGraph.sample(n, d, seed=seed)
+        applied = rg.apply_delta(leaves, joins, make_rng(rng_seed))
+        assert applied.recomputed == recomputed
+        snap = rg.snapshot()
+        for v in range(snap.n):
+            nodes, dists = ball_chunk(snap.h.indptr, snap.h.indices, v, snap.k)
+            assert snap.g_neighbors(v).dtype == nodes.dtype == np.int64
+            assert snap.g_neighbor_dists(v).dtype == dists.dtype == np.int8
+            assert np.array_equal(snap.g_neighbors(v), nodes)
+            assert np.array_equal(snap.g_neighbor_dists(v), dists)
 
     def test_joiners_get_fresh_top_ids(self):
         rg = ResidentGraph.sample(50, 4, seed=2)
