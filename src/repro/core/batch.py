@@ -70,49 +70,59 @@ so Byzantine sweeps normally run the narrow, cache-friendlier state end to
 end.  Widening is exact: it happens before the plan is applied, and integer
 max-flooding produces identical values in either dtype.
 
-Network-axis batching
----------------------
-:func:`run_counting_multinet` extends the batch across the *network* axis:
-each trial carries its own network, and trials on different graphs — even
-of different sizes — fuse into one padded trials-as-columns batch.  State
-is padded to the largest ``n`` with a per-trial active-length vector; the
-flooding rounds dispatch through
-:class:`~repro.sim.flood.MultiFloodKernel`, whose masked reduction keeps
-padding rows identically zero (they can never win a max), and decided
-bookkeeping, crash masks, and witness metering apply only over each
-column's live prefix.  The phase/subphase/round *schedule* depends only on
-``(phase, eps, d)``, so one fused loop drives every size — which is why a
-multi-network batch requires a homogeneous degree ``d`` (validated
-eagerly).  Byzantine trials sub-group by (network, placement): each group's
-adversary binds to its own graph and plans its own columns, while the
-flooding stays fused.  Bit-for-bit equal to per-network
-:func:`run_counting_batch` calls per trial, enforced by
-``tests/integration/test_engine_equivalence.py`` and the hypothesis ragged
--padding properties in ``tests/property/test_padding_properties.py``.
-
-Union-stack batching
---------------------
-For *rectangular* (network x seed) grids — every network runs the same
-seed axis — :func:`run_counting_unionstack` replaces padding with the
-block-diagonal **union stack**: the networks are concatenated on the *row*
-axis (total rows ``N = sum(n_g)``; one column = one seed replicated across
-all sizes), so every flooding round is a single
+One engine, three entry points
+------------------------------
+The engine proper is the block-diagonal **union stack**: networks are
+concatenated on the *row* axis (total rows ``N = sum(n_g)``) and trials
+sit on the *column* axis, so every flooding round is a single
 :class:`~repro.sim.flood.UnionFloodKernel` row-gather over the
 concatenated CSR — zero padding rows, no per-segment scratch copies, no
-masked zeroing.  Per-network row segments (the kernel's ``offsets``) drive
-decided counting, saturation/message accounting, crash masks, the
+masked zeroing.  Per-network row segments (the kernel's ``offsets``)
+drive decided counting, saturation/message accounting, crash masks, the
 per-block Lemma 16 gate (each block's own ``k_g``), and witness metering
-via segment-wise reductions; per-trial liveness is a ``(G, C)`` matrix, so
-a finished (network, seed) cell stops drawing colors and accruing meter
-charges exactly when its per-network batch would have dropped the column.
-Byzantine trials sub-group by (network block, placement).  Bit-for-bit
-equal to the padded and per-network engines per cell, enforced by the
-5-engine grid in ``tests/integration/test_engine_equivalence.py`` and the
-hypothesis properties in ``tests/property/test_unionstack_properties.py``.
+via segment-wise reductions; per-trial liveness is a ``(G, C)`` matrix,
+so a finished (network, column) cell stops drawing colors and accruing
+meter charges exactly when a run of its own would have stopped.  The
+phase/subphase/round *schedule* depends only on ``(phase, eps, d)``,
+which is why one batch requires a homogeneous degree ``d`` (validated
+eagerly).  Byzantine cells sub-group by (network block, placement): each
+group's adversary binds to its own graph and plans its own columns.
+
+The three public functions are thin wrappers that lay their trials out
+on that grid:
+
+* :func:`run_counting_batch` — one network, so a union of one block (a
+  plain :class:`~repro.sim.flood.FloodKernel` is a one-block union, which
+  is how a pre-built ``kernel=`` is reused with no CSR copy);
+* :func:`run_counting_unionstack` — a rectangular (network x seed) grid,
+  every seed replicated across every block;
+* :func:`run_counting_multinet` — one network per trial, ragged: trials
+  are grouped into blocks by network identity, each block's trials fill
+  its columns in trial order, and results map back to trial order.
+
+Per-cell seeds
+--------------
+Internally the engine takes a ``(G, C)`` seed grid plus a boolean
+*presence* matrix, which is what lets ragged per-network trial counts
+share one stack.  An absent cell starts dead in the ``alive`` matrix: it
+spawns no RNG and draws no colors, gets no channel slot, joins no
+placement group (so no adversary is built for it), emits no result, and
+never keeps a ``stop_when_all_decided`` run looping.  A column carries
+exactly one config, so trials with different configs never share a
+column.  A ``numpy`` ``Generator`` seed is accepted when it feeds exactly
+one cell; the same ``Generator`` object in several cells of a
+multi-network batch (e.g. a shared seed axis over two networks) would
+interleave one stream across those trials and is rejected with a
+:class:`TypeError` before any state is allocated.  Every cell is
+bit-for-bit equal to the scalar run it replaces, enforced by the
+cross-engine grid in ``tests/integration/test_engine_equivalence.py``,
+the per-cell seed oracle in ``tests/core/test_percell_seeds.py``, and the
+hypothesis properties in ``tests/property/test_unionstack_properties.py``
+and ``tests/property/test_padding_properties.py``.
 
 Channel models
 --------------
-Every engine takes an optional ``channel``
+Every entry point takes an optional ``channel``
 (:class:`~repro.sim.channel.ChannelModel`): per-round Bernoulli message
 loss and additive corruption noise applied inside the kernel call (see
 :mod:`repro.sim.channel` for the determinism contract).  Each trial's
@@ -121,7 +131,7 @@ only when a channel is active, which leaves the color and adversary
 streams untouched (``Generator.spawn`` advances a child counter, not the
 bit stream), so lossless runs stay bit-for-bit equal to the historical
 output and a null channel is normalized away entirely.  Under an active
-channel the honest engines switch from the receive-at-``phase-1``
+channel the honest loop switches from the receive-at-``phase-1``
 shortcut to an explicit running-max ``prev_kt`` (a dropped message breaks
 the monotonicity that shortcut relies on); sender-side metering still
 charges *attempted* transmissions (corruption happens on a kernel-side
@@ -130,16 +140,16 @@ only what the channel delivered.
 
 Adaptive adversaries
 --------------------
-Byzantine engines invoke :meth:`~repro.adversary.base.Adversary.batch_adapt`
+The Byzantine loop invokes :meth:`~repro.adversary.base.Adversary.batch_adapt`
 on every placement sub-group at the end of every subphase (so the first
 subphase always runs the bound placement).  Adversaries that override the
 hook observe per-node attempted-send traffic accumulated since the last
 adaptation and may return a replacement placement mask for the group; the
-engines then re-point the group's Byzantine set — affecting subsequent
+engine then re-points the group's Byzantine set — affecting subsequent
 planning, suppression, and the Lemma 16 membership check immediately,
 and the undecided/color bookkeeping from the next phase boundary (the
-per-phase draw schedule is fixed at phase start in every engine, which is
-what keeps the three layouts bit-for-bit identical under adaptation).
+per-phase draw schedule is fixed at phase start, so a cell's results
+never depend on which other cells share its batch).
 Pre-phase crash simulation is not re-run: crashes are a property of the
 verification phase, which precedes any adaptation.  All built-in static
 strategies inherit the default no-op hook and are byte-for-byte
@@ -164,7 +174,7 @@ from ..adversary.base import (
 )
 from ..analysis.bounds import ball_size_bound
 from ..sim.channel import ChannelModel, ChannelState, _normalize_channel
-from ..sim.flood import FloodKernel, MultiFloodKernel, UnionFloodKernel
+from ..sim.flood import FloodKernel, UnionFloodKernel
 from ..sim.metrics import MeterBatch, PhaseRecord, PhaseTrace
 from ..sim.rng import make_rng, spawn
 from .colors import sample_colors
@@ -258,113 +268,76 @@ def run_counting_batch(
         (when no channel is active; channel draws are deterministic per
         trial seed).
     """
-    channel = _normalize_channel(channel)
-    if kernel is not None:
-        if backend is not None:
-            raise ValueError(
-                "pass either backend or a pre-built kernel, not both (the "
-                "kernel already carries its backend)"
-            )
-        _check_kernel_csr(kernel, network, "kernel")
     seeds = list(seeds)
     batch = len(seeds)
     configs = _normalize_configs(config, batch)
-    byz_bn = _normalize_byz_masks(byz_mask, batch, network.n)
-
-    if adversary_factory is not None:
-        if byz_bn is None:
-            byz_bn = np.zeros((batch, network.n), dtype=bool)
-        results: list[CountingResult | None] = [None] * batch
-        for cfg, trial_ids in _group_by_config(configs).items():
-            group = _run_byzantine_batched_group(
-                network,
-                [seeds[i] for i in trial_ids],
-                cfg,
-                adversary_factory,
-                byz_bn[trial_ids],
-                backend=backend,
-                kernel=kernel,
-                channel=channel,
-            )
-            for i, res in zip(trial_ids, group, strict=True):
-                results[i] = res
-        return BatchCountingResult(results)  # type: ignore[arg-type]
-    if byz_bn is not None and byz_bn.any():
-        raise ValueError("byz_mask given without an adversary_factory")
-
-    results = [None] * batch
-    for cfg, trial_ids in _group_by_config(configs).items():
-        group = _run_batched_group(
-            network, [seeds[i] for i in trial_ids], cfg, backend=backend,
-            kernel=kernel, channel=channel,
-        )
-        for i, res in zip(trial_ids, group, strict=True):
-            results[i] = res
-    return BatchCountingResult(results)  # type: ignore[arg-type]
+    byz_masks = _normalize_byz_masks(byz_mask, batch, network.n)
+    out = _run_union(
+        [network],
+        [seeds],
+        np.ones((1, batch), dtype=bool),
+        configs,
+        adversary_factory,
+        None if byz_masks is None else [byz_masks],
+        kernel=kernel,
+        backend=backend,
+        channel=channel,
+    )
+    return BatchCountingResult(out[0])  # type: ignore[arg-type]
 
 
-def _normalize_byz_masks(byz_mask: Any, batch: int, n: int) -> BoolArray | None:
-    """Normalize ``byz_mask`` to a per-trial ``(batch, n)`` stack (or None).
+def _normalize_byz_masks(byz_mask: Any, batch: int, n: int) -> list[BoolArray] | None:
+    """Normalize ``byz_mask`` to one ``(n,)`` mask per trial (or None).
 
-    A single ``(n,)`` mask is broadcast to every trial; a ``(batch, n)``
-    stack or a length-``batch`` sequence of masks is taken per trial.  A
-    stack whose length disagrees with ``seeds`` is rejected here with a
-    count-mismatch error rather than silently sharing one mask.
+    A single ``(n,)`` mask is shared by every trial; a ``(batch, n)``
+    stack or a length-``batch`` sequence of masks (``None`` = empty) is
+    taken per trial.  A stack whose length disagrees with ``seeds`` is
+    rejected here with a count-mismatch error rather than silently
+    sharing one mask.
     """
     if byz_mask is None:
         return None
-    if isinstance(byz_mask, (list, tuple)):
-        masks = [np.asarray(m, dtype=bool) for m in byz_mask]
+    if isinstance(byz_mask, (list, tuple)) or np.ndim(byz_mask) == 2:
+        masks = list(byz_mask)
         if len(masks) != batch:
             raise ValueError(
                 f"got {len(masks)} placement masks for {batch} seeds; provide "
                 "one (n,) mask per trial or a single shared (n,) mask"
             )
-        for m in masks:
-            if m.shape != (n,):
-                raise ValueError(
-                    f"each placement mask must have shape ({n},), got {m.shape}"
-                )
-        return np.array(masks, dtype=bool).reshape(batch, n)
-    arr = np.asarray(byz_mask, dtype=bool)
-    if arr.ndim == 1:
-        if arr.shape != (n,):
-            raise ValueError(f"byz_mask must have shape ({n},), got {arr.shape}")
-        out = np.empty((batch, n), dtype=bool)
-        out[:] = arr
-        return out
-    if arr.ndim == 2:
-        if arr.shape[0] != batch:
-            raise ValueError(
-                f"got {arr.shape[0]} placement masks for {batch} seeds; provide "
-                "one (n,) mask per trial or a single shared (n,) mask"
-            )
-        if arr.shape[1] != n:
-            raise ValueError(
-                f"each placement mask must have shape ({n},), got ({arr.shape[1]},)"
-            )
-        return arr.copy()
-    raise ValueError(
-        f"byz_mask must be (n,) or (batch, n), got shape {arr.shape}"
-    )
+        return [_as_mask(m, n, "each placement mask") for m in masks]
+    return [_as_mask(byz_mask, n, "byz_mask")] * batch
 
 
-def _check_kernel_csr(
-    kernel: FloodKernel, network: SmallWorldNetwork, name: str
+def _check_kernel(
+    kernel: FloodKernel, nets: list[SmallWorldNetwork], backend: str | None
 ) -> None:
-    """Reject a reused kernel whose CSR drifted from the network's ``H``.
+    """Validate a reused kernel against the batch's distinct networks.
 
-    The resident churn engine rebinds kernels via
-    :meth:`~repro.sim.flood.FloodKernel.update_csr` after every delta;
+    The kernel's row blocks must be the networks' sizes in order (a plain
+    :class:`~repro.sim.flood.FloodKernel` is one block).  A one-block
+    kernel is also checked against the network's ``H`` CSR: the resident
+    churn engine rebinds kernels via
+    :meth:`~repro.sim.flood.FloodKernel.update_csr` after every delta, and
     this guards the handoff so a missed rebind fails loudly instead of
     flooding a stale adjacency.
     """
-    if kernel.n != network.n or not (
-        np.array_equal(kernel.indptr, network.h.indptr)
-        and np.array_equal(kernel.indices, network.h.indices)
+    if backend is not None:
+        raise ValueError(
+            "pass either backend or a pre-built kernel, not both (the "
+            "kernel already carries its backend)"
+        )
+    sizes = tuple(int(net.n) for net in nets)
+    if kernel.sizes != sizes:
+        raise ValueError(
+            f"kernel block sizes {kernel.sizes} do not match the networks' "
+            f"sizes {sizes}"
+        )
+    if len(nets) == 1 and not (
+        np.array_equal(kernel.indptr, nets[0].h.indptr)
+        and np.array_equal(kernel.indices, nets[0].h.indices)
     ):
         raise ValueError(
-            f"{name} adjacency does not match the network's H CSR; rebind "
+            "kernel adjacency does not match the network's H CSR; rebind "
             "with kernel.update_csr(...) after mutating the overlay"
         )
 
@@ -428,216 +401,6 @@ def _group_by_config(
     for i, cfg in enumerate(configs):
         groups.setdefault(cfg, []).append(i)
     return groups
-
-
-def _run_batched_group(
-    network: SmallWorldNetwork,
-    seeds: list[SeedLike],
-    config: CountingConfig,
-    backend: str | None = None,
-    kernel: FloodKernel | None = None,
-    channel: ChannelModel | None = None,
-) -> list[CountingResult]:
-    """The batched engine proper: one config, ``B`` seeds, no adversary.
-
-    Mirrors the adversary-free path of :func:`run_counting` statement for
-    statement, with node vectors widened to ``(B, n)`` matrices.  The only
-    per-trial Python work left in the hot loop is the color draw (each
-    trial owns a private RNG stream whose draw order must match the
-    sequential engine's).
-    """
-    n, d = network.n, network.d
-    batch = len(seeds)
-    if batch == 0:
-        return []
-
-    color_rngs: list[np.random.Generator] = []
-    chan_rngs: list[np.random.Generator] = []
-    for seed in seeds:
-        root = make_rng(seed)
-        color_rng, _adv_rng = spawn(root, 2)  # same split as run_counting
-        color_rngs.append(color_rng)
-        if channel is not None:
-            # Child 2 of the trial root: spawned only when a channel is
-            # active, which leaves the color/adversary streams bit-for-bit
-            # unchanged (spawn advances a child counter, not the stream).
-            chan_rngs.append(spawn(root, 1)[0])
-
-    if kernel is None:
-        kernel = FloodKernel(network.h.indptr, network.h.indices, backend=backend)
-    decided = np.full((batch, n), UNDECIDED, dtype=np.int64)
-    meters = MeterBatch(batch)
-    traces = [PhaseTrace() for _ in range(batch)]
-    alive = np.ones(batch, dtype=bool)
-
-    for phase in range(1, config.max_phase + 1):
-        undecided_all = decided == UNDECIDED
-        active_before = undecided_all.sum(axis=1)
-        if config.stop_when_all_decided:
-            alive &= active_before > 0
-        if not alive.any():
-            break
-        live = np.flatnonzero(alive)
-        b_live = live.shape[0]
-        n_sub = subphase_count(
-            phase, config.eps, d, config.alpha_variant, config.subphase_multiplier
-        )
-        threshold = color_threshold(phase, d)
-        und = undecided_all[live]
-        counts = active_before[live]
-        all_undecided = counts == n
-        # ``k > threshold`` for integer ``k`` equals ``k > floor(threshold)``,
-        # so the comparison stays in int32 (no float64 promotion).
-        thr_floor = int(np.floor(threshold))
-
-        # One stream read per trial per phase: a single geometric draw of
-        # ``n_sub * count`` values equals ``n_sub`` successive draws of
-        # ``count`` (distribution sampling consumes the bit stream per
-        # variate, independent of call boundaries), so per-trial streams
-        # still match the sequential engine draw for draw.
-        phase_draws: list[Int64Array | None] = []
-        for row, trial in enumerate(live):
-            count = int(counts[row])
-            if count:
-                draws = sample_colors(color_rngs[trial], n_sub * count)
-                phase_draws.append(draws.reshape(n_sub, count))
-            else:
-                phase_draws.append(None)
-
-        # Trials-as-columns int32 state: each node's live-trial values sit
-        # in one cache line, which is what makes the stacked kernel fast.
-        # Colors are O(log n) whp and the engine never injects, so int32
-        # cannot overflow; results are widened back to int64 at the end.
-        colors_bn = np.zeros((b_live, n), dtype=np.int32)
-        cur_t = np.empty((n, b_live), dtype=np.int32)
-        # ``recv`` is pointwise monotone across a subphase's rounds (cur
-        # only grows, so each neighbor-max dominates the previous one);
-        # hence max_{t < phase} recv_t == recv at round phase-1 and no
-        # running "previous k_t" accumulation is needed — round phase-1's
-        # receive buffer *is* prev_kt.  phase == 1 has no earlier rounds,
-        # so prev stays at its zero initialization.  An active channel
-        # breaks that monotonicity (a dropped message can shrink a
-        # neighbor-max), so the lossy path below keeps an explicit running
-        # maximum instead and resets it every subphase.
-        prev_t = np.zeros((n, b_live), dtype=np.int32)
-        recv_t = np.empty((n, b_live), dtype=np.int32)
-        k_last_t = np.empty((n, b_live), dtype=np.int32)
-        flag_continue = np.zeros((n, b_live), dtype=bool)
-        senders = np.zeros(b_live, dtype=np.int64)
-        chan: ChannelState | None = None
-        if channel is not None:
-            chan = ChannelState(
-                channel,
-                [(row, 0, n, chan_rngs[int(t)]) for row, t in enumerate(live)],
-            )
-
-        for sub in range(n_sub):
-            # Rows whose mask is partial keep untouched entries at their
-            # initial 0 (the mask is fixed for the whole phase), so only
-            # masked positions ever need writing.
-            for row, _trial in enumerate(live):
-                draws = phase_draws[row]
-                if draws is None:
-                    continue
-                if all_undecided[row]:
-                    colors_bn[row] = draws[sub]
-                else:
-                    colors_bn[row, und[row]] = draws[sub]
-            np.copyto(cur_t, colors_bn.T)
-            if chan is not None:
-                prev_t.fill(0)
-
-            senders.fill(0)
-            saturated = False
-            for t in range(1, phase + 1):
-                # No crashes and no Byzantine suppression on this path, so
-                # every node transmits its running max: sent == cur, and
-                # the copy the sequential engine makes is unnecessary.
-                # (The channel corrupts a kernel-side scratch copy, so the
-                # sender count below still meters attempted transmissions.)
-                if config.count_messages:
-                    if saturated:
-                        senders += n
-                    else:
-                        nonzero = np.count_nonzero(cur_t, axis=0)
-                        senders += nonzero
-                        # The nonzero set only grows within a subphase
-                        # (running max), so once every node transmits in
-                        # every trial the count stays pinned at n.
-                        saturated = bool(nonzero.min() == n)
-                if chan is not None:
-                    # Lossy path: prev_kt must be an explicit running max
-                    # over every pre-final round's (possibly shrunken)
-                    # receive, not just round phase-1's.
-                    if t == phase:
-                        kernel.neighbor_max_stacked(
-                            cur_t, out=k_last_t, channel=chan
-                        )
-                    else:
-                        kernel.neighbor_max_stacked(
-                            cur_t, out=recv_t, channel=chan
-                        )
-                        np.maximum(prev_t, recv_t, out=prev_t)
-                        np.maximum(cur_t, recv_t, out=cur_t)
-                elif t == phase:
-                    # Last round: only k_t is still needed — recv, prev,
-                    # and the running max are dead after this point.
-                    kernel.neighbor_max_stacked(cur_t, out=k_last_t)
-                elif t == phase - 1:
-                    # By monotonicity this receive equals prev_kt.
-                    kernel.neighbor_max_stacked(cur_t, out=prev_t)
-                    np.maximum(cur_t, prev_t, out=cur_t)
-                else:
-                    kernel.neighbor_max_stacked(cur_t, out=recv_t)
-                    np.maximum(cur_t, recv_t, out=cur_t)
-            if config.count_messages:
-                meters.add_messages(live, senders * d)
-            np.logical_or(
-                flag_continue,
-                (k_last_t > prev_t) & (k_last_t > thr_floor),
-                out=flag_continue,
-            )
-        # Without an adversary the per-round cost is exactly 1, so the
-        # phase's round total factors out of the subphase loop.
-        meters.add_rounds(live, n_sub * phase)
-
-        newly = und & ~flag_continue.T
-        rows = decided[live]
-        rows[newly] = phase
-        decided[live] = rows
-        if config.record_phase_trace:
-            newly_counts = newly.sum(axis=1)
-            for row, trial in enumerate(live):
-                traces[trial].append(
-                    PhaseRecord(
-                        phase=phase,
-                        subphases=n_sub,
-                        flooding_rounds=n_sub * phase,
-                        newly_decided=int(newly_counts[row]),
-                        active_before=int(counts[row]),
-                        injections_accepted=0,
-                        injections_rejected=0,
-                    )
-                )
-        if config.stop_when_all_decided and not (decided == UNDECIDED).any():
-            break
-
-    k = network.k
-    return [
-        CountingResult(
-            n=n,
-            d=d,
-            k=k,
-            decided_phase=decided[b].copy(),
-            crashed=np.zeros(n, dtype=bool),
-            byz=np.zeros(n, dtype=bool),
-            meter=meters.meter(b),
-            trace=traces[b],
-            injections_accepted=0,
-            injections_rejected=0,
-        )
-        for b in range(batch)
-    ]
 
 
 def _claims_signature(claims: Any) -> tuple[Any, ...]:
@@ -728,486 +491,6 @@ def _normalize_batch_plan(
     return initial, inj_by_round, counts_by_round, groups_by_round, relay
 
 
-class _PlacementGroup:
-    """One distinct Byzantine placement inside a batched config group.
-
-    The flooding state stays fused across placements; only adversary
-    planning, crash simulation, and the per-column mask applications run
-    per group.  ``alive_local``/``sel``/``full`` are refreshed each phase:
-    ``alive_local`` holds the group-local indices of the group's trials
-    still running (what the adversary protocol calls ``trials``), ``sel``
-    their columns in the live trials-as-columns state, and ``full`` whether
-    the group currently covers the whole live batch (the common
-    single-placement case, which then skips all column slicing).
-    """
-
-    __slots__ = (
-        "trials",
-        "byz",
-        "byz_nodes",
-        "honest_nodes",
-        "adversary",
-        "alive_local",
-        "sel",
-        "full",
-        "dec_cols",
-        "crash_cols",
-        "rng_cols",
-    )
-
-    def __init__(self, trials: Int64Array, byz: BoolArray, adversary: Adversary) -> None:
-        self.trials = trials
-        self.byz = byz
-        self.byz_nodes = np.flatnonzero(byz)
-        self.honest_nodes = np.flatnonzero(~byz)
-        self.adversary = adversary
-        self.alive_local: IntArray = trials
-        # Phase-refreshed slots (columns assigned before every use, so the
-        # None sentinels never escape the engine loop).
-        self.sel: Any = None
-        self.full = True
-        # Phase-constant column views (decided/crashed/rngs restricted to
-        # the group's live columns), refreshed once per phase — only the
-        # colors slice changes per subphase.
-        self.dec_cols: Any = None
-        self.crash_cols: Any = None
-        self.rng_cols: tuple[np.random.Generator, ...] = ()
-
-
-def _placement_groups(
-    adversary_factory: AdversarySpec, byz_bn: BoolArray
-) -> list["_PlacementGroup"]:
-    """Sub-group trial columns by distinct placement, one adversary each."""
-    group_map: dict[bytes, list[int]] = {}
-    for j in range(byz_bn.shape[0]):
-        group_map.setdefault(byz_bn[j].tobytes(), []).append(j)
-    if len(group_map) > 1 and isinstance(adversary_factory, Adversary):
-        raise ValueError(
-            "a shared adversary instance cannot drive trials with different "
-            "Byzantine placements (binding is per placement); pass a "
-            "zero-argument adversary factory instead"
-        )
-    groups: list[_PlacementGroup] = []
-    for idxs in group_map.values():
-        trials = np.asarray(idxs, dtype=np.int64)
-        byz = np.ascontiguousarray(byz_bn[idxs[0]])
-        groups.append(
-            _PlacementGroup(trials, byz, _batch_adversary(adversary_factory, len(idxs)))
-        )
-    return groups
-
-
-def _run_byzantine_batched_group(
-    network: SmallWorldNetwork,
-    seeds: list[SeedLike],
-    config: CountingConfig,
-    adversary_factory: AdversarySpec,
-    byz_bn: BoolArray,
-    backend: str | None = None,
-    kernel: FloodKernel | None = None,
-    channel: ChannelModel | None = None,
-) -> list[CountingResult]:
-    """Batched Algorithm 2: one config, ``B`` seeds, per-trial placements.
-
-    Mirrors the adversarial path of :func:`repro.core.runner.run_counting`
-    statement for statement on ``(n, B)`` trials-as-columns matrices:
-    per-trial pre-phase crash masks (memoized on placement + claim
-    content), the Lemma 16 injection gate, per-trial relay suppression,
-    witness-traffic metering from new-record counts, and per-trial early
-    exit.  Trials are sub-grouped by distinct placement
-    (:class:`_PlacementGroup`); each sub-group's adversary plans its own
-    columns while the flooding rounds execute fused over the whole batch.
-    Color state starts in int32 and widens to int64 at the first plan
-    whose values exceed ``INT32_MAX`` (see the module docstring's dtype
-    policy).  Bit-for-bit equal to ``B`` sequential runs (enforced by
-    ``tests/core/test_runner_batch.py`` / ``tests/core/test_sweep.py``).
-    """
-    n, d, k = network.n, network.d, network.k
-    batch = len(seeds)
-    if batch == 0:
-        return []
-
-    color_rngs: list[np.random.Generator] = []
-    adv_rngs: list[np.random.Generator] = []
-    chan_rngs: list[np.random.Generator] = []
-    for seed in seeds:
-        root = make_rng(seed)
-        color_rng, adv_rng = spawn(root, 2)  # same split as run_counting
-        color_rngs.append(color_rng)
-        adv_rngs.append(adv_rng)
-        if channel is not None:
-            chan_rngs.append(spawn(root, 1)[0])  # child 2, channel stream
-
-    groups = _placement_groups(adversary_factory, byz_bn)
-    adaptive_groups = [g for g in groups if _is_adaptive(g.adversary)]
-    meters = MeterBatch(batch)
-    traces = [PhaseTrace() for _ in range(batch)]
-    crashed_bn = np.zeros((batch, n), dtype=bool)
-
-    for g in groups:
-        g.adversary.bind_batch(
-            network, g.byz, [adv_rngs[int(t)] for t in g.trials], config
-        )
-    if config.verification:
-        for g in groups:
-            claims_list = g.adversary.batch_topology_claims()
-            if len(claims_list) != g.trials.shape[0]:
-                raise ValueError(
-                    f"batch_topology_claims returned {len(claims_list)} claim "
-                    f"sets for {g.trials.shape[0]} trials"
-                )
-            # Built-in strategies lie deterministically, so most batches
-            # share one claim set; simulate each distinct set's crashes
-            # only once (object identity first, claim content as the
-            # fallback key).  The caches are per group, which keys the
-            # memo on (placement, claims) — crash results depend on both.
-            by_id: dict[int, BoolArray] = {}
-            cache: dict[tuple[Any, ...], BoolArray] = {}
-            for local, trial in enumerate(g.trials):
-                claims = claims_list[local]
-                crashed = by_id.get(id(claims))
-                if crashed is None:
-                    key = _claims_signature(claims)
-                    crashed = cache.get(key)
-                    if crashed is None:
-                        crashed = crash_phase(network, g.byz, claims)
-                        cache[key] = crashed
-                    by_id[id(claims)] = crashed
-                crashed_bn[trial] = crashed
-        all_trials = np.arange(batch)
-        meters.add_rounds(all_trials, 2)
-        if config.count_messages:
-            total_ports = int(network.g_indptr[-1])
-            meters.add_messages(all_trials, total_ports, ids_each=d)
-
-    if kernel is None:
-        kernel = FloodKernel(network.h.indptr, network.h.indices, backend=backend)
-    decided = np.full((batch, n), UNDECIDED, dtype=np.int64)
-    witness_ball = min(ball_size_bound(d, k, 1), n)
-    witness_cap = min(witness_ball, 64)
-    honest_uncrashed = ~byz_bn & ~crashed_bn
-    alive = np.ones(batch, dtype=bool)
-    inj_acc = np.zeros(batch, dtype=np.int64)
-    inj_rej = np.zeros(batch, dtype=np.int64)
-    round_cost = 1 + (config.verification_round_cost if config.verification else 0)
-    # Narrow adversarial state until a plan proves it needs int64.
-    state_dtype: type[np.signedinteger[Any]] = np.int32
-
-    for phase in range(1, config.max_phase + 1):
-        undecided_all = honest_uncrashed & (decided == UNDECIDED)
-        active_before = undecided_all.sum(axis=1)
-        if config.stop_when_all_decided:
-            alive &= active_before > 0
-        if not alive.any():
-            break
-        live = np.flatnonzero(alive)
-        b_live = live.shape[0]
-        n_sub = subphase_count(
-            phase, config.eps, d, config.alpha_variant, config.subphase_multiplier
-        )
-        threshold = color_threshold(phase, d)
-        und = undecided_all[live]
-        counts = active_before[live]
-
-        live_pos = np.full(batch, -1, dtype=np.int64)
-        live_pos[live] = np.arange(b_live)
-        for g in groups:
-            pos = live_pos[g.trials]
-            keep = pos >= 0
-            g.alive_local = np.flatnonzero(keep)
-            g.sel = pos[keep]
-            g.full = g.sel.shape[0] == b_live
-
-        # One stream read per trial per phase (see _run_batched_group): the
-        # undecided set is fixed across a phase's subphases, so a single
-        # geometric draw of ``n_sub * count`` values replays the sequential
-        # engine's per-subphase draws exactly.
-        phase_draws: list[Int64Array | None] = []
-        for row, trial in enumerate(live):
-            count = int(counts[row])
-            if count:
-                draws = sample_colors(color_rngs[trial], n_sub * count)
-                phase_draws.append(draws.reshape(n_sub, count))
-            else:
-                phase_draws.append(None)
-
-        crashed_nb = np.ascontiguousarray(crashed_bn[live].T)
-        any_crash = bool(crashed_nb.any())
-        decided_nb = np.ascontiguousarray(decided[live].T)
-        colors = np.zeros((n, b_live), dtype=state_dtype)
-        cur = np.empty((n, b_live), dtype=state_dtype)
-        sent = np.empty((n, b_live), dtype=state_dtype)
-        prev_kt = np.empty((n, b_live), dtype=state_dtype)
-        recv = np.empty((n, b_live), dtype=state_dtype)
-        k_last = np.empty((n, b_live), dtype=state_dtype)
-        flag_continue = np.zeros((n, b_live), dtype=bool)
-        phase_inj_acc = np.zeros(b_live, dtype=np.int64)
-        phase_inj_rej = np.zeros(b_live, dtype=np.int64)
-        msg_senders = np.zeros(b_live, dtype=np.int64)
-        msg_records = np.zeros(b_live, dtype=np.int64)
-        chan: ChannelState | None = None
-        if channel is not None:
-            chan = ChannelState(
-                channel,
-                [(row, 0, n, chan_rngs[int(c)]) for row, c in enumerate(live)],
-            )
-        traffic_nb = (
-            np.zeros((n, b_live), dtype=np.int64) if adaptive_groups else None
-        )
-        live_rngs = tuple(adv_rngs[t] for t in live)
-        for g in groups:
-            if g.full:
-                g.dec_cols, g.crash_cols, g.rng_cols = decided_nb, crashed_nb, live_rngs
-            else:
-                g.dec_cols = decided_nb[:, g.sel]
-                g.crash_cols = crashed_nb[:, g.sel]
-                g.rng_cols = tuple(live_rngs[int(c)] for c in g.sel)
-
-        for sub in range(1, n_sub + 1):
-            # --- draw colors (undecided honest nodes only) ---------------
-            colors.fill(0)
-            for row, _trial in enumerate(live):
-                draws = phase_draws[row]
-                if draws is not None:
-                    colors[und[row], row] = draws[sub - 1]
-
-            # --- per-placement adversary plans, merged to batch form -----
-            initial_apps: list[tuple[IntArray, IntArray, Int64Array]] = []
-            counts_by_round: dict[int, Int64Array] = {}
-            groups_by_round: dict[int, list[tuple[IntArray, IntArray, Int64Array]]] = {}
-            suppress_pairs: list[tuple[IntArray, IntArray]] = []
-            suppressed_inj: dict[int, dict[int, list[Injection]]] = {}
-            plan_max = 0
-            plan_min = 0
-            for g in groups:
-                if g.byz_nodes.size == 0 or g.sel.shape[0] == 0:
-                    continue
-                sel = g.sel
-                g_colors = (
-                    colors[g.honest_nodes]
-                    if g.full
-                    else colors[np.ix_(g.honest_nodes, sel)]
-                )
-                state = BatchSubphaseState(
-                    phase=phase,
-                    subphase=sub,
-                    rounds=phase,
-                    k=k,
-                    network=network,
-                    byz_nodes=g.byz_nodes,
-                    trials=g.alive_local,
-                    honest_colors=g_colors,
-                    decided_phase=g.dec_cols,
-                    crashed=g.crash_cols,
-                    rngs=g.rng_cols,
-                )
-                plan = g.adversary.batch_subphase_plan(state)
-                (
-                    initial_g,
-                    inj_rounds_g,
-                    counts_g,
-                    groups_g,
-                    relay_g,
-                ) = _normalize_batch_plan(plan, g.byz_nodes.shape[0], sel.shape[0])
-                # Schedules reuse node arrays across injections and trials;
-                # check each distinct array against the group's Byzantine
-                # set once (per group: membership depends on the placement).
-                checked: set[int] = set()
-                for by_round in inj_rounds_g:
-                    for injs in by_round.values():
-                        for inj in injs:
-                            if id(inj.nodes) not in checked:
-                                checked.add(id(inj.nodes))
-                                inj.require_byzantine(g.byz)
-                if initial_g is not None:
-                    initial_apps.append((g.byz_nodes, sel, initial_g))
-                    if initial_g.size:
-                        plan_max = max(plan_max, int(initial_g.max()))
-                        plan_min = min(plan_min, int(initial_g.min()))
-                for t, cnts in counts_g.items():
-                    acc = counts_by_round.get(t)
-                    if acc is None:
-                        acc = np.zeros(b_live, dtype=np.int64)
-                        counts_by_round[t] = acc
-                    acc[sel] += cnts
-                for t, lst in groups_g.items():
-                    merged = groups_by_round.setdefault(t, [])
-                    for nodes, cols, vals in lst:
-                        merged.append((nodes, sel[cols], vals))
-                        if vals.size:
-                            plan_max = max(plan_max, int(vals.max()))
-                off_local = np.flatnonzero(~relay_g)
-                if off_local.size:
-                    suppress_pairs.append((g.byz_nodes, sel[off_local]))
-                    for j_local in off_local:
-                        by_round = inj_rounds_g[int(j_local)]
-                        if by_round:
-                            suppressed_inj[int(sel[int(j_local)])] = by_round
-
-            if (
-                plan_max > _INT32_MAX or plan_min < _INT32_MIN
-            ) and state_dtype == np.int32:
-                # Widen lazily, for the rest of the run: the only live
-                # color state here is ``colors`` (``cur``/``prev_kt`` are
-                # rebuilt below), so one astype converts it exactly.
-                state_dtype = np.int64
-                colors = colors.astype(np.int64)
-                cur = np.empty((n, b_live), dtype=np.int64)
-                sent = np.empty_like(cur)
-                prev_kt = np.empty_like(cur)
-                recv = np.empty_like(cur)
-                k_last = np.empty_like(cur)
-
-            np.copyto(cur, colors)
-            for nodes_g, sel_g, initial_g in initial_apps:
-                cur[np.ix_(nodes_g, sel_g)] = initial_g
-
-            prev_kt.fill(0)
-            for t in range(1, phase + 1):
-                # --- adversary injections (Lemma 16 gate) ----------------
-                accept = not (config.verification and t > k - 1)
-                inj_counts = counts_by_round.get(t)
-                if inj_counts is not None:
-                    if accept:
-                        phase_inj_acc += inj_counts
-                        # One masked 2-D maximum applies a whole round's
-                        # injections for every trial (the per-trial loop
-                        # is only revisited for relay-suppression below).
-                        for nodes, cols, vals in groups_by_round[t]:
-                            ix = np.ix_(nodes, cols)
-                            cur[ix] = np.maximum(cur[ix], vals[None, :])
-                    else:
-                        phase_inj_rej += inj_counts
-
-                # --- transmit --------------------------------------------
-                np.copyto(sent, cur)
-                if any_crash:
-                    sent[crashed_nb] = 0
-                for nodes_g, cols_g in suppress_pairs:
-                    sent[np.ix_(nodes_g, cols_g)] = 0
-                if accept and suppressed_inj:
-                    for col, by_round in suppressed_inj.items():
-                        for inj in by_round.get(t, ()):
-                            sent[inj.nodes, col] = inj.value
-
-                # --- receive ---------------------------------------------
-                kernel.neighbor_max_stacked(sent, out=recv, channel=chan)
-                if any_crash:
-                    recv[crashed_nb] = 0
-                if traffic_nb is not None:
-                    # Attempted (pre-channel) sends: what an observer of
-                    # the medium's input would meter.
-                    traffic_nb += sent != 0
-
-                # --- accounting (before the running-max update eats the
-                # new-record evidence) ------------------------------------
-                if config.count_messages:
-                    msg_senders += np.count_nonzero(sent, axis=0)
-                    if config.verification:
-                        msg_records += np.count_nonzero(recv > cur, axis=0)
-
-                if t == phase:
-                    np.copyto(k_last, recv)
-                else:
-                    np.maximum(prev_kt, recv, out=prev_kt)
-                np.maximum(cur, recv, out=cur)
-                if any_crash:
-                    cur[crashed_nb] = 0
-
-            np.logical_or(
-                flag_continue,
-                (k_last > prev_kt) & (k_last > threshold),
-                out=flag_continue,
-            )
-
-            # --- between-subphase adaptation (mobility, re-planning) -----
-            if traffic_nb is not None:
-                relocated = False
-                for g in adaptive_groups:
-                    if g.sel.shape[0] == 0:
-                        continue
-                    mask = g.adversary.batch_adapt(
-                        BatchAdaptationState(
-                            phase=phase,
-                            subphase=sub,
-                            network=network,
-                            byz_nodes=g.byz_nodes,
-                            trials=g.alive_local,
-                            traffic=(
-                                traffic_nb if g.full else traffic_nb[:, g.sel]
-                            ),
-                            rngs=g.rng_cols,
-                        )
-                    )
-                    if mask is not None:
-                        new_byz = _adapted_mask(mask, n)
-                        g.byz = new_byz
-                        g.byz_nodes = np.flatnonzero(new_byz)
-                        g.honest_nodes = np.flatnonzero(~new_byz)
-                        byz_bn[g.trials] = new_byz
-                        relocated = True
-                if relocated:
-                    # Future phases read the moved placement; this phase's
-                    # draw schedule stays fixed (see module docstring).
-                    honest_uncrashed = ~byz_bn & ~crashed_bn
-                traffic_nb.fill(0)
-
-        # Per-round message/round charges are additive, so the phase total
-        # factors out of the round loop (witness messages cost 2 queries
-        # of 1 ID each per new record, capped at 64 witnesses).
-        if config.count_messages:
-            meters.add_messages(live, msg_senders * d)
-            if config.verification:
-                meters.add_messages(live, 2 * msg_records * witness_cap, ids_each=1)
-        meters.add_rounds(live, n_sub * phase * round_cost)
-        inj_acc[live] += phase_inj_acc
-        inj_rej[live] += phase_inj_rej
-
-        newly = und & ~flag_continue.T
-        rows = decided[live]
-        rows[newly] = phase
-        decided[live] = rows
-        if config.record_phase_trace:
-            newly_counts = newly.sum(axis=1)
-            for row, trial in enumerate(live):
-                traces[trial].append(
-                    PhaseRecord(
-                        phase=phase,
-                        subphases=n_sub,
-                        flooding_rounds=n_sub * phase,
-                        newly_decided=int(newly_counts[row]),
-                        active_before=int(counts[row]),
-                        injections_accepted=int(phase_inj_acc[row]),
-                        injections_rejected=int(phase_inj_rej[row]),
-                    )
-                )
-        if config.stop_when_all_decided and not (
-            honest_uncrashed & (decided == UNDECIDED)
-        ).any():
-            break
-
-    return [
-        CountingResult(
-            n=n,
-            d=d,
-            k=k,
-            decided_phase=decided[b].copy(),
-            crashed=crashed_bn[b].copy(),
-            byz=byz_bn[b].copy(),
-            meter=meters.meter(b),
-            trace=traces[b],
-            injections_accepted=int(inj_acc[b]),
-            injections_rejected=int(inj_rej[b]),
-        )
-        for b in range(batch)
-    ]
-
-
-# ----------------------------------------------------------------------
-# Network-axis batching (padded multi-network trials-as-columns)
-# ----------------------------------------------------------------------
-
-
 def run_counting_multinet(
     networks: Sequence[SmallWorldNetwork],
     seeds: Sequence[SeedLike],
@@ -1215,27 +498,31 @@ def run_counting_multinet(
     adversary_factory: Callable[[], Adversary] | Adversary | None = None,
     byz_mask: Sequence[AnyArray | None] | None = None,
     backend: str | None = None,
-    kernel: MultiFloodKernel | None = None,
+    kernel: FloodKernel | None = None,
     channel: ChannelModel | None = None,
 ) -> BatchCountingResult:
     """Run independent counting trials on *per-trial networks*, batched.
 
     The network-axis extension of :func:`run_counting_batch`: trial ``i``
     runs on ``networks[i]``, and trials on different graphs — including
-    graphs of different sizes — fuse into one padded trials-as-columns
-    batch (see the module docstring's network-axis section).  Every trial
-    is bit-for-bit equal to the per-network ``run_counting_batch`` /
-    sequential ``run_counting`` call it replaces.
+    graphs of different sizes and different trial counts per graph — fuse
+    into one union-stack batch.  Trials are grouped into row blocks by
+    network identity; within each config, a block's trials fill its
+    columns in trial order and the unused tail cells of shorter blocks are
+    absent (see the module docstring's per-cell seeds section).  Every
+    trial is bit-for-bit equal to the sequential ``run_counting`` call it
+    replaces.
 
     Parameters
     ----------
     networks:
         One network per trial (``len(networks) == len(seeds)``); repeats
-        of the same object share one kernel.  All networks must have the
-        same degree ``d`` — the phase schedule is ``d``-dependent, so
+        of the same object share one row block.  All networks must have
+        the same degree ``d`` — the phase schedule is ``d``-dependent, so
         heterogeneous degrees cannot share a fused round loop.
     seeds, config, adversary_factory:
-        As in :func:`run_counting_batch`.
+        As in :func:`run_counting_batch`; with two or more distinct
+        networks, a ``Generator`` seed object may appear only once.
     byz_mask:
         ``None`` (no Byzantine nodes) or a length-``B`` sequence with one
         entry per trial: an ``(n_i,)`` mask over *that trial's* network,
@@ -1247,27 +534,21 @@ def run_counting_multinet(
         (:class:`repro.graphs.shared.NetworkTuple`), so sharded workers
         inherit the sweep-level choice.
     kernel:
-        A pre-built :class:`~repro.sim.flood.MultiFloodKernel` over the
-        *distinct* networks of this batch (first-appearance order), reused
-        across calls by the resident churn engine.  Mutually exclusive
-        with ``backend``; member adjacencies are validated against the
-        networks eagerly.
+        A pre-built kernel whose row blocks are the *distinct* networks of
+        this batch in first-appearance order: a
+        :class:`~repro.sim.flood.UnionFloodKernel`, or a plain
+        :class:`~repro.sim.flood.FloodKernel` when every trial runs on one
+        network.  Reused across calls by the resident churn engine;
+        mutually exclusive with ``backend``; validated eagerly.
     channel:
         As in :func:`run_counting_batch`.  ``None`` additionally adopts a
         ``channel`` attribute shipped on the ``networks`` container
         (:class:`repro.graphs.shared.NetworkTuple`), so sharded workers
         inherit the sweep-level channel the way they inherit the backend.
     """
-    if kernel is not None and backend is not None:
-        raise ValueError(
-            "pass either backend or a pre-built kernel, not both (the "
-            "kernel already carries its backend)"
-        )
-    if backend is None and kernel is None:
-        backend = getattr(networks, "kernel_backend", None)
     if channel is None:
         channel = getattr(networks, "channel", None)
-    channel = _normalize_channel(channel)
+    container = networks
     networks = list(networks)
     seeds = list(seeds)
     batch = len(seeds)
@@ -1278,805 +559,75 @@ def run_counting_multinet(
         )
     if batch == 0:
         return BatchCountingResult([])
-
     nets: list[SmallWorldNetwork] = []
     net_pos: dict[int, int] = {}
-    net_of = np.empty(batch, dtype=np.int64)
-    for i, net in enumerate(networks):
-        pos = net_pos.get(id(net))
-        if pos is None:
-            pos = len(nets)
-            net_pos[id(net)] = pos
+    net_of: list[int] = []
+    for net in networks:
+        net_of.append(net_pos.setdefault(id(net), len(nets)))
+        if net_of[-1] == len(nets):
             nets.append(net)
-        net_of[i] = pos
-    degrees = {int(net.d) for net in nets}
-    if len(degrees) > 1:
-        raise ValueError(
-            "all networks in one multi-network batch must share the degree d "
-            f"(the phase schedule is d-dependent); got d in {sorted(degrees)}"
-        )
-    sizes = [int(net.n) for net in nets]
-
-    masks = _normalize_multinet_masks(byz_mask, batch, net_of, sizes)
-    if adversary_factory is None and masks is not None:
-        if any(m.any() for m in masks):
-            raise ValueError("byz_mask given without an adversary_factory")
-        masks = None
-
-    if kernel is not None:
-        if len(kernel.kernels) != len(nets):
+    masks: list[BoolArray] | None = None
+    if byz_mask is not None:
+        if isinstance(byz_mask, np.ndarray) and byz_mask.ndim == 1:
             raise ValueError(
-                f"kernel covers {len(kernel.kernels)} networks but this batch "
-                f"has {len(nets)} distinct networks"
+                "a single shared mask cannot span a multi-network batch; "
+                "provide one (n_i,) mask (or None) per trial"
             )
-        for g, net in enumerate(nets):
-            _check_kernel_csr(kernel.kernels[g], net, f"kernel.kernels[{g}]")
+        entries = list(byz_mask)
+        if len(entries) != batch:
+            raise ValueError(
+                f"got {len(entries)} placement masks for {batch} seeds; "
+                "provide one (n_i,) mask (or None) per trial"
+            )
+        masks = [
+            _as_mask(m, int(networks[i].n), f"trial {i}'s placement mask")
+            for i, m in enumerate(entries)
+        ]
 
-    if len(nets) == 1:
-        # One distinct graph: the single-network engine is this exact
-        # computation without padding.
-        return run_counting_batch(
-            nets[0],
-            seeds,
-            config=config,
-            adversary_factory=adversary_factory,
-            byz_mask=masks,
-            backend=backend,
-            kernel=kernel.kernels[0] if kernel is not None else None,
-            channel=channel,
-        )
+    # Lay the trials out on the (network, column) grid: each config owns a
+    # run of columns as wide as its busiest network; shorter blocks leave
+    # their tail cells absent.
+    cell_of: list[list[int]] = [[] for _ in nets]
+    col_configs: list[CountingConfig] = []
+    for cfg, ids in _group_by_config(_normalize_configs(config, batch)).items():
+        per_net: list[list[int]] = [[] for _ in nets]
+        for i in ids:
+            per_net[net_of[i]].append(i)
+        width = max(len(trials) for trials in per_net)
+        for row, trials in zip(cell_of, per_net):
+            row.extend(trials + [-1] * (width - len(trials)))
+        col_configs.extend([cfg] * width)
+    def on_grid(values: list[Any]) -> list[list[Any]]:
+        return [[values[i] if i >= 0 else None for i in row] for row in cell_of]
 
-    configs = _normalize_configs(config, batch)
+    grid = _run_union(
+        nets,
+        on_grid(seeds),
+        np.asarray(cell_of, dtype=np.int64).reshape(len(nets), -1) >= 0,
+        col_configs,
+        adversary_factory,
+        None if masks is None else on_grid(masks),
+        kernel=kernel,
+        backend=backend,
+        channel=channel,
+        container=container,
+    )
     results: list[CountingResult | None] = [None] * batch
-    for cfg, trial_ids in _group_by_config(configs).items():
-        if adversary_factory is not None:
-            group_masks = (
-                [np.zeros(sizes[int(net_of[i])], dtype=bool) for i in trial_ids]
-                if masks is None
-                else [masks[i] for i in trial_ids]
-            )
-            # Network-major, placement-second ordering keeps each
-            # (network, placement) sub-group's columns contiguous.
-            order = sorted(
-                range(len(trial_ids)),
-                key=lambda j: (int(net_of[trial_ids[j]]), group_masks[j].tobytes()),
-            )
-            ids = [trial_ids[j] for j in order]
-            group = _run_multinet_byzantine_group(
-                nets,
-                net_of[ids],
-                [seeds[i] for i in ids],
-                cfg,
-                adversary_factory,
-                [group_masks[j] for j in order],
-                backend=backend,
-                kernel=kernel,
-                channel=channel,
-            )
-        else:
-            order = sorted(
-                range(len(trial_ids)), key=lambda j: int(net_of[trial_ids[j]])
-            )
-            ids = [trial_ids[j] for j in order]
-            group = _run_multinet_group(
-                nets, net_of[ids], [seeds[i] for i in ids], cfg, backend=backend,
-                kernel=kernel, channel=channel,
-            )
-        for i, res in zip(ids, group, strict=True):
-            results[i] = res
+    for row, out_row in zip(cell_of, grid):
+        for i, res in zip(row, out_row):
+            if i >= 0:
+                results[i] = res
     return BatchCountingResult(results)  # type: ignore[arg-type]
 
 
-def _normalize_multinet_masks(
-    byz_mask: Any, batch: int, net_of: Int64Array, sizes: list[int]
-) -> list[BoolArray] | None:
-    """Normalize per-trial multi-network masks (each over its own ``n_i``)."""
-    if byz_mask is None:
-        return None
-    if isinstance(byz_mask, np.ndarray) and byz_mask.ndim == 1:
-        raise ValueError(
-            "a single shared mask cannot span a multi-network batch; provide "
-            "one (n_i,) mask (or None) per trial"
-        )
-    masks_in = list(byz_mask)
-    if len(masks_in) != batch:
-        raise ValueError(
-            f"got {len(masks_in)} placement masks for {batch} seeds; provide "
-            "one (n_i,) mask (or None) per trial"
-        )
-    masks: list[BoolArray] = []
-    for i, m in enumerate(masks_in):
-        n_i = sizes[int(net_of[i])]
-        if m is None:
-            masks.append(np.zeros(n_i, dtype=bool))
-            continue
-        arr = np.asarray(m, dtype=bool)
-        if arr.shape != (n_i,):
-            raise ValueError(
-                f"trial {i}'s placement mask must have shape ({n_i},) to match "
-                f"its network, got {arr.shape}"
-            )
-        masks.append(arr)
-    return masks
-
-
-def _active_rows(
-    net_of: Int64Array, sizes: list[int], n_pad: int
-) -> tuple[Int64Array, BoolArray]:
-    """Per-trial active lengths and the ``(B, n_pad)`` live-prefix mask."""
-    n_act = np.asarray([sizes[int(g)] for g in net_of], dtype=np.int64)
-    act_bn = np.arange(n_pad)[None, :] < n_act[:, None]
-    return n_act, act_bn
-
-
-def _run_multinet_group(
-    nets: list[SmallWorldNetwork],
-    net_of: Int64Array,
-    seeds: list[SeedLike],
-    config: CountingConfig,
-    backend: str | None = None,
-    kernel: MultiFloodKernel | None = None,
-    channel: ChannelModel | None = None,
-) -> list[CountingResult]:
-    """Padded multi-network Algorithm 1: one config, ``B`` (network, seed)
-    trials as columns.
-
-    Mirrors :func:`_run_batched_group` with state padded to the largest
-    ``n``: a per-trial active-length vector restricts decided counting,
-    color draws, and saturation/message accounting to each column's live
-    prefix, and the flooding rounds dispatch through
-    :class:`~repro.sim.flood.MultiFloodKernel`, which zeroes padding rows
-    so they never win a max.  Bit-for-bit equal to per-network batched
-    (hence sequential) runs.
-    """
-    d = nets[0].d
-    batch = len(seeds)
-    sizes = [int(net.n) for net in nets]
-    n_pad = max(sizes)
-    n_act, act_bn = _active_rows(net_of, sizes, n_pad)
-
-    color_rngs: list[np.random.Generator] = []
-    chan_rngs: list[np.random.Generator] = []
-    for seed in seeds:
-        root = make_rng(seed)
-        color_rng, _adv_rng = spawn(root, 2)  # same split as run_counting
-        color_rngs.append(color_rng)
-        if channel is not None:
-            chan_rngs.append(spawn(root, 1)[0])  # child 2, channel stream
-
-    mkernel = kernel if kernel is not None else MultiFloodKernel(nets, backend=backend)
-    decided = np.full((batch, n_pad), UNDECIDED, dtype=np.int64)
-    meters = MeterBatch(batch)
-    traces = [PhaseTrace() for _ in range(batch)]
-    alive = np.ones(batch, dtype=bool)
-
-    for phase in range(1, config.max_phase + 1):
-        undecided_all = act_bn & (decided == UNDECIDED)
-        active_before = undecided_all.sum(axis=1)
-        if config.stop_when_all_decided:
-            alive &= active_before > 0
-        if not alive.any():
-            break
-        live = np.flatnonzero(alive)
-        b_live = live.shape[0]
-        n_sub = subphase_count(
-            phase, config.eps, d, config.alpha_variant, config.subphase_multiplier
-        )
-        threshold = color_threshold(phase, d)
-        und = undecided_all[live]
-        counts = active_before[live]
-        n_act_live = n_act[live]
-        all_undecided = counts == n_act_live
-        thr_floor = int(np.floor(threshold))
-        plan = mkernel.column_plan(net_of[live])
-
-        phase_draws: list[Int64Array | None] = []
-        for row, trial in enumerate(live):
-            count = int(counts[row])
-            if count:
-                draws = sample_colors(color_rngs[trial], n_sub * count)
-                phase_draws.append(draws.reshape(n_sub, count))
-            else:
-                phase_draws.append(None)
-
-        colors_bn = np.zeros((b_live, n_pad), dtype=np.int32)
-        cur_t = np.empty((n_pad, b_live), dtype=np.int32)
-        prev_t = np.zeros((n_pad, b_live), dtype=np.int32)
-        recv_t = np.empty((n_pad, b_live), dtype=np.int32)
-        k_last_t = np.empty((n_pad, b_live), dtype=np.int32)
-        flag_continue = np.zeros((n_pad, b_live), dtype=bool)
-        senders = np.zeros(b_live, dtype=np.int64)
-        chan: ChannelState | None = None
-        if channel is not None:
-            # Slots cover each column's live prefix only, so a trial's
-            # draws are sized by its own network — identical to what its
-            # per-network batch would consume — and padding stays zero.
-            chan = ChannelState(
-                channel,
-                [
-                    (row, 0, int(n_act_live[row]), chan_rngs[int(c)])
-                    for row, c in enumerate(live)
-                ],
-            )
-
-        for sub in range(n_sub):
-            for row, _trial in enumerate(live):
-                draws = phase_draws[row]
-                if draws is None:
-                    continue
-                if all_undecided[row]:
-                    # The whole live prefix draws; padding stays 0.
-                    colors_bn[row, : int(n_act_live[row])] = draws[sub]
-                else:
-                    colors_bn[row, und[row]] = draws[sub]
-            np.copyto(cur_t, colors_bn.T)
-            if chan is not None:
-                prev_t.fill(0)
-
-            senders.fill(0)
-            saturated = False
-            for t in range(1, phase + 1):
-                if config.count_messages:
-                    if saturated:
-                        senders += n_act_live
-                    else:
-                        # Padding rows are identically 0, so a full-column
-                        # nonzero count equals the live-prefix count.
-                        nonzero = np.count_nonzero(cur_t, axis=0)
-                        senders += nonzero
-                        saturated = bool((nonzero == n_act_live).all())
-                if chan is not None:
-                    # Lossy path: explicit running-max prev (see
-                    # _run_batched_group).
-                    if t == phase:
-                        mkernel.neighbor_max_stacked(
-                            cur_t, plan, out=k_last_t, channel=chan
-                        )
-                    else:
-                        mkernel.neighbor_max_stacked(
-                            cur_t, plan, out=recv_t, channel=chan
-                        )
-                        np.maximum(prev_t, recv_t, out=prev_t)
-                        np.maximum(cur_t, recv_t, out=cur_t)
-                elif t == phase:
-                    mkernel.neighbor_max_stacked(cur_t, plan, out=k_last_t)
-                elif t == phase - 1:
-                    mkernel.neighbor_max_stacked(cur_t, plan, out=prev_t)
-                    np.maximum(cur_t, prev_t, out=cur_t)
-                else:
-                    mkernel.neighbor_max_stacked(cur_t, plan, out=recv_t)
-                    np.maximum(cur_t, recv_t, out=cur_t)
-            if config.count_messages:
-                meters.add_messages(live, senders * d)
-            np.logical_or(
-                flag_continue,
-                (k_last_t > prev_t) & (k_last_t > thr_floor),
-                out=flag_continue,
-            )
-        meters.add_rounds(live, n_sub * phase)
-
-        newly = und & ~flag_continue.T
-        rows = decided[live]
-        rows[newly] = phase
-        decided[live] = rows
-        if config.record_phase_trace:
-            newly_counts = newly.sum(axis=1)
-            for row, trial in enumerate(live):
-                traces[trial].append(
-                    PhaseRecord(
-                        phase=phase,
-                        subphases=n_sub,
-                        flooding_rounds=n_sub * phase,
-                        newly_decided=int(newly_counts[row]),
-                        active_before=int(counts[row]),
-                        injections_accepted=0,
-                        injections_rejected=0,
-                    )
-                )
-        if config.stop_when_all_decided and not (
-            act_bn & (decided == UNDECIDED)
-        ).any():
-            break
-
-    out: list[CountingResult] = []
-    for b in range(batch):
-        net = nets[int(net_of[b])]
-        n_b = int(n_act[b])
-        out.append(
-            CountingResult(
-                n=n_b,
-                d=d,
-                k=net.k,
-                decided_phase=decided[b, :n_b].copy(),
-                crashed=np.zeros(n_b, dtype=bool),
-                byz=np.zeros(n_b, dtype=bool),
-                meter=meters.meter(b),
-                trace=traces[b],
-                injections_accepted=0,
-                injections_rejected=0,
-            )
-        )
-    return out
-
-
-class _NetPlacementGroup(_PlacementGroup):
-    """A :class:`_PlacementGroup` bound to its own network in a
-    multi-network batch (carries the graph and its ``(n, k)``)."""
-
-    __slots__ = ("network", "n", "k")
-
-    def __init__(
-        self,
-        trials: Int64Array,
-        byz: BoolArray,
-        adversary: Adversary,
-        network: SmallWorldNetwork,
-    ) -> None:
-        super().__init__(trials, byz, adversary)
-        self.network = network
-        self.n = int(network.n)
-        self.k = int(network.k)
-
-
-def _multinet_placement_groups(
-    adversary_factory: AdversarySpec,
-    nets: list[SmallWorldNetwork],
-    net_of: Int64Array,
-    masks: list[BoolArray],
-) -> list[_NetPlacementGroup]:
-    """Sub-group trials by (network, placement), one bound adversary each."""
-    group_map: dict[tuple[int, bytes], list[int]] = {}
-    for j in range(len(masks)):
-        group_map.setdefault(
-            (int(net_of[j]), masks[j].tobytes()), []
-        ).append(j)
-    if len(group_map) > 1 and isinstance(adversary_factory, Adversary):
-        raise ValueError(
-            "a shared adversary instance cannot drive trials with different "
-            "networks or Byzantine placements (binding is per placement); "
-            "pass a zero-argument adversary factory instead"
-        )
-    groups: list[_NetPlacementGroup] = []
-    for (g, _), idxs in group_map.items():
-        trials = np.asarray(idxs, dtype=np.int64)
-        byz = np.ascontiguousarray(masks[idxs[0]])
-        groups.append(
-            _NetPlacementGroup(
-                trials, byz, _batch_adversary(adversary_factory, len(idxs)), nets[g]
-            )
-        )
-    return groups
-
-
-def _col_block(mat: AnyArray, sel: IntArray, n_rows: int) -> AnyArray:
-    """``mat[:n_rows, sel]`` — a view when ``sel`` is one contiguous run."""
-    if sel.shape[0] and int(sel[-1]) - int(sel[0]) + 1 == sel.shape[0]:
-        return mat[:n_rows, int(sel[0]) : int(sel[-1]) + 1]
-    return mat[:n_rows][:, sel]
-
-
-def _run_multinet_byzantine_group(
-    nets: list[SmallWorldNetwork],
-    net_of: Int64Array,
-    seeds: list[SeedLike],
-    config: CountingConfig,
-    adversary_factory: AdversarySpec,
-    masks: list[BoolArray],
-    backend: str | None = None,
-    kernel: MultiFloodKernel | None = None,
-    channel: ChannelModel | None = None,
-) -> list[CountingResult]:
-    """Padded multi-network Algorithm 2: one config, per-trial networks and
-    placements.
-
-    Mirrors :func:`_run_byzantine_batched_group` on a padded
-    ``(n_pad, B)`` state: trials sub-group by (network, placement) — each
-    group's adversary binds to its own graph, simulates its own pre-phase
-    crashes, and plans only its own columns — while the flooding rounds
-    stay fused through the masked multi-network kernel.  Per-trial
-    ``(n_i, k_i)`` drive the Lemma 16 gate and the witness-traffic cap, so
-    crash masks, the injection gate, and witness metering all apply over
-    each column's live prefix only.  Bit-for-bit equal to per-network
-    batched (hence sequential) runs.
-    """
-    d = nets[0].d
-    batch = len(seeds)
-    sizes = [int(net.n) for net in nets]
-    n_pad = max(sizes)
-    n_act, act_bn = _active_rows(net_of, sizes, n_pad)
-    k_vec = np.asarray([nets[int(g)].k for g in net_of], dtype=np.int64)
-    witness_cap = np.asarray(
-        [
-            min(ball_size_bound(d, nets[int(g)].k, 1), sizes[int(g)], 64)
-            for g in net_of
-        ],
-        dtype=np.int64,
-    )
-
-    color_rngs: list[np.random.Generator] = []
-    adv_rngs: list[np.random.Generator] = []
-    chan_rngs: list[np.random.Generator] = []
-    for seed in seeds:
-        root = make_rng(seed)
-        color_rng, adv_rng = spawn(root, 2)  # same split as run_counting
-        color_rngs.append(color_rng)
-        adv_rngs.append(adv_rng)
-        if channel is not None:
-            chan_rngs.append(spawn(root, 1)[0])  # child 2, channel stream
-
-    groups = _multinet_placement_groups(adversary_factory, nets, net_of, masks)
-    adaptive_groups = [g for g in groups if _is_adaptive(g.adversary)]
-    meters = MeterBatch(batch)
-    traces = [PhaseTrace() for _ in range(batch)]
-    byz_bn = np.zeros((batch, n_pad), dtype=bool)
-    crashed_bn = np.zeros((batch, n_pad), dtype=bool)
-    for j, mask in enumerate(masks):
-        byz_bn[j, : mask.shape[0]] = mask
-
-    for g in groups:
-        g.adversary.bind_batch(
-            g.network, g.byz, [adv_rngs[int(t)] for t in g.trials], config
-        )
-    if config.verification:
-        for g in groups:
-            claims_list = g.adversary.batch_topology_claims()
-            if len(claims_list) != g.trials.shape[0]:
-                raise ValueError(
-                    f"batch_topology_claims returned {len(claims_list)} claim "
-                    f"sets for {g.trials.shape[0]} trials"
-                )
-            by_id: dict[int, BoolArray] = {}
-            cache: dict[tuple[Any, ...], BoolArray] = {}
-            for local, trial in enumerate(g.trials):
-                claims = claims_list[local]
-                crashed = by_id.get(id(claims))
-                if crashed is None:
-                    key = _claims_signature(claims)
-                    crashed = cache.get(key)
-                    if crashed is None:
-                        crashed = crash_phase(g.network, g.byz, claims)
-                        cache[key] = crashed
-                    by_id[id(claims)] = crashed
-                crashed_bn[trial, : g.n] = crashed
-        all_trials = np.arange(batch)
-        meters.add_rounds(all_trials, 2)
-        if config.count_messages:
-            # Pre-phase claim broadcasts cost each trial its own network's
-            # port total (d-entry claims on every G edge).
-            ports = np.asarray(
-                [int(nets[int(g_)].g_indptr[-1]) for g_ in net_of], dtype=np.int64
-            )
-            meters.add_messages(all_trials, ports, ids_each=d)
-
-    mkernel = kernel if kernel is not None else MultiFloodKernel(nets, backend=backend)
-    decided = np.full((batch, n_pad), UNDECIDED, dtype=np.int64)
-    honest_uncrashed = act_bn & ~byz_bn & ~crashed_bn
-    alive = np.ones(batch, dtype=bool)
-    inj_acc = np.zeros(batch, dtype=np.int64)
-    inj_rej = np.zeros(batch, dtype=np.int64)
-    round_cost = 1 + (config.verification_round_cost if config.verification else 0)
-    state_dtype: type[np.signedinteger[Any]] = np.int32
-
-    for phase in range(1, config.max_phase + 1):
-        undecided_all = honest_uncrashed & (decided == UNDECIDED)
-        active_before = undecided_all.sum(axis=1)
-        if config.stop_when_all_decided:
-            alive &= active_before > 0
-        if not alive.any():
-            break
-        live = np.flatnonzero(alive)
-        b_live = live.shape[0]
-        n_sub = subphase_count(
-            phase, config.eps, d, config.alpha_variant, config.subphase_multiplier
-        )
-        threshold = color_threshold(phase, d)
-        und = undecided_all[live]
-        counts = active_before[live]
-        k_live = k_vec[live]
-        plan = mkernel.column_plan(net_of[live])
-
-        live_pos = np.full(batch, -1, dtype=np.int64)
-        live_pos[live] = np.arange(b_live)
-        for g in groups:
-            pos = live_pos[g.trials]
-            keep = pos >= 0
-            g.alive_local = np.flatnonzero(keep)
-            g.sel = pos[keep]
-            g.full = g.sel.shape[0] == b_live
-
-        phase_draws: list[Int64Array | None] = []
-        for row, trial in enumerate(live):
-            count = int(counts[row])
-            if count:
-                draws = sample_colors(color_rngs[trial], n_sub * count)
-                phase_draws.append(draws.reshape(n_sub, count))
-            else:
-                phase_draws.append(None)
-
-        crashed_nb = np.ascontiguousarray(crashed_bn[live].T)
-        any_crash = bool(crashed_nb.any())
-        decided_nb = np.ascontiguousarray(decided[live].T)
-        colors = np.zeros((n_pad, b_live), dtype=state_dtype)
-        cur = np.empty((n_pad, b_live), dtype=state_dtype)
-        sent = np.empty((n_pad, b_live), dtype=state_dtype)
-        prev_kt = np.empty((n_pad, b_live), dtype=state_dtype)
-        recv = np.empty((n_pad, b_live), dtype=state_dtype)
-        k_last = np.empty((n_pad, b_live), dtype=state_dtype)
-        flag_continue = np.zeros((n_pad, b_live), dtype=bool)
-        phase_inj_acc = np.zeros(b_live, dtype=np.int64)
-        phase_inj_rej = np.zeros(b_live, dtype=np.int64)
-        msg_senders = np.zeros(b_live, dtype=np.int64)
-        msg_records = np.zeros(b_live, dtype=np.int64)
-        chan: ChannelState | None = None
-        if channel is not None:
-            chan = ChannelState(
-                channel,
-                [
-                    (row, 0, int(n_act[int(c)]), chan_rngs[int(c)])
-                    for row, c in enumerate(live)
-                ],
-            )
-        traffic_nb = (
-            np.zeros((n_pad, b_live), dtype=np.int64) if adaptive_groups else None
-        )
-        live_rngs = tuple(adv_rngs[t] for t in live)
-        for g in groups:
-            if g.full and g.n == n_pad:
-                g.dec_cols, g.crash_cols, g.rng_cols = decided_nb, crashed_nb, live_rngs
-            else:
-                g.dec_cols = _col_block(decided_nb, g.sel, g.n)
-                g.crash_cols = _col_block(crashed_nb, g.sel, g.n)
-                g.rng_cols = (
-                    live_rngs
-                    if g.full
-                    else tuple(live_rngs[int(c)] for c in g.sel)
-                )
-
-        for sub in range(1, n_sub + 1):
-            # --- draw colors (undecided honest nodes only) ---------------
-            colors.fill(0)
-            for row, _trial in enumerate(live):
-                draws = phase_draws[row]
-                if draws is not None:
-                    colors[und[row], row] = draws[sub - 1]
-
-            # --- per-group adversary plans, merged to batch form ---------
-            initial_apps: list[tuple[IntArray, IntArray, Int64Array]] = []
-            counts_by_round: dict[int, Int64Array] = {}
-            groups_by_round: dict[int, list[tuple[IntArray, IntArray, Int64Array]]] = {}
-            suppress_pairs: list[tuple[IntArray, IntArray]] = []
-            suppressed_inj: dict[int, dict[int, list[Injection]]] = {}
-            plan_max = 0
-            plan_min = 0
-            for g in groups:
-                if g.byz_nodes.size == 0 or g.sel.shape[0] == 0:
-                    continue
-                sel = g.sel
-                g_colors = _col_block(colors, sel, g.n)[g.honest_nodes]
-                state = BatchSubphaseState(
-                    phase=phase,
-                    subphase=sub,
-                    rounds=phase,
-                    k=g.k,
-                    network=g.network,
-                    byz_nodes=g.byz_nodes,
-                    trials=g.alive_local,
-                    honest_colors=g_colors,
-                    decided_phase=g.dec_cols,
-                    crashed=g.crash_cols,
-                    rngs=g.rng_cols,
-                )
-                plan_g = g.adversary.batch_subphase_plan(state)
-                (
-                    initial_g,
-                    inj_rounds_g,
-                    counts_g,
-                    groups_g,
-                    relay_g,
-                ) = _normalize_batch_plan(plan_g, g.byz_nodes.shape[0], sel.shape[0])
-                checked: set[int] = set()
-                for by_round in inj_rounds_g:
-                    for injs in by_round.values():
-                        for inj in injs:
-                            if id(inj.nodes) not in checked:
-                                checked.add(id(inj.nodes))
-                                inj.require_byzantine(g.byz)
-                if initial_g is not None:
-                    initial_apps.append((g.byz_nodes, sel, initial_g))
-                    if initial_g.size:
-                        plan_max = max(plan_max, int(initial_g.max()))
-                        plan_min = min(plan_min, int(initial_g.min()))
-                for t, cnts in counts_g.items():
-                    acc = counts_by_round.get(t)
-                    if acc is None:
-                        acc = np.zeros(b_live, dtype=np.int64)
-                        counts_by_round[t] = acc
-                    acc[sel] += cnts
-                for t, lst in groups_g.items():
-                    merged = groups_by_round.setdefault(t, [])
-                    for nodes, cols, vals in lst:
-                        merged.append((nodes, sel[cols], vals))
-                        if vals.size:
-                            plan_max = max(plan_max, int(vals.max()))
-                off_local = np.flatnonzero(~relay_g)
-                if off_local.size:
-                    suppress_pairs.append((g.byz_nodes, sel[off_local]))
-                    for j_local in off_local:
-                        by_round = inj_rounds_g[int(j_local)]
-                        if by_round:
-                            suppressed_inj[int(sel[int(j_local)])] = by_round
-
-            if (
-                plan_max > _INT32_MAX or plan_min < _INT32_MIN
-            ) and state_dtype == np.int32:
-                state_dtype = np.int64
-                colors = colors.astype(np.int64)
-                cur = np.empty((n_pad, b_live), dtype=np.int64)
-                sent = np.empty_like(cur)
-                prev_kt = np.empty_like(cur)
-                recv = np.empty_like(cur)
-                k_last = np.empty_like(cur)
-
-            np.copyto(cur, colors)
-            for nodes_g, sel_g, initial_g in initial_apps:
-                cur[np.ix_(nodes_g, sel_g)] = initial_g
-
-            prev_kt.fill(0)
-            for t in range(1, phase + 1):
-                # --- adversary injections (Lemma 16 gate, per-trial k) ---
-                acc_cols: BoolArray | None = None  # None: accept everywhere
-                if config.verification:
-                    acc_cols = t <= k_live - 1
-                acc_all = acc_cols is None or bool(acc_cols.all())
-                acc_none = acc_cols is not None and not acc_cols.any()
-                inj_counts = counts_by_round.get(t)
-                if inj_counts is not None:
-                    if acc_all:
-                        phase_inj_acc += inj_counts
-                        for nodes, cols, vals in groups_by_round[t]:
-                            ix = np.ix_(nodes, cols)
-                            cur[ix] = np.maximum(cur[ix], vals[None, :])
-                    elif acc_none:
-                        phase_inj_rej += inj_counts
-                    else:
-                        assert acc_cols is not None
-                        phase_inj_acc += np.where(acc_cols, inj_counts, 0)
-                        phase_inj_rej += np.where(acc_cols, 0, inj_counts)
-                        for nodes, cols, vals in groups_by_round[t]:
-                            m = acc_cols[cols]
-                            if not m.any():
-                                continue
-                            if not m.all():
-                                cols, vals = cols[m], vals[m]
-                            ix = np.ix_(nodes, cols)
-                            cur[ix] = np.maximum(cur[ix], vals[None, :])
-
-                # --- transmit --------------------------------------------
-                np.copyto(sent, cur)
-                if any_crash:
-                    sent[crashed_nb] = 0
-                for nodes_g, cols_g in suppress_pairs:
-                    sent[np.ix_(nodes_g, cols_g)] = 0
-                if suppressed_inj and not acc_none:
-                    for col, by_round in suppressed_inj.items():
-                        if acc_all or (acc_cols is not None and acc_cols[col]):
-                            for inj in by_round.get(t, ()):
-                                sent[inj.nodes, col] = inj.value
-
-                # --- receive ---------------------------------------------
-                mkernel.neighbor_max_stacked(sent, plan, out=recv, channel=chan)
-                if any_crash:
-                    recv[crashed_nb] = 0
-                if traffic_nb is not None:
-                    traffic_nb += sent != 0
-
-                # --- accounting (before the running-max update eats the
-                # new-record evidence) ------------------------------------
-                if config.count_messages:
-                    msg_senders += np.count_nonzero(sent, axis=0)
-                    if config.verification:
-                        msg_records += np.count_nonzero(recv > cur, axis=0)
-
-                if t == phase:
-                    np.copyto(k_last, recv)
-                else:
-                    np.maximum(prev_kt, recv, out=prev_kt)
-                np.maximum(cur, recv, out=cur)
-                if any_crash:
-                    cur[crashed_nb] = 0
-
-            np.logical_or(
-                flag_continue,
-                (k_last > prev_kt) & (k_last > threshold),
-                out=flag_continue,
-            )
-
-            # --- between-subphase adaptation (mobility, re-planning) -----
-            if traffic_nb is not None:
-                relocated = False
-                for g in adaptive_groups:
-                    if g.sel.shape[0] == 0:
-                        continue
-                    mask = g.adversary.batch_adapt(
-                        BatchAdaptationState(
-                            phase=phase,
-                            subphase=sub,
-                            network=g.network,
-                            byz_nodes=g.byz_nodes,
-                            trials=g.alive_local,
-                            traffic=_col_block(traffic_nb, g.sel, g.n),
-                            rngs=g.rng_cols,
-                        )
-                    )
-                    if mask is not None:
-                        new_byz = _adapted_mask(mask, g.n)
-                        g.byz = new_byz
-                        g.byz_nodes = np.flatnonzero(new_byz)
-                        g.honest_nodes = np.flatnonzero(~new_byz)
-                        for trial in g.trials:
-                            byz_bn[int(trial), : g.n] = new_byz
-                        relocated = True
-                if relocated:
-                    honest_uncrashed = act_bn & ~byz_bn & ~crashed_bn
-                traffic_nb.fill(0)
-
-        if config.count_messages:
-            meters.add_messages(live, msg_senders * d)
-            if config.verification:
-                meters.add_messages(
-                    live, 2 * msg_records * witness_cap[live], ids_each=1
-                )
-        meters.add_rounds(live, n_sub * phase * round_cost)
-        inj_acc[live] += phase_inj_acc
-        inj_rej[live] += phase_inj_rej
-
-        newly = und & ~flag_continue.T
-        rows = decided[live]
-        rows[newly] = phase
-        decided[live] = rows
-        if config.record_phase_trace:
-            newly_counts = newly.sum(axis=1)
-            for row, trial in enumerate(live):
-                traces[trial].append(
-                    PhaseRecord(
-                        phase=phase,
-                        subphases=n_sub,
-                        flooding_rounds=n_sub * phase,
-                        newly_decided=int(newly_counts[row]),
-                        active_before=int(counts[row]),
-                        injections_accepted=int(phase_inj_acc[row]),
-                        injections_rejected=int(phase_inj_rej[row]),
-                    )
-                )
-        if config.stop_when_all_decided and not (
-            honest_uncrashed & (decided == UNDECIDED)
-        ).any():
-            break
-
-    out: list[CountingResult] = []
-    for b in range(batch):
-        net = nets[int(net_of[b])]
-        n_b = int(n_act[b])
-        out.append(
-            CountingResult(
-                n=n_b,
-                d=d,
-                k=net.k,
-                decided_phase=decided[b, :n_b].copy(),
-                crashed=crashed_bn[b, :n_b].copy(),
-                byz=byz_bn[b, :n_b].copy(),
-                meter=meters.meter(b),
-                trace=traces[b],
-                injections_accepted=int(inj_acc[b]),
-                injections_rejected=int(inj_rej[b]),
-            )
-        )
-    return out
-
-
-# ----------------------------------------------------------------------
-# Union-stack batching (block-diagonal rectangular network x seed grids)
-# ----------------------------------------------------------------------
+def _as_mask(mask: Any, n: int, what: str) -> BoolArray:
+    """One cell's placement as an ``(n,)`` bool mask (``None`` = empty)."""
+    if mask is None:
+        return np.zeros(n, dtype=bool)
+    arr = np.asarray(mask, dtype=bool)
+    if arr.shape != (n,):
+        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
+    return arr
 
 
 def run_counting_unionstack(
@@ -2086,17 +637,16 @@ def run_counting_unionstack(
     adversary_factory: Callable[[], Adversary] | Adversary | None = None,
     byz_mask: Any = None,
     backend: str | None = None,
-    kernel: UnionFloodKernel | None = None,
+    kernel: FloodKernel | None = None,
     channel: ChannelModel | None = None,
 ) -> BatchCountingResult:
     """Run a rectangular (network x seed) grid as one union-stack batch.
 
     Every network is a row *block* of one block-diagonal state matrix and
     every seed is a *column* shared by all blocks, so the grid's
-    ``G x C`` trials execute with zero padding (see the module docstring's
-    union-stack section).  Each trial is bit-for-bit equal to the
-    per-network :func:`run_counting_batch` / padded
-    :func:`run_counting_multinet` run it replaces.
+    ``G x C`` trials execute with zero padding (see the module
+    docstring).  Each trial is bit-for-bit equal to the sequential
+    ``run_counting`` call it replaces.
 
     Parameters
     ----------
@@ -2107,9 +657,9 @@ def run_counting_unionstack(
     seeds:
         The column axis (``C`` entries).  Each seed is replicated across
         every network's block (trial ``(g, j)`` derives its streams from
-        ``make_rng(seeds[j])``), so entries must be ints or ``None`` — a
-        ``numpy`` ``Generator`` object cannot be replicated and is
-        rejected eagerly with a :class:`TypeError`.
+        ``make_rng(seeds[j])``), so with two or more networks entries must
+        be ints or ``None`` — a ``numpy`` ``Generator`` object cannot be
+        replicated and is rejected eagerly with a :class:`TypeError`.
     config:
         A single :class:`CountingConfig` for the whole grid or one per
         *column* (columns sharing a config batch together).
@@ -2125,14 +675,15 @@ def run_counting_unionstack(
         container's ``kernel_backend`` attribute when present).
     kernel:
         A pre-built :class:`~repro.sim.flood.UnionFloodKernel` whose
-        block ``g`` is ``networks[g]``'s ``H`` adjacency, reused across
-        calls by the resident churn engine.  Mutually exclusive with
-        ``backend``; block sizes are validated eagerly.
+        block ``g`` is ``networks[g]``'s ``H`` adjacency (a plain
+        :class:`~repro.sim.flood.FloodKernel` for one network), reused
+        across calls.  Mutually exclusive with ``backend``; block sizes
+        are validated eagerly.
     channel:
         As in :func:`run_counting_multinet` (``None`` adopts the
         container's ``channel`` attribute when present).  Channel draws
         are per (network, seed) trial, so lossy union runs stay
-        bit-for-bit equal to the padded and per-network engines.
+        bit-for-bit equal to per-network runs.
 
     Returns
     -------
@@ -2143,75 +694,102 @@ def run_counting_unionstack(
     """
     if channel is None:
         channel = getattr(networks, "channel", None)
-    channel = _normalize_channel(channel)
     nets = list(networks)
     if not nets:
         raise ValueError("run_counting_unionstack needs at least one network")
+    seeds = list(seeds)
+    cols = len(seeds)
+    masks = _normalize_union_masks(byz_mask, nets, cols)
+    grid = _run_union(
+        nets,
+        [seeds] * len(nets),
+        np.ones((len(nets), cols), dtype=bool),
+        _normalize_configs(config, cols),
+        adversary_factory,
+        masks,
+        kernel=kernel,
+        backend=backend,
+        channel=channel,
+        container=networks,
+    )
+    return BatchCountingResult([res for row in grid for res in row])  # type: ignore[arg-type]
+
+
+def _run_union(
+    nets: list[SmallWorldNetwork],
+    seeds: Sequence[Sequence[SeedLike]],
+    present: BoolArray,
+    configs: list[CountingConfig],
+    adversary_factory: AdversarySpec | None,
+    masks: Sequence[Sequence[BoolArray | None]] | None,
+    *,
+    kernel: FloodKernel | None,
+    backend: str | None,
+    channel: ChannelModel | None,
+    container: Any = None,
+) -> list[list[CountingResult | None]]:
+    """The batched engine's single entry: a ``(G, C)`` grid of cells.
+
+    ``seeds`` and ``masks`` are ``G x C`` nested lists (block-local
+    ``(n_g,)`` masks or None), ``present`` the ``(G, C)`` presence matrix
+    and ``configs`` one config per column.  Validates the grid before
+    allocating any state, resolves the kernel (``container`` may ship a
+    pre-stacked union CSR and a backend), then runs each config's columns
+    through the honest or Byzantine loop.  Returns results as a ``G x C``
+    nested list, ``None`` at absent cells.
+    """
     degrees = {int(net.d) for net in nets}
     if len(degrees) > 1:
         raise ValueError(
-            "all networks in one union-stack batch must share the degree d "
-            f"(the phase schedule is d-dependent); got d in {sorted(degrees)}"
+            "all networks in one batch must share the degree d (the phase "
+            f"schedule is d-dependent); got d in {sorted(degrees)}"
         )
-    seeds = list(seeds)
-    for s in seeds:
-        if isinstance(s, np.random.Generator):
-            raise TypeError(
-                "union-stack seeds must be ints (or None): each seed column "
-                "is replicated across every network's row block, and a shared "
-                "Generator object would interleave one stream across those "
-                "trials; use run_counting_multinet for per-trial Generators"
-            )
-    cols = len(seeds)
-    n_g = len(nets)
-    if cols == 0:
-        return BatchCountingResult([])
-
-    masks = _normalize_union_masks(byz_mask, nets, cols)
-    if adversary_factory is None and masks is not None:
-        if any(m.any() for row in masks for m in row):
+    if len(nets) > 1:
+        fed: set[int] = set()
+        for g, j in np.argwhere(present).tolist():
+            seed = seeds[g][j]
+            if isinstance(seed, np.random.Generator):
+                if id(seed) in fed:
+                    raise TypeError(
+                        "a numpy Generator seed can feed only one cell of a "
+                        "multi-network batch (one object on a shared seed "
+                        "axis would interleave its stream across networks); "
+                        "pass int seeds or one distinct Generator per cell"
+                    )
+                fed.add(id(seed))
+    if masks is not None and adversary_factory is None:
+        if any(m is not None and m.any() for row in masks for m in row):
             raise ValueError("byz_mask given without an adversary_factory")
         masks = None
-
-    if kernel is not None:
-        if backend is not None:
-            raise ValueError(
-                "pass either backend or a pre-built kernel, not both (the "
-                "kernel already carries its backend)"
-            )
-        if kernel.sizes != tuple(int(net.n) for net in nets):
-            raise ValueError(
-                f"kernel block sizes {kernel.sizes} do not match the "
-                f"networks' sizes {tuple(int(net.n) for net in nets)}"
-            )
-        ukernel = kernel
+    if kernel is None:
+        kernel = _resolve_union_kernel(container, nets, backend)
     else:
-        ukernel = _resolve_union_kernel(networks, nets, backend=backend)
+        _check_kernel(kernel, nets, backend)
+    channel = _normalize_channel(channel)
 
-    configs = _normalize_configs(config, cols)
-    results: list[CountingResult | None] = [None] * (n_g * cols)
+    out: list[list[CountingResult | None]] = [[None] * len(configs) for _ in nets]
     for cfg, col_ids in _group_by_config(configs).items():
-        col_seeds = [seeds[j] for j in col_ids]
-        if adversary_factory is not None:
-            group_masks = (
-                [
-                    [np.zeros(int(net.n), dtype=bool) for _ in col_ids]
-                    for net in nets
-                ]
-                if masks is None
-                else [[masks[g][j] for j in col_ids] for g in range(n_g)]
-            )
-            group = _run_union_byzantine_group(
-                nets, ukernel, col_seeds, cfg, adversary_factory, group_masks,
-                channel=channel,
-            )
+        sub_present = present[:, col_ids]
+        sub_seeds = [[row[j] for j in col_ids] for row in seeds]
+        if adversary_factory is None:
+            group = _run_union_group(nets, kernel, sub_seeds, sub_present, cfg, channel)
         else:
-            group = _run_union_group(nets, ukernel, col_seeds, cfg, channel=channel)
-        n_cols = len(col_ids)
-        for g in range(n_g):
+            # Absent cells (None) get an empty mask that no group reads.
+            sub_masks = [
+                [
+                    _as_mask(None if masks is None else masks[g][j], int(net.n), "mask")
+                    for j in col_ids
+                ]
+                for g, net in enumerate(nets)
+            ]
+            group = _run_union_byzantine_group(
+                nets, kernel, sub_seeds, sub_present, cfg, adversary_factory,
+                sub_masks, channel,
+            )
+        for row, group_row in zip(out, group):
             for local, j in enumerate(col_ids):
-                results[g * cols + j] = group[g * n_cols + local]
-    return BatchCountingResult(results)  # type: ignore[arg-type]
+                row[j] = group_row[local]
+    return out
 
 
 def _normalize_union_masks(
@@ -2219,9 +797,9 @@ def _normalize_union_masks(
 ) -> list[list[BoolArray]] | None:
     """Normalize union masks to per-(network, column) ``(n_g,)`` arrays.
 
-    Entry ``g`` of ``byz_mask`` covers network ``g``'s whole block: a
-    single ``(n_g,)`` ndarray is shared by every column; a ``(C, n_g)``
-    ndarray or any non-ndarray sequence is taken per column.
+    Entry ``g`` of ``byz_mask`` covers network ``g``'s whole block: None
+    or a single ``(n_g,)`` ndarray is shared by every column; a
+    ``(C, n_g)`` ndarray or any non-ndarray sequence is taken per column.
     """
     if byz_mask is None:
         return None
@@ -2239,69 +817,39 @@ def _normalize_union_masks(
         )
     out: list[list[BoolArray]] = []
     for g, (net, entry) in enumerate(zip(nets, entries)):
-        n_net = int(net.n)
-        if entry is None:
-            out.append([np.zeros(n_net, dtype=bool)] * cols)
+        what = f"network {g}'s placement mask"
+        if entry is None or (isinstance(entry, np.ndarray) and entry.ndim == 1):
+            out.append([_as_mask(entry, int(net.n), what)] * cols)
             continue
-        if isinstance(entry, np.ndarray):
-            arr = np.asarray(entry, dtype=bool)
-            if arr.ndim == 1:
-                if arr.shape != (n_net,):
-                    raise ValueError(
-                        f"network {g}'s placement mask must have shape "
-                        f"({n_net},), got {arr.shape}"
-                    )
-                out.append([arr] * cols)
-                continue
-            if arr.ndim == 2:
-                if arr.shape != (cols, n_net):
-                    raise ValueError(
-                        f"network {g}'s placement stack must have shape "
-                        f"({cols}, {n_net}), got {arr.shape}"
-                    )
-                out.append([np.ascontiguousarray(arr[j]) for j in range(cols)])
-                continue
-            raise ValueError(
-                f"network {g}'s placement entry must be 1-D or 2-D, got "
-                f"shape {arr.shape}"
-            )
         per_col = list(entry)
         if len(per_col) != cols:
             raise ValueError(
                 f"network {g}: got {len(per_col)} per-column masks for "
                 f"{cols} seed columns"
             )
-        row: list[BoolArray] = []
-        for m in per_col:
-            if m is None:
-                row.append(np.zeros(n_net, dtype=bool))
-                continue
-            arr = np.asarray(m, dtype=bool)
-            if arr.shape != (n_net,):
-                raise ValueError(
-                    f"network {g}'s placement masks must have shape "
-                    f"({n_net},), got {arr.shape}"
-                )
-            row.append(arr)
-        out.append(row)
+        out.append([_as_mask(m, int(net.n), what) for m in per_col])
     return out
 
 
 def _resolve_union_kernel(
     networks_input: Any, nets: list[SmallWorldNetwork], backend: str | None = None
-) -> UnionFloodKernel:
+) -> FloodKernel:
     """Build (or adopt) the block-diagonal union kernel for this batch.
 
-    A pre-concatenated CSR attached to the input container (the
-    ``union_csr`` attribute of :class:`repro.graphs.shared.NetworkTuple`,
-    shipped through shared memory by ``SharedNetworkPack``) is adopted
-    when its block sizes match, so sharded workers skip re-stacking.
+    One network needs no stacking: its own ``H`` CSR is the one-block
+    union, wrapped without a copy.  Otherwise a pre-concatenated CSR
+    attached to the input container (the ``union_csr`` attribute of
+    :class:`repro.graphs.shared.NetworkTuple`, shipped through shared
+    memory by ``SharedNetworkPack``) is adopted when its block sizes
+    match, so sharded workers skip re-stacking.
     A ``kernel_backend`` attribute on the same container supplies the
     backend when no explicit one is given, so the sweep-level choice
     survives worker-side reconstruction.
     """
     if backend is None:
         backend = getattr(networks_input, "kernel_backend", None)
+    if len(nets) == 1:
+        return FloodKernel(nets[0].h.indptr, nets[0].h.indices, backend=backend)
     shipped = getattr(networks_input, "union_csr", None)
     if shipped is not None:
         sizes, indptr, indices = shipped
@@ -2310,47 +858,75 @@ def _resolve_union_kernel(
     return UnionFloodKernel.from_networks(nets, backend=backend)
 
 
+def _cell_streams(
+    seeds: Sequence[Sequence[SeedLike]], present: BoolArray, channel: ChannelModel | None
+) -> tuple[list[list[Any]], list[list[Any]], list[list[Any]]]:
+    """Per-cell ``(color, adversary, channel)`` streams, ``None`` if absent.
+
+    Each present cell splits ``make_rng(seed)`` exactly as
+    :func:`repro.core.runner.run_counting` does; the channel stream is
+    child 2 of the same root, spawned only when a channel is active, which
+    leaves the color/adversary streams bit-for-bit unchanged (``spawn``
+    advances a child counter, not the stream).  Cells are visited
+    block-major in column order.
+    """
+    blocks, cols = present.shape
+    colors: list[list[Any]] = [[None] * cols for _ in range(blocks)]
+    advs: list[list[Any]] = [[None] * cols for _ in range(blocks)]
+    chans: list[list[Any]] = [[None] * cols for _ in range(blocks)]
+    for g, j in np.argwhere(present).tolist():
+        root = make_rng(seeds[g][j])
+        colors[g][j], advs[g][j] = spawn(root, 2)
+        if channel is not None:
+            chans[g][j] = spawn(root, 1)[0]
+    return colors, advs, chans
+
+
+def _fresh_state(
+    present: BoolArray, offsets: Int64Array
+) -> tuple[Int64Array, BoolArray]:
+    """The ``(C, N)`` decided matrix and the ``(G, C)`` liveness matrix.
+
+    Absent cells start dead and fully "decided" (phase 0): they count no
+    undecided node, so they draw nothing, meter nothing, and can never
+    keep a ``stop_when_all_decided`` run looping.
+    """
+    decided = np.full((present.shape[1], int(offsets[-1])), UNDECIDED, dtype=np.int64)
+    for g, j in np.argwhere(~present).tolist():
+        decided[j, offsets[g] : offsets[g + 1]] = 0
+    return decided, present.copy()
+
+
 def _run_union_group(
     nets: list[SmallWorldNetwork],
-    ukernel: UnionFloodKernel,
-    seeds: list[SeedLike],
+    ukernel: FloodKernel,
+    seeds: Sequence[Sequence[SeedLike]],
+    present: BoolArray,
     config: CountingConfig,
     channel: ChannelModel | None = None,
-) -> list[CountingResult]:
-    """Union-stack Algorithm 1: one config, G network blocks x C columns.
+) -> list[list[CountingResult | None]]:
+    """Algorithm 1 on the union stack: one config, G blocks x C columns.
 
-    Mirrors :func:`_run_batched_group` with the node axis widened to the
-    union's ``N = sum(n_g)`` rows: every flooding round is one plain
-    row-gather over the concatenated CSR, and decided counting,
-    saturation/message accounting, and per-trial liveness read the
-    per-network row segments.  Bit-for-bit equal to per-network batched
-    (hence sequential) runs; trial ``(g, j)`` is result ``g * C + j``.
+    Mirrors the adversary-free path of :func:`repro.core.runner
+    .run_counting` statement for statement, with node vectors widened to
+    the union's ``(N, C)`` trials-as-columns matrices (``N = sum(n_g)``):
+    every flooding round is one plain row-gather over the concatenated
+    CSR, and decided counting, saturation/message accounting, and
+    per-trial liveness read the per-network row segments.  The only
+    per-trial Python work left in the hot loop is the color draw (each
+    trial owns a private RNG stream whose draw order must match the
+    sequential engine's).  Returns results as a ``G x C`` nested list,
+    ``None`` at absent cells.
     """
     d = nets[0].d
-    blocks = len(nets)
-    cols = len(seeds)
+    blocks, cols = present.shape
     rows_n = ukernel.n
     offsets = ukernel.offsets
     n_act = np.asarray(ukernel.sizes, dtype=np.int64)  # (G,)
-
-    color_rngs: list[list[np.random.Generator]] = []
-    chan_rngs: list[list[np.random.Generator]] = []
-    for _g in range(blocks):
-        row_rngs: list[np.random.Generator] = []
-        crow_rngs: list[np.random.Generator] = []
-        for seed in seeds:
-            root = make_rng(seed)
-            color_rng, _adv_rng = spawn(root, 2)  # same split as run_counting
-            row_rngs.append(color_rng)
-            if channel is not None:
-                crow_rngs.append(spawn(root, 1)[0])  # child 2, channel stream
-        color_rngs.append(row_rngs)
-        chan_rngs.append(crow_rngs)
-
-    decided = np.full((cols, rows_n), UNDECIDED, dtype=np.int64)
+    color_rngs, _adv_rngs, chan_rngs = _cell_streams(seeds, present, channel)
+    decided, alive = _fresh_state(present, offsets)
     meters = MeterBatch(blocks * cols)
     traces = [PhaseTrace() for _ in range(blocks * cols)]
-    alive = np.ones((blocks, cols), dtype=bool)
 
     for phase in range(1, config.max_phase + 1):
         undecided_all = decided == UNDECIDED
@@ -2373,13 +949,19 @@ def _run_union_group(
         counts = active[:, live]
         alive_live = alive[:, live]
         all_undecided = counts == n_act[:, None]
+        # Per-round sender count of a block that transmits in full (0 for
+        # dead trials, which hold zero colors all phase).
+        full = n_act[:, None] * alive_live
         thr_floor = int(np.floor(threshold))
         # Flat (network-major) meter/trace ids of this phase's live trials.
-        trial_ids = np.arange(blocks)[:, None] * cols + live[None, :]
-        live_ids = trial_ids[alive_live]
+        live_ids = np.flatnonzero(alive)
 
-        # One stream read per live trial per phase (see _run_batched_group);
-        # a trial that left its per-network batch draws nothing.
+        # One stream read per live trial per phase: a single geometric draw
+        # of ``n_sub * count`` values equals ``n_sub`` successive draws of
+        # ``count`` (distribution sampling consumes the bit stream per
+        # variate, independent of call boundaries), so per-trial streams
+        # still match the sequential engine draw for draw.  A dead trial
+        # draws nothing.
         phase_draws: list[list[Int64Array | None]] = [
             [None] * b_live for _ in range(blocks)
         ]
@@ -2392,8 +974,21 @@ def _run_union_group(
                     draws = sample_colors(color_rngs[g][int(col)], n_sub * count)
                     phase_draws[g][row] = draws.reshape(n_sub, count)
 
+        # Trials-as-columns int32 state: each node's live-trial values sit
+        # in one cache line, which is what makes the stacked kernel fast.
+        # Colors are O(log n) whp and the engine never injects, so int32
+        # cannot overflow.
         colors_cn = np.zeros((b_live, rows_n), dtype=np.int32)
         cur_t = np.empty((rows_n, b_live), dtype=np.int32)
+        # ``recv`` is pointwise monotone across a subphase's rounds (cur
+        # only grows, so each neighbor-max dominates the previous one);
+        # hence max_{t < phase} recv_t == recv at round phase-1 and no
+        # running "previous k_t" accumulation is needed — round phase-1's
+        # receive buffer *is* prev_kt.  phase == 1 has no earlier rounds,
+        # so prev stays at its zero initialization.  An active channel
+        # breaks that monotonicity (a dropped message can shrink a
+        # neighbor-max), so the lossy path below keeps an explicit running
+        # maximum instead and resets it every subphase.
         prev_t = np.zeros((rows_n, b_live), dtype=np.int32)
         recv_t = np.empty((rows_n, b_live), dtype=np.int32)
         k_last_t = np.empty((rows_n, b_live), dtype=np.int32)
@@ -2402,9 +997,9 @@ def _run_union_group(
         seg_nz = np.empty((blocks, b_live), dtype=np.int64)
         chan: ChannelState | None = None
         if channel is not None:
-            # One slot per live (network, seed) cell over its own block
+            # One slot per live (network, column) cell over its own block
             # segment: a dead cell stops consuming draws exactly when its
-            # per-network batch would have dropped the column.
+            # own run would have stopped.
             chan = ChannelState(
                 channel,
                 [
@@ -2421,6 +1016,9 @@ def _run_union_group(
             )
 
         for sub in range(n_sub):
+            # Partially undecided segments keep untouched entries at their
+            # initial 0 (the mask is fixed for the whole phase), so only
+            # masked positions ever need writing.
             for g in range(blocks):
                 lo, hi = int(offsets[g]), int(offsets[g + 1])
                 for row in range(b_live):
@@ -2439,22 +1037,24 @@ def _run_union_group(
             senders.fill(0)
             saturated = False
             for t in range(1, phase + 1):
+                # No crashes and no Byzantine suppression on this path, so
+                # every node transmits its running max: sent == cur.  (The
+                # channel corrupts a kernel-side scratch copy, so the
+                # sender count still meters attempted transmissions.)
                 if config.count_messages:
                     if saturated:
-                        senders += n_act[:, None]
+                        senders += full
                     else:
                         nz = ukernel.segment_count_nonzero(cur_t, out=seg_nz)
                         senders += nz
                         # Saturation is per trial (the nonzero set only
                         # grows within a subphase); the shared flag trips
-                        # once every live trial's block transmits in full
-                        # — dead trials hold zero colors all phase.
-                        saturated = bool(
-                            ((nz == n_act[:, None]) | ~alive_live).all()
-                        )
+                        # once every live trial's block transmits in full.
+                        saturated = bool((nz >= full).all())
                 if chan is not None:
-                    # Lossy path: explicit running-max prev (see
-                    # _run_batched_group).
+                    # Lossy path: prev_kt must be an explicit running max
+                    # over every pre-final round's (possibly shrunken)
+                    # receive, not just round phase-1's.
                     if t == phase:
                         ukernel.neighbor_max_stacked(
                             cur_t, out=k_last_t, channel=chan
@@ -2466,8 +1066,11 @@ def _run_union_group(
                         np.maximum(prev_t, recv_t, out=prev_t)
                         np.maximum(cur_t, recv_t, out=cur_t)
                 elif t == phase:
+                    # Last round: only k_t is still needed — recv, prev,
+                    # and the running max are dead after this point.
                     ukernel.neighbor_max_stacked(cur_t, out=k_last_t)
                 elif t == phase - 1:
+                    # By monotonicity this receive equals prev_kt.
                     ukernel.neighbor_max_stacked(cur_t, out=prev_t)
                     np.maximum(cur_t, prev_t, out=cur_t)
                 else:
@@ -2480,6 +1083,8 @@ def _run_union_group(
                 (k_last_t > prev_t) & (k_last_t > thr_floor),
                 out=flag_continue,
             )
+        # Without an adversary the per-round cost is exactly 1, so the
+        # phase's round total factors out of the subphase loop.
         meters.add_rounds(live_ids, n_sub * phase)
 
         newly = und & ~flag_continue.T
@@ -2507,37 +1112,68 @@ def _run_union_group(
         if config.stop_when_all_decided and not (decided == UNDECIDED).any():
             break
 
-    out: list[CountingResult] = []
+    zeros = np.zeros((cols, rows_n), dtype=bool)
+    return _cell_results(
+        nets, present, offsets, decided, zeros, zeros, meters, traces, None, None
+    )
+
+
+def _cell_results(
+    nets: list[SmallWorldNetwork],
+    present: BoolArray,
+    offsets: Int64Array,
+    decided: Int64Array,
+    crashed: BoolArray,
+    byz: BoolArray,
+    meters: MeterBatch,
+    traces: list[PhaseTrace],
+    inj_acc: Int64Array | None,
+    inj_rej: Int64Array | None,
+) -> list[list[CountingResult | None]]:
+    """Assemble per-cell results (``None`` at absent cells).
+
+    ``decided``/``crashed``/``byz`` are ``(C, N)``; the injection
+    counters are ``(G, C)`` or None (an honest run injects nothing).
+    """
+    cols = present.shape[1]
+    out: list[list[CountingResult | None]] = []
     for g, net in enumerate(nets):
         lo, hi = int(offsets[g]), int(offsets[g + 1])
-        n_net = hi - lo
+        row: list[CountingResult | None] = []
         for j in range(cols):
-            out.append(
+            if not present[g, j]:
+                row.append(None)
+                continue
+            row.append(
                 CountingResult(
-                    n=n_net,
-                    d=d,
+                    n=hi - lo,
+                    d=net.d,
                     k=net.k,
                     decided_phase=decided[j, lo:hi].copy(),
-                    crashed=np.zeros(n_net, dtype=bool),
-                    byz=np.zeros(n_net, dtype=bool),
+                    crashed=crashed[j, lo:hi].copy(),
+                    byz=byz[j, lo:hi].copy(),
                     meter=meters.meter(g * cols + j),
                     trace=traces[g * cols + j],
-                    injections_accepted=0,
-                    injections_rejected=0,
+                    injections_accepted=0 if inj_acc is None else int(inj_acc[g, j]),
+                    injections_rejected=0 if inj_rej is None else int(inj_rej[g, j]),
                 )
             )
+        out.append(row)
     return out
 
 
 class _UnionPlacementGroup:
     """One (network block, placement) sub-group of a union-stack batch.
 
-    ``cols`` are the group's seed-column ids; ``lo``/``hi`` its row
+    The flooding state stays fused across groups; only adversary
+    planning, crash simulation, and the per-column mask applications run
+    per group.  ``cols`` are the group's column ids; ``lo``/``hi`` its row
     segment in the union stack.  ``byz_nodes`` are block-local node ids
     (what the adversary protocol speaks); ``byz_rows`` the same nodes as
-    union-global rows (what the fused state indexes).  ``alive_local`` /
-    ``sel`` are refreshed each phase exactly like
-    :class:`_PlacementGroup`'s.
+    union-global rows (what the fused state indexes).  ``alive_local``
+    (the group-local indices of the group's trials still running — what
+    the adversary protocol calls ``trials``), ``sel`` (their columns in
+    the live state) and the column views are refreshed each phase.
     """
 
     __slots__ = (
@@ -2595,13 +1231,12 @@ def _union_placement_groups(
     nets: list[SmallWorldNetwork],
     offsets: Int64Array,
     masks: list[list[BoolArray]],
+    present: BoolArray,
 ) -> list[_UnionPlacementGroup]:
-    """Sub-group (block, column) trials by (network, placement)."""
-    cols = len(masks[0])
+    """Sub-group present (block, column) cells by (network, placement)."""
     group_map: dict[tuple[int, bytes], list[int]] = {}
-    for g in range(len(nets)):
-        for j in range(cols):
-            group_map.setdefault((g, masks[g][j].tobytes()), []).append(j)
+    for g, j in np.argwhere(present).tolist():
+        group_map.setdefault((g, masks[g][j].tobytes()), []).append(j)
     if len(group_map) > 1 and isinstance(adversary_factory, Adversary):
         raise ValueError(
             "a shared adversary instance cannot drive trials with different "
@@ -2626,67 +1261,60 @@ def _union_placement_groups(
     return groups
 
 
+def _col_block(mat: AnyArray, sel: IntArray, n_rows: int) -> AnyArray:
+    """``mat[:n_rows, sel]`` — a view when ``sel`` is one contiguous run."""
+    if sel.shape[0] and int(sel[-1]) - int(sel[0]) + 1 == sel.shape[0]:
+        return mat[:n_rows, int(sel[0]) : int(sel[-1]) + 1]
+    return mat[:n_rows][:, sel]
+
+
 def _run_union_byzantine_group(
     nets: list[SmallWorldNetwork],
-    ukernel: UnionFloodKernel,
-    seeds: list[SeedLike],
+    ukernel: FloodKernel,
+    seeds: Sequence[Sequence[SeedLike]],
+    present: BoolArray,
     config: CountingConfig,
     adversary_factory: AdversarySpec,
     masks: list[list[BoolArray]],
     channel: ChannelModel | None = None,
-) -> list[CountingResult]:
-    """Union-stack Algorithm 2: one config, per-(network, column) placements.
+) -> list[list[CountingResult | None]]:
+    """Algorithm 2 on the union stack: one config, per-cell placements.
 
-    Mirrors :func:`_run_byzantine_batched_group` on the block-diagonal
-    ``(N, C)`` state: trials sub-group by (network block, placement) —
-    each group's adversary binds to its own graph, simulates its own
-    pre-phase crashes, and plans only its own columns — while the
-    flooding rounds run as single row-gathers over the union CSR.  The
-    Lemma 16 gate and the witness cap are per *block* (each block's own
-    ``(n_g, k_g)``), applied to the block's row segment only; crash
-    masks apply as one ``(N, C)`` mask and witness metering reduces
-    segment-wise.  Bit-for-bit equal to per-network batched (hence
-    sequential) runs; trial ``(g, j)`` is result ``g * C + j``.
+    Mirrors the adversarial path of :func:`repro.core.runner.run_counting`
+    statement for statement on the block-diagonal ``(N, C)`` state:
+    per-trial pre-phase crash masks (memoized on placement + claim
+    content), the Lemma 16 injection gate, per-trial relay suppression,
+    witness-traffic metering from new-record counts, and per-trial early
+    exit.  Cells sub-group by (network block, placement)
+    (:class:`_UnionPlacementGroup`) — each group's adversary binds to its
+    own graph, simulates its own pre-phase crashes, and plans only its
+    own columns — while the flooding rounds run as single row-gathers
+    over the union CSR.  The Lemma 16 gate and the witness cap are per
+    *block* (each block's own ``(n_g, k_g)``), applied to the block's row
+    segment only; crash masks apply as one ``(N, C)`` mask and witness
+    metering reduces segment-wise.  Color state starts in int32 and
+    widens to int64 at the first plan whose values exceed ``INT32_MAX``
+    (see the module docstring's dtype policy).  Returns results as a
+    ``G x C`` nested list, ``None`` at absent cells.
     """
     d = nets[0].d
-    blocks = len(nets)
-    cols = len(seeds)
+    blocks, cols = present.shape
     rows_n = ukernel.n
     offsets = ukernel.offsets
-    n_act = np.asarray(ukernel.sizes, dtype=np.int64)
     witness_cap = np.asarray(
         [min(ball_size_bound(d, int(net.k), 1), int(net.n), 64) for net in nets],
         dtype=np.int64,
     )
+    color_rngs, adv_rngs, chan_rngs = _cell_streams(seeds, present, channel)
 
-    color_rngs: list[list[np.random.Generator]] = []
-    adv_rngs: list[list[np.random.Generator]] = []
-    chan_rngs: list[list[np.random.Generator]] = []
-    for _g in range(blocks):
-        crow: list[np.random.Generator] = []
-        arow: list[np.random.Generator] = []
-        chrow: list[np.random.Generator] = []
-        for seed in seeds:
-            root = make_rng(seed)
-            color_rng, adv_rng = spawn(root, 2)  # same split as run_counting
-            crow.append(color_rng)
-            arow.append(adv_rng)
-            if channel is not None:
-                chrow.append(spawn(root, 1)[0])  # child 2, channel stream
-        color_rngs.append(crow)
-        adv_rngs.append(arow)
-        chan_rngs.append(chrow)
-
-    groups = _union_placement_groups(adversary_factory, nets, offsets, masks)
+    groups = _union_placement_groups(adversary_factory, nets, offsets, masks, present)
     adaptive_groups = [grp for grp in groups if _is_adaptive(grp.adversary)]
     meters = MeterBatch(blocks * cols)
     traces = [PhaseTrace() for _ in range(blocks * cols)]
     byz_cn = np.zeros((cols, rows_n), dtype=bool)
     crashed_cn = np.zeros((cols, rows_n), dtype=bool)
-    for g in range(blocks):
-        lo, hi = int(offsets[g]), int(offsets[g + 1])
-        for j in range(cols):
-            byz_cn[j, lo:hi] = masks[g][j]
+    for grp in groups:
+        byz_cn[grp.cols, grp.lo : grp.hi] = grp.byz
 
     for grp in groups:
         grp.adversary.bind_batch(
@@ -2713,20 +1341,16 @@ def _run_union_byzantine_group(
                         cache[key] = crashed
                     by_id[id(claims)] = crashed
                 crashed_cn[int(j), grp.lo : grp.hi] = crashed
-        all_ids = np.arange(blocks * cols)
-        meters.add_rounds(all_ids, 2)
+        cell_ids = np.flatnonzero(present)  # network-major flat ids
+        meters.add_rounds(cell_ids, 2)
         if config.count_messages:
             # Pre-phase claim broadcasts cost each trial its own network's
             # port total (d-entry claims on every G edge).
-            ports = np.repeat(
-                np.asarray([int(net.g_indptr[-1]) for net in nets], dtype=np.int64),
-                cols,
-            )
-            meters.add_messages(all_ids, ports, ids_each=d)
+            ports = np.asarray([int(net.g_indptr[-1]) for net in nets], dtype=np.int64)
+            meters.add_messages(cell_ids, ports[cell_ids // cols], ids_each=d)
 
-    decided = np.full((cols, rows_n), UNDECIDED, dtype=np.int64)
+    decided, alive = _fresh_state(present, offsets)
     honest_uncrashed = ~byz_cn & ~crashed_cn
-    alive = np.ones((blocks, cols), dtype=bool)
     inj_acc = np.zeros((blocks, cols), dtype=np.int64)
     inj_rej = np.zeros((blocks, cols), dtype=np.int64)
     round_cost = 1 + (config.verification_round_cost if config.verification else 0)
@@ -2752,8 +1376,7 @@ def _run_union_byzantine_group(
         und = undecided_all[live]
         counts = active[:, live]
         alive_live = alive[:, live]
-        trial_ids = np.arange(blocks)[:, None] * cols + live[None, :]
-        live_ids = trial_ids[alive_live]
+        live_ids = np.flatnonzero(alive)  # flat ids, network-major
 
         live_pos = np.full(cols, -1, dtype=np.int64)
         live_pos[live] = np.arange(b_live)
@@ -3032,23 +1655,6 @@ def _run_union_byzantine_group(
         ).any():
             break
 
-    out: list[CountingResult] = []
-    for g, net in enumerate(nets):
-        lo, hi = int(offsets[g]), int(offsets[g + 1])
-        n_net = hi - lo
-        for j in range(cols):
-            out.append(
-                CountingResult(
-                    n=n_net,
-                    d=d,
-                    k=net.k,
-                    decided_phase=decided[j, lo:hi].copy(),
-                    crashed=crashed_cn[j, lo:hi].copy(),
-                    byz=byz_cn[j, lo:hi].copy(),
-                    meter=meters.meter(g * cols + j),
-                    trace=traces[g * cols + j],
-                    injections_accepted=int(inj_acc[g, j]),
-                    injections_rejected=int(inj_rej[g, j]),
-                )
-            )
-    return out
+    return _cell_results(
+        nets, present, offsets, decided, crashed_cn, byz_cn, meters, traces, inj_acc, inj_rej
+    )

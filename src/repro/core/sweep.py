@@ -18,30 +18,19 @@ Network axis
 The paper's claims are *scaling* statements, so the sweeps that matter
 most iterate over network sizes.  :func:`run_multi_sweep` (equivalently,
 passing a list of networks to :func:`run_sweep`) extends the fusion across
-the network axis through one of two layouts, chosen by the ``layout``
-selector:
-
-* ``"union"`` — the zero-padding **union stack**
-  (:func:`repro.core.batch.run_counting_unionstack`): networks stack
-  block-diagonally on the *row* axis (one column = one (placement,
-  config, seed) cell, replicated across every network), so each flooding
-  round is a single row-gather over the concatenated CSR with no padding
-  rows, no scratch copies, and no masked zeroing — the layout that beats
-  the per-size batched loop outright (``union_stack`` workload in
-  ``benchmarks/bench_batch.py``).  Requires a *rectangular* grid: one
-  shared seed axis of int/None seeds.
-* ``"padded"`` — the padded trials-as-columns batch
-  (:func:`repro.core.batch.run_counting_multinet`): state padded to the
-  largest ``n`` with per-trial active-length masking and the masked
-  :class:`~repro.sim.flood.MultiFloodKernel`.  Handles *ragged* grids —
-  per-network seed axes of different lengths (pass ``seeds`` as one axis
-  per network) and ``Generator`` seed objects.
-* ``"auto"`` (default) — union for rectangular grids, padded otherwise.
-
-All networks in one multi-sweep must share the degree ``d`` — the phase
-schedule is ``d``-dependent.  Union-incompatible inputs under an explicit
-``layout="union"`` fail eagerly with typed errors (ragged seed axes:
-``ValueError``; Generator seeds: ``TypeError``).
+the network axis on the block-diagonal **union stack**: networks stack on
+the *row* axis and each column is one (placement, config, seed) cell, so
+each flooding round is a single row-gather over the concatenated CSR with
+no padding rows (see :mod:`repro.core.batch`).  A rectangular grid (one
+shared seed axis) runs through
+:func:`repro.core.batch.run_counting_unionstack`, one seed replicated
+across every network; a ragged grid (one seed axis per network, lengths
+free to differ) runs through :func:`repro.core.batch.run_counting_multinet`,
+whose shorter blocks leave their tail cells absent.  All networks in one
+multi-sweep must share the degree ``d`` — the phase schedule is
+``d``-dependent.  A ``numpy`` ``Generator`` seed feeds exactly one cell, so
+a shared seed axis of Generators over two or more networks is rejected
+with a :class:`TypeError` (give each network its own axis instead).
 
 Equivalence contract
 --------------------
@@ -52,8 +41,9 @@ Every cell is **bit-for-bit** equal to the scalar run it replaces::
 
 (or plain Algorithm 1 ``run_counting(network, config, seed=seed)`` for
 ``strategies=None`` honest grids) — enforced per cell by
-``tests/core/test_sweep.py``, cross-engine (message-level agents vs
-vectorized runner vs batch vs padded multi-network) by
+``tests/core/test_sweep.py`` and ``tests/core/test_percell_seeds.py``,
+cross-engine (message-level agents vs vectorized runner vs the union
+engine's three entry points) by
 ``tests/integration/test_engine_equivalence.py``, and on random ragged
 size mixes by the hypothesis properties in
 ``tests/property/test_padding_properties.py``.  Results come back in grid
@@ -65,17 +55,17 @@ Sharding
 ``jobs=N`` fans the grid out over worker processes through
 :func:`repro.experiments.common.parallel_map` with every network placed in
 one shared-memory segment (workers attach zero-copy; multi-network sweeps
-pin all graphs in a single segment, and union-layout sweeps additionally
+pin all graphs in a single segment, and rectangular sweeps additionally
 ship the pre-stacked union CSR through it so workers skip re-stacking).
 Shard boundaries are **cost weighted**: each cell's expected cost is
 modeled as ``n x round_complexity_bound(n, eps, d) x strategy factor``
 (early-stop attacks end runs after a few phases, inflation floods every
 phase — see :data:`STRATEGY_COST_FACTORS`), and boundaries are placed so
 shards carry roughly equal *cost* rather than equal cell counts, which
-balances the pool when sizes or strategies are skewed.  Union-layout
+balances the pool when sizes or strategies are skewed.  Rectangular
 shards cut on *column* boundaries of the union stack (a column spans every
-network, so its cost is the per-column sum over the network axis); padded
-shards cut on cell boundaries as before.  Chunks never drop below
+network, so its cost is the per-column sum over the network axis); ragged
+shards cut on cell boundaries.  Chunks never drop below
 :data:`MIN_SHARD_CELLS` cells/columns, never straddle a strategy boundary,
 and can be forced back to fixed-size slicing with ``shard_cells``.  For
 ``jobs > 1`` every strategy spec must be picklable — a name from
@@ -114,15 +104,9 @@ __all__ = [
     "SweepResult",
     "MultiSweepResult",
     "SweepCell",
-    "LAYOUTS",
     "MIN_SHARD_CELLS",
     "STRATEGY_COST_FACTORS",
 ]
-
-#: Valid ``layout`` selector values for the network axis (see the module
-#: docstring): ``auto`` picks ``union`` for rectangular grids and falls
-#: back to ``padded`` for ragged seed axes or Generator seeds.
-LAYOUTS = ("auto", "union", "padded")
 
 #: Smallest shard the auto-splitter will produce: below this the batched
 #: engine's per-call fixed costs dominate and sharding stops paying.
@@ -288,7 +272,7 @@ def _split_seed_axes(
 
     A list/tuple whose every element is itself a sequence is read as
     per-network seed axes (one per network, lengths may differ — the
-    ragged form only the padded layout can run); anything else is the
+    ragged form); anything else is the
     shared rectangular axis.  Exactly one element of the returned pair is
     non-None, each validated by :func:`_validate_seeds`.
     """
@@ -346,7 +330,8 @@ def _run_multi_shard(
 
     ``networks`` is the shared tuple of sweep networks (attached from one
     shared-memory segment inside workers); ``task`` carries per-trial
-    indices into it plus per-trial masks over each trial's own network.
+    indices into it plus per-trial masks over each trial's own network —
+    the ragged grid's cells, which the engine regroups into union blocks.
     """
     spec, seeds, configs, net_ids, masks, channel = task
     factory = _strategy_factory(spec)
@@ -507,8 +492,8 @@ class MultiSweepResult:
     ``results`` is flat in network-major grid order (network, strategy,
     placement, config, seed); :meth:`sweep` slices one network's block as
     a plain :class:`SweepResult` (its cells are contiguous).  ``layout``
-    records which engine layout actually ran (``"union"`` or
-    ``"padded"`` — ``"auto"`` is resolved before running).  For ragged
+    names the engine layout that ran, which is always the union stack
+    (``"union"``).  For ragged
     per-network seed axes ``seeds`` is ``None`` and ``seed_axes`` holds
     one axis per network (blocks then differ in size; :attr:`shape` is
     undefined, use ``sweep(g).shape``).
@@ -520,7 +505,7 @@ class MultiSweepResult:
     placements: list[list[BoolArray | None]]
     strategies: list[StrategySpec]
     results: list[CountingResult]
-    layout: str = "padded"
+    layout: str = "union"
     seed_axes: list[list[SeedLike]] | None = None
 
     def seed_axis(self, network: int = 0) -> list[SeedLike]:
@@ -648,7 +633,6 @@ def run_sweep(
     strategies: Any = None,
     jobs: int | None = None,
     shard_cells: int | None = None,
-    layout: str = "auto",
     backend: str | None = None,
     channel: ChannelModel | None = None,
     policy: RetryPolicy | None = None,
@@ -691,14 +675,9 @@ def run_sweep(
     shard_cells:
         Override the cost-weighted shard splitter with fixed-size chunks.
         The unit is one shard *item*: a grid cell on single-network and
-        padded multi-network sweeps, but a union-stack **column** — i.e.
-        ``len(networks)`` cells — when the union layout runs (union
-        shards can only cut on column boundaries).
-    layout:
-        Network-axis layout selector (``"auto"``/``"union"``/``"padded"``,
-        see :func:`run_multi_sweep`); only meaningful when ``network`` is
-        a list — a single-network sweep has no layout choice and rejects
-        explicit non-auto values.
+        ragged multi-network sweeps, but a union-stack **column** — i.e.
+        ``len(networks)`` cells — on rectangular multi-network sweeps
+        (those shards can only cut on column boundaries).
     backend:
         Flood-kernel compute backend (``"numpy"``, ``"numba"``,
         ``"auto"``) or ``None`` for the default resolution — the
@@ -742,18 +721,11 @@ def run_sweep(
             strategies=strategies,
             jobs=jobs,
             shard_cells=shard_cells,
-            layout=layout,
             backend=backend,
             channel=channel,
             policy=policy,
             report=report,
             checkpoint=checkpoint,
-        )
-    if layout != "auto":
-        raise ValueError(
-            "layout selects the network-axis engine; a single-network sweep "
-            "has no layout choice (pass a list of networks to use "
-            f"layout={layout!r})"
         )
     n = network.n
     channel = _normalize_channel(channel)
@@ -836,7 +808,6 @@ def run_multi_sweep(
     strategies: Any = None,
     jobs: int | None = None,
     shard_cells: int | None = None,
-    layout: str = "auto",
     backend: str | None = None,
     channel: ChannelModel | None = None,
     policy: RetryPolicy | None = None,
@@ -847,13 +818,11 @@ def run_multi_sweep(
     across the network axis.
 
     Cells on *different networks* — including different sizes — fuse into
-    one batch through the layout selected by ``layout``: the zero-padding
-    union stack (:func:`repro.core.batch.run_counting_unionstack`) for
-    rectangular grids, or the padded trials-as-columns batch
-    (:func:`repro.core.batch.run_counting_multinet`) for ragged ones; all
-    networks must share the degree ``d``.  Every cell is bit-for-bit equal
-    to the per-network :func:`run_sweep` call it replaces (same network,
-    config, strategy, placement, seed) under either layout.
+    one union-stack batch: :func:`repro.core.batch.run_counting_unionstack`
+    for rectangular grids, :func:`repro.core.batch.run_counting_multinet`
+    for ragged ones; all networks must share the degree ``d``.  Every cell
+    is bit-for-bit equal to the per-network :func:`run_sweep` call it
+    replaces (same network, config, strategy, placement, seed).
 
     Parameters
     ----------
@@ -863,13 +832,14 @@ def run_multi_sweep(
     seeds:
         Either one shared seed axis (the rectangular grid: every network
         runs every seed), or per-network axes — a sequence of sequences,
-        one per network, lengths free to differ (the ragged grid; padded
-        layout only).
+        one per network, lengths free to differ (the ragged grid).  A
+        ``numpy`` ``Generator`` on a shared axis over two or more
+        networks is rejected with a :class:`TypeError`.
     configs, strategies, jobs, shard_cells:
         As in :func:`run_sweep` (configs/strategies are shared grid
         axes).  Note ``shard_cells`` counts union-stack *columns* — each
-        ``len(networks)`` cells — when the union layout runs; padded
-        sweeps keep the per-cell unit.
+        ``len(networks)`` cells — on rectangular grids; ragged sweeps
+        keep the per-cell unit.
     placements:
         Per-network placement axes, because a ``(n,)`` mask only fits one
         network: ``None`` (no Byzantine nodes anywhere), a *callable*
@@ -877,13 +847,6 @@ def run_multi_sweep(
         net: placement_for_delta(net, 0.5, rng=7)``), or a sequence with
         one placement-axis spec per network.  The resulting axis length
         must agree across networks (it is a grid axis).
-    layout:
-        ``"auto"`` (default) picks ``"union"`` for rectangular grids of
-        int/None seeds and falls back to ``"padded"`` otherwise.
-        Explicit ``"union"``/``"padded"`` force the engine; union-
-        incompatible inputs under ``layout="union"`` raise eagerly
-        (ragged seed axes: :class:`ValueError`; Generator seeds:
-        :class:`TypeError`).
     backend:
         As in :func:`run_sweep`; rides on the shared network container
         (``NetworkTuple.kernel_backend``), so it survives shared-memory
@@ -902,11 +865,8 @@ def run_multi_sweep(
     -------
     MultiSweepResult
         Results in network-major grid order; ``.sweep(g)`` gives network
-        ``g``'s block as a plain :class:`SweepResult`, and ``.layout``
-        records which engine ran.
+        ``g``'s block as a plain :class:`SweepResult`.
     """
-    if layout not in LAYOUTS:
-        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
     # Keep the caller's container: a ready NetworkTuple (the resident
     # engine's cached payload, pre-stacked union CSR attached) is handed
     # to parallel_map as-is so serial maps skip re-stacking.
@@ -923,25 +883,15 @@ def run_multi_sweep(
     d = networks[0].d
     channel = _normalize_channel(channel)
     shared_seeds, seed_axes = _split_seed_axes(seeds, networks)
-    if layout == "union":
-        if seed_axes is not None:
-            raise ValueError(
-                "layout='union' needs one shared seed axis (a union column "
-                "is one seed replicated across every network); per-network "
-                "(ragged) seed axes only run on layout='padded'"
-            )
-        if any(isinstance(s, np.random.Generator) for s in shared_seeds):
-            raise TypeError(
-                "layout='union' cannot replicate numpy Generator seeds "
-                "across the network axis; pass int seeds, or use "
-                "layout='padded'"
-            )
-        use_union = True
-    elif layout == "padded":
-        use_union = False
-    else:
-        use_union = shared_seeds is not None and not any(
-            isinstance(s, np.random.Generator) for s in shared_seeds
+    if (
+        shared_seeds is not None
+        and len(networks) > 1
+        and any(isinstance(s, np.random.Generator) for s in shared_seeds)
+    ):
+        raise TypeError(
+            "a numpy Generator seed on the shared seed axis would feed one "
+            "cell per network and interleave its stream across them; pass "
+            "int seeds, or one seed axis per network"
         )
     config_axis = _normalize_axis(configs, CountingConfig(), CountingConfig)
     strategy_axis = _normalize_strategy_axis(strategies)
@@ -986,8 +936,8 @@ def run_multi_sweep(
     n_g, n_s, n_c = len(networks), len(strategy_axis), len(config_axis)
     cost_cache: dict[tuple[int, CountingConfig], float] = {}
 
-    if use_union:
-        # ---- union-stack layout (rectangular grids only) ---------------
+    if shared_seeds is not None:
+        # ---- rectangular grid: one shared seed axis ---------------------
         # Columns of the union stack are the (placement, config, seed)
         # triples in intra-network flat order; every column spans the
         # whole network axis, so shard boundaries cut on column
@@ -1064,22 +1014,19 @@ def run_multi_sweep(
             placements=per_net_placements,
             strategies=strategy_axis,
             results=results,  # type: ignore[arg-type]
-            layout="union",
         )
 
-    # ---- padded layout (handles ragged per-network seed axes) ----------
-    if seed_axes is not None:
-        axes = seed_axes
-    else:
-        assert shared_seeds is not None
-        axes = [shared_seeds] * n_g
+    # ---- ragged grid: one seed axis per network, sharded by cell ---------
+    assert seed_axes is not None
+    axes = seed_axes
     net_off = [0]
     for ax in axes:
         net_off.append(net_off[-1] + n_s * n_p * n_c * len(ax))
     total_cells = net_off[-1]
 
     # Per-strategy cell lists spanning all networks, in network-major
-    # (network, placement, config, seed) order — the batch the engine fuses.
+    # (network, placement, config, seed) order — the trials the engine
+    # regroups into union blocks.
     per_strategy: list[list[tuple[int, SeedLike, CountingConfig, int, BoolArray | None]]] = [
         [] for _ in strategy_axis
     ]
@@ -1105,7 +1052,7 @@ def run_multi_sweep(
         )
         target_cost = total_cost / jobs
 
-    padded_tasks: list[tuple[Any, ...]] = []
+    cell_tasks: list[tuple[Any, ...]] = []
     task_flats: list[list[int]] = []
     for s, spec in enumerate(strategy_axis):
         factor = _strategy_cost_factor(spec)
@@ -1121,7 +1068,7 @@ def run_multi_sweep(
                     else np.zeros(int(networks[cell[3]].n), dtype=bool)
                     for cell in cells
                 ]
-            padded_tasks.append(
+            cell_tasks.append(
                 (
                     spec,
                     [cell[1] for cell in cells],
@@ -1134,7 +1081,7 @@ def run_multi_sweep(
 
     shard_results = parallel_map(
         _run_multi_shard,
-        padded_tasks,
+        cell_tasks,
         jobs=jobs,
         network=networks_payload if networks_payload is not None else networks,
         kernel_backend=backend,
@@ -1154,6 +1101,5 @@ def run_multi_sweep(
         placements=per_net_placements,
         strategies=strategy_axis,
         results=results,  # type: ignore[arg-type]
-        layout="padded",
         seed_axes=seed_axes,
     )

@@ -208,7 +208,13 @@ class ChaosController:
             os.close(fd)
 
     def injected_faults(self) -> list[InjectedFault]:
-        """Every fault actually injected so far, in log order."""
+        """Every fault actually injected so far, sorted by ``(index, attempt)``.
+
+        Worker processes append to the log concurrently, so the file's
+        line order is the nondeterministic cross-process arrival order;
+        sorting by shard index, then attempt number, gives the same list
+        for the same schedule on every run.
+        """
         path = os.path.join(self.state_dir, "faults.log")
         try:
             with open(path, "rb") as fh:
@@ -219,7 +225,7 @@ class ChaosController:
         for line in raw.decode().splitlines():
             index, attempt, kind, pid = line.split("\t")
             out.append(InjectedFault(int(index), int(attempt), kind, int(pid)))
-        return out
+        return sorted(out, key=lambda f: (f.index, f.attempt))
 
 
 # Module-global controller consulted by parallel_map; set via active().

@@ -11,7 +11,7 @@ Two measurements:
 
 The whole size axis runs as **one fused multi-network batch**
 (:func:`repro.core.sweep.run_multi_sweep`): the (n, seed) grid is
-rectangular, so the layout selector picks the zero-padding union stack —
+rectangular, so it runs on the zero-padding union stack —
 every size is a row block of one block-diagonal state, every seed one
 shared column — bit-for-bit equal to the per-``n``
 ``basic_counting_trials`` loop this experiment used to run.
@@ -49,9 +49,9 @@ def run(scale: str, seed: int) -> ExperimentResult:
         columns=["n", "log2 n", "phase med", "phase*log2(d-1)", "rounds max", "paper bound"],
     )
     log_ns, phases, rounds = [], [], []
-    # One fused sweep over the whole (n, seed) grid: the rectangular grid
-    # auto-selects the union-stack layout (sizes as row blocks, seeds as
-    # shared columns; same per-trial seeds as before).
+    # One fused sweep over the whole (n, seed) grid on the union stack
+    # (sizes as row blocks, seeds as shared columns; same per-trial seeds
+    # as before).
     nets = [network(n, d, seed) for n in ns]
     sweep = run_multi_sweep(
         nets,

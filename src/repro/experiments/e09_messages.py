@@ -8,7 +8,7 @@ constant verification overhead), the largest ID payload of any message
 
 Both protocols run their whole (n, seed) grids as **fused multi-network
 sweeps** (:func:`repro.core.sweep.run_multi_sweep`): the grids are
-rectangular, so the layout selector picks the zero-padding union stack —
+rectangular, so they run on the zero-padding union stack —
 every size a row block of one block-diagonal state, with per-network
 Byzantine placements gating per block on the Algorithm 2 runs —
 bit-for-bit equal to the per-``n`` batched loops this experiment used to

@@ -9,8 +9,8 @@ the premature fraction.  We count decisions at phases
 ``a log n``) across eps values — and, new with the network-axis batching,
 across sizes: the whole (n x eps x seed) grid runs as **one fused
 multi-network sweep** (:func:`repro.core.sweep.run_multi_sweep`, eps as
-the config axis; the rectangular grid auto-selects the union-stack
-layout), bit-for-bit equal to the per-``(n, eps)`` batched loops.
+the config axis; the rectangular grid runs on the union stack),
+bit-for-bit equal to the per-``(n, eps)`` batched loops.
 The Lemma 11 shape checks gate on the primary (largest) size, as before;
 the smaller sizes chart how the bound tightens with ``n``.
 """
@@ -58,8 +58,8 @@ def run(scale: str, seed: int) -> ExperimentResult:
     )
     from ..core.phases import alpha
 
-    # The full (n, eps, seed) grid as one fused padded batch: networks are
-    # the outer axis, eps values the config axis, seeds shared.
+    # The full (n, eps, seed) grid as one fused union-stack batch: networks
+    # are the outer axis, eps values the config axis, seeds shared.
     configs = [CountingConfig(eps=eps, verification=False) for eps in eps_values]
     sweep = run_multi_sweep(
         nets, seeds=[seed * 50 + r for r in range(reps)], configs=configs

@@ -12,7 +12,7 @@ A second, protocol-level section mounts the same move (the
 ``topology-liar`` strategy suppresses a real child for a phantom) inside
 full Algorithm 2 runs **across network sizes**, routed through the fused
 multi-network sweep (:func:`repro.core.sweep.run_multi_sweep`; the
-rectangular grid auto-selects the union-stack layout): at every
+rectangular grid runs on the union stack): at every
 size the engine's pre-phase crash mask must equal a direct
 :func:`~repro.core.neighborhood.crash_phase` computation under the liar's
 claims, the crash footprint must stay inside the constant ``k``-ball

@@ -2,7 +2,7 @@
 
 The paper's protocol is analysed on a reliable synchronous network.  The
 scenario pack asks how the estimate degrades when that assumption is
-relaxed along three axes, each a first-class knob of the batched engines:
+relaxed along three axes, each a first-class knob of the batched engine:
 
 * **E15 (loss)** — every transmitted value is dropped i.i.d. with
   probability ``loss_p`` (:class:`repro.sim.channel.ChannelModel`).  Lost

@@ -1,6 +1,6 @@
 """The resident estimation engine: overlays, kernels, and stacks kept warm.
 
-The batch engines (:mod:`repro.core.batch`) amortize numpy dispatch across
+The batched engine (:mod:`repro.core.batch`) amortizes numpy dispatch across
 trials *within* one call; this module amortizes the per-call setup across
 **epochs** of a long-lived deployment.  A :class:`ResidentEngine` keeps,
 per registered overlay:
@@ -11,12 +11,14 @@ per registered overlay:
 * one warm :class:`~repro.sim.flood.FloodKernel` — rebound in place via
   :meth:`~repro.sim.flood.FloodKernel.update_csr` after each delta, which
   invalidates exactly the stale gather plans (cache rule: a delta on
-  overlay ``X`` invalidates ``X``'s kernel plans and every multi-network /
-  union structure containing ``X``, and nothing else);
-* versioned multi-network kernels and union-stack payloads
+  overlay ``X`` invalidates ``X``'s kernel plans and every union stack
+  containing ``X``, and nothing else); a plain kernel is a one-block
+  union stack, so single-overlay queries flood through it directly;
+* one versioned cache of union-stack payloads
   (:class:`repro.graphs.shared.NetworkTuple` with a pre-stacked union
   CSR), keyed by the member overlays' ``(name, version)`` pairs so churn
-  invalidates precisely the structures that contain the mutated overlay.
+  invalidates precisely the stacks that contain the mutated overlay.
+  Multi-overlay queries and sweeps both read it.
 
 Caching is a *speed* layer only: every estimation path delegates to the
 stock batch entry points with the cached objects passed through their
@@ -44,7 +46,7 @@ from ..core.config import CountingConfig
 from ..graphs.delta import AppliedDelta, ResidentGraph
 from ..graphs.shared import NetworkTuple
 from ..graphs.smallworld import SmallWorldNetwork, build_small_world
-from ..sim.flood import FloodKernel, MultiFloodKernel
+from ..sim.flood import FloodKernel, UnionFloodKernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..adversary.base import Adversary
@@ -55,10 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ResidentEngine", "SizeQuery"]
 
-#: FIFO caps for the versioned caches; multi-overlay structures are
-#: rebuilt cheaply, so a shallow cache only needs to cover the handful of
-#: overlay groupings a service round-robins between.
-_MULTI_CACHE_CAP = 8
+#: FIFO cap for the versioned union-stack cache; stacks are rebuilt
+#: cheaply, so a shallow cache only needs to cover the handful of overlay
+#: groupings a service round-robins between.
 _TUPLE_CACHE_CAP = 4
 
 
@@ -67,7 +68,7 @@ class SizeQuery:
     """One size-estimation request against a registered overlay.
 
     ``strategy`` is an adversary factory/instance (as accepted by the
-    batch engines' ``adversary_factory``) with ``byz_mask`` naming the
+    batch entry points' ``adversary_factory``) with ``byz_mask`` naming the
     controlled nodes; both ``None`` runs the honest protocol.  ``config``
     defaults to the engine's default config.
     """
@@ -105,7 +106,6 @@ class ResidentEngine:
         self.report = report
         self.default_config = config or CountingConfig()
         self._overlays: dict[str, _Overlay] = {}
-        self._multi_cache: dict[tuple[tuple[str, int], ...], MultiFloodKernel] = {}
         self._tuple_cache: dict[tuple[tuple[str, int], ...], NetworkTuple] = {}
 
     # ------------------------------------------------------------------
@@ -178,23 +178,25 @@ class ResidentEngine:
         .apply_delta`) recomputes only the adjacency chunks the delta
         touched; :meth:`~repro.sim.flood.FloodKernel.update_csr` then
         re-points the warm kernel and drops its stale gather plans.
-        Multi-overlay kernels and union stacks are keyed by overlay
-        versions, so the bumped version retires exactly the cached
-        structures that contained this overlay.
+        Union stacks are keyed by overlay versions, which only grow, so
+        the stacks that contained this overlay can never be hit again:
+        they are evicted here, releasing the old snapshots they hold.
         """
         overlay = self._overlay(name)
         applied = overlay.graph.apply_delta(delta.leaves, delta.joins, rng)
         net = overlay.graph.snapshot()
         overlay.kernel.update_csr(net.h.indptr, net.h.indices)
+        self._evict(name)
         return applied
 
     def _evict(self, name: str) -> None:
-        for cache in (self._multi_cache, self._tuple_cache):
-            stale = [
-                key for key in cache if any(member == name for member, _v in key)
-            ]
-            for key in stale:
-                del cache[key]  # type: ignore[arg-type]
+        stale = [
+            key
+            for key in self._tuple_cache
+            if any(member == name for member, _v in key)
+        ]
+        for key in stale:
+            del self._tuple_cache[key]
 
     # ------------------------------------------------------------------
     # Estimation
@@ -226,13 +228,14 @@ class ResidentEngine:
     def serve(self, queries: Sequence[SizeQuery]) -> "list[CountingResult]":
         """Serve a batch of size queries, one result per query, in order.
 
-        Queries sharing a strategy fuse into one padded multi-network
-        batch (:func:`repro.core.batch.run_counting_multinet`): each
-        overlay's queries become a contiguous column group of the
-        trials-as-columns state, flooding through the cached
-        multi-network kernel for that overlay set.  Distinct configs
-        sub-batch inside the engine; everything stays bit-for-bit equal
-        to per-query sequential runs.
+        Queries sharing a strategy fuse into one union-stack batch
+        (:func:`repro.core.batch.run_counting_multinet`): each overlay is
+        a row block and its queries fill that block's columns.  A single
+        overlay floods through its warm kernel (a one-block union);
+        several overlays flood through a kernel over the cached
+        versioned union stack.  Distinct configs take separate columns
+        inside the engine; everything stays bit-for-bit equal to
+        per-query sequential runs.
         """
         results: list[CountingResult | None] = [None] * len(queries)
         # Group by strategy identity: one adversary spec drives one
@@ -246,15 +249,17 @@ class ResidentEngine:
             groups.setdefault(key, []).append(i)
             specs[key] = q.strategy
         for key, ids in groups.items():
-            # Overlay-major order keeps each overlay's queries in one
-            # contiguous column group (batch engines sort network-major
-            # internally; pre-sorting keeps query -> column mapping
-            # simple and stable).
+            # Overlay-major order makes the union's row blocks follow the
+            # sorted overlay names, which keys the cached stack.
             ids = sorted(ids, key=lambda i: queries[i].overlay)
             nets = [self.network(queries[i].overlay) for i in ids]
-            kernel = self._multi_kernel(
-                tuple(dict.fromkeys(queries[i].overlay for i in ids))
-            )
+            names = tuple(dict.fromkeys(queries[i].overlay for i in ids))
+            if len(names) == 1:
+                kernel: FloodKernel = self._overlay(names[0]).kernel
+            else:
+                stack = self._network_tuple(names).union_csr
+                assert stack is not None
+                kernel = UnionFloodKernel(*stack, backend=self._backend)
             masks = [queries[i].byz_mask for i in ids]
             batch = run_counting_multinet(
                 nets,
@@ -281,7 +286,6 @@ class ResidentEngine:
         strategies: Any = None,
         jobs: int | None = None,
         shard_cells: int | None = None,
-        layout: str = "auto",
         checkpoint: str | os.PathLike[str] | None = None,
     ) -> "MultiSweepResult":
         """Run a multi-overlay sweep over the resident networks.
@@ -307,7 +311,6 @@ class ResidentEngine:
             strategies=strategies,
             jobs=jobs,
             shard_cells=shard_cells,
-            layout=layout,
             backend=self._backend,
             policy=self.policy,
             report=self.report,
@@ -319,19 +322,6 @@ class ResidentEngine:
     # ------------------------------------------------------------------
     def _cache_key(self, names: tuple[str, ...]) -> tuple[tuple[str, int], ...]:
         return tuple((name, self._overlay(name).graph.version) for name in names)
-
-    def _multi_kernel(self, names: tuple[str, ...]) -> MultiFloodKernel:
-        key = self._cache_key(names)
-        kernel = self._multi_cache.get(key)
-        if kernel is None:
-            kernel = MultiFloodKernel(
-                [self.network(name) for name in names],
-                kernels=[self._overlay(name).kernel for name in names],
-            )
-            if len(self._multi_cache) >= _MULTI_CACHE_CAP:
-                self._multi_cache.pop(next(iter(self._multi_cache)))
-            self._multi_cache[key] = kernel
-        return kernel
 
     def _network_tuple(self, names: tuple[str, ...]) -> NetworkTuple:
         key = self._cache_key(names)

@@ -28,11 +28,11 @@ stream (child 1).  Per round, a live trial draws, in fixed order:
    and ``noise_amp > 0``),
 
 where ``rows`` is the trial's *own* network size.  Because the draws are
-per trial and sized by the trial's network, the three batched layouts
-(single-network batch, padded multinet, block-diagonal union stack)
-consume identical channel randomness for the same (network, seed) cell —
-lossy runs are bit-for-bit equal across layouts, and shard boundaries in
-sweeps cannot perturb them.  Trials stop consuming draws exactly when
+per trial and sized by the trial's network, the batched engine's three
+entry points (single-network batch, ragged multinet, rectangular union
+stack) consume identical channel randomness for the same (network, seed)
+cell — lossy runs are bit-for-bit equal whichever cells share the batch,
+and shard boundaries in sweeps cannot perturb them.  Trials stop consuming draws exactly when
 they leave the live batch, matching what a per-trial sequential run
 would consume.
 
@@ -62,9 +62,9 @@ __all__ = ["ChannelModel", "ChannelState", "ChannelSlot"]
 
 #: One live trial's view of the channel: ``(col, lo, hi, rng)`` — the
 #: trial's column in the engine's ``(rows, B)`` state, its row segment
-#: ``[lo, hi)`` (the whole matrix for the single-network batch, the live
-#: prefix for a padded column, the block segment for a union column), and
-#: its dedicated channel generator.
+#: ``[lo, hi)`` (its network's block segment of the union stack — the
+#: whole matrix for a single-network batch), and its dedicated channel
+#: generator.
 ChannelSlot = tuple[int, int, int, np.random.Generator]
 
 

@@ -19,28 +19,26 @@ Colors are positive integers; ``0`` is the sentinel for "nothing sent"
 (crashed node, suppressed message), so a plain integer max implements
 "ignore missing".
 
-Batches may also span *different networks*: :class:`MultiFloodKernel` runs
-``neighbor_max_stacked`` over a padded ``(n_pad, B)`` trials-as-columns
-matrix in which every column belongs to one of several adjacencies (sizes
-may differ — smaller networks occupy the live prefix of their columns, the
-rest is padding).  The kernel masks the reduction to each column's live
-prefix and zeroes the padding rows of the output, so a padding row can
-never win a max or leak into a live column; networks of identical
-``(n, d)`` shape that sit in adjacent column runs share one stacked gather
-plan (per-column neighbor-index matrices), so re-sampled graphs of one
-size amortize the kernel dispatch the way trials of one graph do.
+Batches may also span *different networks*.  :class:`UnionFloodKernel`
+stacks the networks block-diagonally on the **row** axis (total rows =
+sum of the sizes; each column holds one trial per network), so one plain
+:meth:`FloodKernel.neighbor_max_stacked` call over the concatenated CSR
+floods *all* the networks at once with zero padding rows, no per-segment
+scratch copies, and no masked zeroing — the union of d-regular blocks is
+itself d-regular, so the fast per-neighbor-slot row-gather path applies to
+the whole stack.  Blocks share no edges, so values can never cross a block
+boundary; the per-network row segments (``offsets``) drive the engine's
+segment-wise bookkeeping (decided counting, saturation, witness
+metering).  A plain :class:`FloodKernel` is the one-block case of the
+same interface (``sizes == (n,)``), which is how one engine serves both.
 
-For *rectangular* (network x seed) grids there is a stronger layout than
-padding: :class:`UnionFloodKernel` stacks the networks block-diagonally on
-the **row** axis (total rows = sum of the sizes; one column = one seed
-shared by every network), so one plain :meth:`FloodKernel
-.neighbor_max_stacked` call over the concatenated CSR floods *all* the
-networks at once with zero padding rows, no per-segment scratch copies,
-and no masked zeroing — the union of d-regular blocks is itself d-regular,
-so the fast per-neighbor-slot row-gather path applies to the whole stack.
-Blocks share no edges, so values can never cross a block boundary; the
-per-network row segments (``offsets``) drive the engines' segment-wise
-bookkeeping (decided counting, saturation, witness metering).
+:class:`MultiFloodKernel` is the older padded layout: a ``(n_pad, B)``
+trials-as-columns matrix in which every column belongs to one of several
+adjacencies and smaller networks occupy the live prefix of their columns.
+The kernel masks the reduction to each column's live prefix and zeroes
+the padding rows of the output, so a padding row can never win a max;
+networks of identical ``(n, d)`` shape in adjacent column runs share one
+stacked gather plan.  Only the geometric-max baseline still uses it.
 """
 
 from __future__ import annotations
@@ -91,6 +89,7 @@ class FloodKernel:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.n = indptr.shape[0] - 1
         self._starts = self.indptr[:-1]
+        self._set_one_block()
         # Tiled gather/reduce offsets for the batched kernel, built lazily
         # and cached for the last batch size seen (phases shrink the active
         # trial set, so a handful of sizes recur within one run).
@@ -107,6 +106,40 @@ class FloodKernel:
     def backend(self) -> str:
         """Name of the compute backend this kernel dispatches to."""
         return self._backend.name
+
+    def _set_one_block(self) -> None:
+        """Row blocks of a plain kernel: it is a one-block union stack.
+
+        ``sizes`` are the block sizes and ``offsets[g]`` block ``g``'s
+        first row (``offsets[-1] == n``); :class:`UnionFloodKernel`
+        overwrites both with its member blocks.
+        """
+        self.sizes: tuple[int, ...] = (self.n,)
+        self.offsets: Int64Array = np.array([0, self.n], dtype=np.int64)
+
+    def segment_count_nonzero(
+        self, values: AnyArray, out: Int64Array | None = None
+    ) -> Int64Array:
+        """Per-(block, column) nonzero counts of an ``(N, B)`` matrix.
+
+        One segmented ``reduceat`` over ``values != 0``, mirroring
+        :meth:`segment_sum` — the per-block Python loop this replaces cost
+        a kernel dispatch per block per round.
+        """
+        counts = np.add.reduceat(values != 0, self.offsets[:-1], axis=0, dtype=np.int64)
+        if out is None:
+            return counts
+        np.copyto(out, counts)
+        return out
+
+    def segment_sum(self, values: AnyArray) -> AnyArray:
+        """Per-(block, column) sums of an ``(N, B)`` numeric matrix.
+
+        One segmented ``reduceat`` over the row axis; the block offsets
+        are the segment boundaries, so the result's row ``g`` aggregates
+        exactly block ``g``'s rows.
+        """
+        return np.add.reduceat(values, self.offsets[:-1], axis=0)
 
     def neighbor_max(self, sent: AnyArray, out: AnyArray | None = None) -> AnyArray:
         """``out[v] = max(sent[u] for u in N(v))`` (0 if all neighbors silent)."""
@@ -141,6 +174,7 @@ class FloodKernel:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.n = indptr.shape[0] - 1
         self._starts = self.indptr[:-1]
+        self._set_one_block()
         self._uniform_degree = (
             int(degrees[0]) if degrees.size and degrees.min() == degrees.max() else 0
         )
@@ -280,15 +314,15 @@ def stack_union_csr(
 class UnionFloodKernel(FloodKernel):
     """Block-diagonal union of several adjacencies as one flat CSR kernel.
 
-    The zero-padding layout for rectangular (network x seed) batches: the
-    member networks' H graphs are concatenated block-diagonally, so every
+    The batched engine's multi-network layout: the member networks' H
+    graphs are concatenated block-diagonally, so every
     round over an ``(N, B)`` trials-as-columns state (``N`` = total rows)
     is one ordinary :meth:`FloodKernel.neighbor_max_stacked` call — when
     every block is d-regular the union is d-regular too and the per-slot
     row-gather fast path covers the whole stack.  ``offsets[g]`` is block
     ``g``'s first row; :meth:`segment_count_nonzero` and
     :meth:`segment_sum` reduce an ``(N, B)`` matrix to per-(block, column)
-    values for the engines' decided/saturation/witness bookkeeping.
+    values for the engine's decided/saturation/witness bookkeeping.
 
     Blocks share no edges by construction, so no value can cross a block
     boundary (enforced by ``tests/property/test_unionstack_properties.py``).
@@ -323,35 +357,6 @@ class UnionFloodKernel(FloodKernel):
         """Build the union kernel by stacking the networks' H CSRs."""
         sizes, indptr, indices = stack_union_csr(networks)
         return cls(sizes, indptr, indices, backend=backend)
-
-    @property
-    def blocks(self) -> int:
-        return len(self.sizes)
-
-    def segment_count_nonzero(
-        self, values: AnyArray, out: Int64Array | None = None
-    ) -> Int64Array:
-        """Per-(block, column) nonzero counts of an ``(N, B)`` matrix.
-
-        One segmented ``reduceat`` over ``values != 0``, mirroring
-        :meth:`segment_sum` — the per-block Python loop this replaces cost
-        a kernel dispatch per block per round.
-        """
-        counts = np.add.reduceat(values != 0, self.offsets[:-1], axis=0, dtype=np.int64)
-        if out is None:
-            return counts
-        np.copyto(out, counts)
-        return out
-
-    def segment_sum(self, values: AnyArray) -> AnyArray:
-        """Per-(block, column) sums of an ``(N, B)`` numeric matrix.
-
-        One segmented ``reduceat`` over the row axis; the block offsets
-        are the segment boundaries, so the result's row ``g`` aggregates
-        exactly block ``g``'s rows.
-        """
-        return np.add.reduceat(values, self.offsets[:-1], axis=0)
-
 
 #: Column runs narrower than this are candidates for merging into one
 #: stacked gather with adjacent same-(n, d) runs: a handful of columns per
@@ -399,6 +404,11 @@ class _ColumnPlan:
 class MultiFloodKernel:
     """Per-round neighbor-max for a padded multi-network column batch.
 
+    The counting engines run multi-network batches on the union stack
+    (:class:`UnionFloodKernel`); this padded kernel now serves only the
+    geometric-max baseline's multi-network runs
+    (:func:`repro.baselines.geometric_max.run_geometric_max_multinet`).
+
     Parameters
     ----------
     networks:
@@ -421,42 +431,16 @@ class MultiFloodKernel:
         self,
         networks: Iterable[SmallWorldNetwork],
         backend: str | KernelBackend | None = None,
-        kernels: list[FloodKernel] | None = None,
     ) -> None:
         networks = list(networks)
-        if kernels is not None:
-            # Adopt pre-built member kernels (the resident churn engine
-            # keeps one warm FloodKernel per overlay and shares it here so
-            # its cached gather plans survive across epochs).  Mutually
-            # exclusive with an explicit backend; members must already
-            # match the networks' adjacencies.
-            if backend is not None:
-                raise ValueError(
-                    "pass either backend or pre-built kernels, not both "
-                    "(the kernels already carry their backend)"
-                )
-            if len(kernels) != len(networks):
-                raise ValueError(
-                    f"got {len(kernels)} kernels for {len(networks)} networks"
-                )
-            for kern, net in zip(kernels, networks):
-                if kern.n != net.n:
-                    raise ValueError(
-                        f"kernel has {kern.n} rows but its network has "
-                        f"{net.n} nodes"
-                    )
-            resolved = kernels[0]._backend if kernels else resolve_backend(None)
-            self.kernels = kernels
-        else:
-            # Resolve once so every member kernel shares one backend
-            # instance (and the env lookup happens once, not per network).
-            resolved = resolve_backend(backend)
-            self.kernels = [
-                FloodKernel(net.h.indptr, net.h.indices, backend=resolved)
-                for net in networks
-            ]
+        # Resolve once so every member kernel shares one backend instance
+        # (and the env lookup happens once, not per network).
+        resolved = resolve_backend(backend)
+        self.kernels = [
+            FloodKernel(net.h.indptr, net.h.indices, backend=resolved)
+            for net in networks
+        ]
         self.sizes = tuple(int(net.n) for net in networks)
-        self.degrees = tuple(int(net.d) for net in networks)
         self.n_pad = max(self.sizes) if self.sizes else 0
         self._backend = resolved
         self._plan_cache: dict[bytes, _ColumnPlan] = {}
@@ -466,24 +450,13 @@ class MultiFloodKernel:
         """Name of the compute backend shared by the member kernels."""
         return self._backend.name
 
-    def invalidate_plans(self) -> None:
-        """Drop every cached column plan and the member kernels' plans.
-
-        Column plans hold per-graph gather matrices, so they are stale the
-        moment any member adjacency changes; the resident churn engine
-        calls this after patching an overlay the kernel serves.
-        """
-        self._plan_cache.clear()
-        for kernel in self.kernels:
-            kernel.invalidate_plans()
-
     # ------------------------------------------------------------------
     def column_plan(self, col_net: IntArray) -> _ColumnPlan:
         """Build (and cache) the dispatch plan for one column assignment.
 
         ``col_net`` maps each live column to its network index; columns of
-        one network should sit in contiguous runs (the batch engines sort
-        trials network-major), but scattered assignments only cost extra
+        one network should sit in contiguous runs (callers sort trials
+        network-major), but scattered assignments only cost extra
         segments, never correctness.
         """
         col_net = np.ascontiguousarray(col_net, dtype=np.int64)

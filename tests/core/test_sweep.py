@@ -699,7 +699,7 @@ class TestRunMultiSweep:
 
 
 class TestLayoutSelector:
-    """The network-axis layout selector: auto resolution, overrides, errors."""
+    """The network axis always runs on the union stack, rectangular or ragged."""
 
     CFG = CountingConfig(max_phase=8)
 
@@ -718,11 +718,11 @@ class TestLayoutSelector:
                 ref = run_counting(net, cfg, seed=s)
                 assert_trial_equal(ref, multi.cell(network=g, seed=b))
 
-    def test_ragged_seed_axes_auto_fall_back_to_padded(self):
+    def test_ragged_seed_axes_run_on_union(self):
         nets = self._nets()
         cfg = CountingConfig(verification=False, max_phase=8)
         multi = run_multi_sweep(nets, seeds=[[1, 2, 3], [4]], configs=cfg)
-        assert multi.layout == "padded"
+        assert multi.layout == "union"
         assert multi.seeds is None
         assert [len(ax) for ax in multi.seed_axes] == [3, 1]
         for g, (net, axis) in enumerate(zip(nets, [[1, 2, 3], [4]])):
@@ -732,42 +732,6 @@ class TestLayoutSelector:
                 ref = run_counting(net, cfg, seed=s)
                 assert_trial_equal(ref, block.cell(seed=b))
 
-    def test_generator_seeds_auto_fall_back_to_padded(self):
-        nets = self._nets()
-        cfg = CountingConfig(verification=False, max_phase=6)
-        multi = run_multi_sweep(
-            nets,
-            seeds=[np.random.default_rng(1), np.random.default_rng(2)],
-            configs=cfg,
-        )
-        assert multi.layout == "padded"
-
-    def test_explicit_padded_override_respected(self):
-        nets = self._nets()
-        cfg = CountingConfig(verification=False, max_phase=8)
-        padded = run_multi_sweep(nets, seeds=[1, 2], configs=cfg, layout="padded")
-        union = run_multi_sweep(nets, seeds=[1, 2], configs=cfg, layout="union")
-        assert padded.layout == "padded"
-        assert union.layout == "union"
-        for a, b in zip(padded.results, union.results):
-            assert_trial_equal(a, b)
-
-    def test_union_byzantine_grid_matches_padded(self):
-        nets = self._nets()
-        place = lambda net: [placement_for_delta(net, 0.5, rng=3)]
-        kwargs = dict(
-            seeds=[70, 71],
-            configs=self.CFG,
-            placements=place,
-            strategies=["early-stop", "inflation"],
-        )
-        union = run_multi_sweep(nets, **kwargs, layout="union")
-        padded = run_multi_sweep(nets, **kwargs, layout="padded")
-        assert union.layout == "union" and padded.layout == "padded"
-        assert union.shape == padded.shape
-        for a, b in zip(padded.results, union.results):
-            assert_trial_equal(a, b)
-
     def test_union_sharded_equals_serial(self):
         nets = self._nets()
         place = lambda net: [placement_for_delta(net, 0.5, rng=3)]
@@ -776,7 +740,6 @@ class TestLayoutSelector:
             configs=self.CFG,
             placements=place,
             strategies=["early-stop", "inflation"],
-            layout="union",
         )
         serial = run_multi_sweep(nets, **kwargs)
         sharded = run_multi_sweep(nets, **kwargs, jobs=2)
@@ -784,18 +747,12 @@ class TestLayoutSelector:
         for a, b in zip(serial.results, sharded.results):
             assert_trial_equal(a, b)
 
-    def test_union_with_ragged_seed_axes_rejected(self):
-        nets = self._nets()
-        with pytest.raises(ValueError, match="shared seed axis"):
-            run_multi_sweep(nets, seeds=[[1, 2], [3]], layout="union")
-
     def test_union_with_generator_seeds_rejected(self):
         nets = self._nets()
         with pytest.raises(TypeError, match="Generator"):
             run_multi_sweep(
                 nets,
                 seeds=[np.random.default_rng(1), np.random.default_rng(2)],
-                layout="union",
             )
 
     def test_union_with_heterogeneous_degree_rejected(self):
@@ -803,18 +760,7 @@ class TestLayoutSelector:
 
         nets = [build_small_world(96, 8, seed=1), build_small_world(96, 6, seed=2)]
         with pytest.raises(ValueError, match="degree d"):
-            run_multi_sweep(nets, seeds=[1], layout="union")
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError, match="layout"):
-            run_multi_sweep(self._nets(), seeds=[1], layout="diagonal")
-
-    def test_single_network_run_sweep_rejects_explicit_layout(self):
-        from repro.graphs import build_small_world
-
-        net = build_small_world(96, 8, seed=1)
-        with pytest.raises(ValueError, match="layout"):
-            run_sweep(net, seeds=[1], layout="union")
+            run_multi_sweep(nets, seeds=[[1], [2, 3]])
 
     def test_ragged_axis_count_mismatch_rejected(self):
         nets = self._nets()

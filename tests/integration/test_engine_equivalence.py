@@ -1,6 +1,6 @@
-"""Cross-engine equivalence: all five engines must agree on the same cells.
+"""Cross-engine equivalence: agents vs scalar runner vs the union engine.
 
-The library executes the counting protocol through five independent
+The library executes the counting protocol through three independent
 implementations:
 
 * ``agents`` — the message-level path: :func:`repro.core.agents
@@ -8,25 +8,28 @@ implementations:
   objects over the :class:`~repro.sim.engine.SynchronousEngine`;
 * ``runner`` — the vectorized reference engine
   (:func:`repro.core.runner.run_counting`);
-* ``batch`` — the trials-as-columns batched engine
-  (:func:`repro.core.batch.run_counting_batch`);
-* ``multinet`` — the padded multi-network batch
-  (:func:`repro.core.batch.run_counting_multinet`), exercised here with a
-  decoy network of a *different size* sharing the batch, so the cell under
-  test runs in a padded column;
-* ``union`` — the zero-padding union-stack batch
-  (:func:`repro.core.batch.run_counting_unionstack`), exercised with the
-  same decoy as a second block-diagonal row block and an extra decoy seed
-  column, so the cell under test runs as one segment of a shared column.
+* the batched union-stack engine (:mod:`repro.core.batch`), reached
+  through three entry points, each a grid column here:
 
-All five consume the same randomness in the same order, so for any
+  * ``batch`` — :func:`repro.core.batch.run_counting_batch`, one network
+    as a one-block union;
+  * ``multinet`` — :func:`repro.core.batch.run_counting_multinet`,
+    exercised with decoy trials on a network of a *different size* so
+    the grid is ragged: the cell under test shares its column with a
+    decoy block and sits beside an absent cell;
+  * ``union`` — :func:`repro.core.batch.run_counting_unionstack`,
+    exercised with the same decoy as a second block-diagonal row block
+    and an extra decoy seed column, so the cell under test runs as one
+    segment of a shared column.
+
+All consume the same randomness in the same order, so for any
 (network, config, strategy, seed) cell they must produce identical
-per-node decisions and crash sets (DESIGN.md §2.1); the four vectorized
-engines must additionally match bit-for-bit on meters, traces, and
-injection counters.  One parametrized grid pins every cell across every
-engine through one shared helper — this is the strongest correctness
-check in the suite, and the harness CI runs in its own job step so
-padding and union-segment regressions fail loudly.
+per-node decisions and crash sets (DESIGN.md §2.1); the vectorized paths
+must additionally match bit-for-bit on meters, traces, and injection
+counters.  One parametrized grid pins every cell across every entry point
+through one shared helper — this is the strongest correctness check in
+the suite, and the harness CI runs in its own job step so union-segment
+and absent-cell regressions fail loudly.
 """
 
 import numpy as np
@@ -82,7 +85,7 @@ def net():
 
 @pytest.fixture(scope="module")
 def decoy():
-    """A smaller same-degree network that pads the multinet batch."""
+    """A smaller same-degree network that shares the batched grids."""
     return build_small_world(96, 8, seed=33)
 
 
@@ -112,10 +115,10 @@ def run_cell(engine, net, *, decoy_net, byz, cfg, strategy, seed, backend=None,
     This is the single shared entry point every equivalence test goes
     through; adding an engine or a cell extends the grid, not the tests.
     ``backend`` selects the flood-kernel compute backend on the batched
-    engines (batch/multinet/union); the runner and agents paths have no
+    entry points (batch/multinet/union); the runner and agents paths have no
     kernel backend axis.  ``channel`` (a
     :class:`~repro.sim.channel.ChannelModel`) likewise exists only on the
-    batched engines.
+    batched entry points.
     """
     mask = byz if strategy is not None else None
     if engine == "runner":
@@ -135,15 +138,16 @@ def run_cell(engine, net, *, decoy_net, byz, cfg, strategy, seed, backend=None,
             backend=backend, channel=channel,
         )[0]
     if engine == "multinet":
-        # The cell under test shares a padded batch with a decoy trial on
-        # a smaller network, so its column carries real padding rows.
+        # The cell under test shares a ragged grid with two decoy trials
+        # on a smaller network: its column spans both blocks, and its own
+        # block's second column is an absent cell.
         factory = (
             (lambda: make_adversary(strategy)) if strategy is not None else None
         )
-        masks = [None, mask] if factory is not None else None
+        masks = [None, mask, None] if factory is not None else None
         out = run_counting_multinet(
-            [decoy_net, net],
-            [seed + 1000, seed],
+            [decoy_net, net, decoy_net],
+            [seed + 1000, seed, seed + 2000],
             config=cfg,
             adversary_factory=factory,
             byz_mask=masks,
@@ -246,7 +250,7 @@ class TestLosslessChannelGrid:
 
 
 class TestMultinetPaddingColumn:
-    """The padded column's decoy neighbour must itself stay exact."""
+    """The ragged grid's decoy neighbour must itself stay exact."""
 
     def test_decoy_trial_matches_its_own_network(self, net, decoy, byz):
         out = run_counting_multinet(

@@ -6,13 +6,14 @@ Two invariants back the channel determinism contract
 * **null channels are invisible** — any :class:`ChannelModel` with
   ``loss_p == 0`` and no effective noise (``noise_p == 0`` or
   ``noise_amp == 0``) normalizes away before reaching an engine, so the
-  run is *bit-for-bit* the channel-free output on every batched layout
-  and every available kernel backend;
+  run is *bit-for-bit* the channel-free output on every batched entry
+  point and every available kernel backend;
 * **lossy runs are layout-invariant** — the channel stream is spawned
   per trial and sized by the trial's own network, so the same
   (network, seed, channel) cell produces identical results whether it
-  executes as a single-network batch column, a padded multinet column,
-  or a segment of a block-diagonal union-stack column.
+  runs through the single-network entry point, as a ragged multinet
+  cell beside an absent one, or as a segment of a rectangular
+  union-stack column.
 """
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestNullChannelIsInvisible:
 
 
 class TestLossyLayoutInvariance:
-    """The same lossy cell is bit-for-bit equal on all three layouts."""
+    """The same lossy cell is bit-for-bit equal via all three entry points."""
 
     @SETTINGS
     @given(channel=lossy_channels, seed0=st.integers(0, 10_000))

@@ -1,9 +1,11 @@
-"""Hypothesis properties for the padded multi-network batch.
+"""Hypothesis properties for ragged multi-network batches.
 
-The network-axis engines keep trials of *different-sized* graphs as
-columns of one state matrix padded to the largest ``n``.  Two families of
-invariants make that sound, and both are pinned here on random ragged
-size mixes:
+:class:`~repro.sim.flood.MultiFloodKernel` (used by the geometric-max
+baseline) keeps trials of *different-sized* graphs as columns of one
+state matrix padded to the largest ``n``; the counting engine runs the
+same ragged mixes on the union stack, leaving absent cells where a
+network has fewer trials.  Two families of invariants are pinned here on
+random ragged size mixes:
 
 * **padding never leaks** — a padding row (a row at or beyond a column's
   network size) is identically zero after every flooding round, and can
@@ -12,11 +14,11 @@ size mixes:
   per-network kernel;
 * **per-column engine equality** — for random ragged mixes of networks,
   seeds, and (for Algorithm 2) placements, each column of
-  :func:`repro.core.batch.run_counting_multinet` equals the unpadded
+  :func:`repro.core.batch.run_counting_multinet` equals the single-trial
   per-network run bit for bit (decisions, crashes, meters, traces,
-  injection counters), i.e. the active-length bookkeeping (decided
-  counting, saturation, witness metering over live prefixes only) holds
-  after every round of every phase.
+  injection counters), i.e. the per-cell bookkeeping (decided counting,
+  saturation, witness metering, absent cells) holds after every round of
+  every phase.
 """
 
 import numpy as np

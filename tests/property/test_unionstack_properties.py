@@ -1,6 +1,6 @@
 """Hypothesis properties for the block-diagonal union-stack batch.
 
-The union-stack engines keep a rectangular (network x seed) grid as one
+The batched engine keeps a rectangular (network x seed) grid as one
 ``(sum n_g, C)`` state whose row *segments* are the member networks'
 blocks.  Two families of invariants make that sound, pinned here on
 random rectangular grids:
@@ -10,16 +10,13 @@ random rectangular grids:
   value ever crosses a block boundary: after every flooding round of any
   values, each block's rows equal the member network's own unpadded
   kernel output (blocks share no edges, so leakage is structurally
-  impossible — this is the property that replaces the padded layout's
-  "padding rows stay zero" invariant);
-* **per-cell engine equality** — for random rectangular grids of
-  networks and seeds (and, for Algorithm 2, placements), every
+  impossible);
+* **per-cell equality with the scalar runner** — for random rectangular
+  grids of networks and seeds (and, for Algorithm 2, placements), every
   ``(network, seed)`` cell of
-  :func:`repro.core.batch.run_counting_unionstack` equals the padded
-  :func:`repro.core.batch.run_counting_multinet` cell bit for bit
-  (decisions, crashes, meters, traces, injection counters) — and the
-  padded engine is itself pinned to per-network runs by
-  ``tests/property/test_padding_properties.py``, closing the chain.
+  :func:`repro.core.batch.run_counting_unionstack` equals the
+  per-network sequential :func:`repro.core.runner.run_counting` call bit
+  for bit (decisions, crashes, meters, traces, injection counters).
 """
 
 import numpy as np
@@ -27,7 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CountingConfig, make_adversary
-from repro.core.batch import run_counting_multinet, run_counting_unionstack
+from repro.core.batch import run_counting_unionstack
+from repro.core.runner import run_counting
 from repro.graphs import build_small_world
 from repro.sim.flood import FloodKernel, UnionFloodKernel
 
@@ -139,22 +137,18 @@ class TestKernelSegments:
 
 
 class TestEngineUnionStack:
-    """run_counting_unionstack: rectangular grids equal the padded engine."""
+    """run_counting_unionstack: every grid cell equals its scalar run."""
 
     @SETTINGS
     @given(mix=block_mixes, cols=st.integers(1, 4), seed0=st.integers(0, 10_000))
-    def test_honest_grid_equals_padded(self, mix, cols, seed0):
+    def test_honest_grid_equals_scalar(self, mix, cols, seed0):
         cfg = CountingConfig(max_phase=5, verification=False)
         nets = [NETWORKS[i] for i in mix]
         seeds = [seed0 + 7 * j for j in range(cols)]
         union = run_counting_unionstack(nets, seeds, config=cfg)
-        padded = run_counting_multinet(
-            [net for net in nets for _ in seeds],
-            [s for _ in nets for s in seeds],
-            config=cfg,
-        )
-        assert len(union) == len(padded) == len(nets) * cols
-        for a, b in zip(padded, union):
+        assert len(union) == len(nets) * cols
+        scalar = [run_counting(net, cfg, seed=s) for net in nets for s in seeds]
+        for a, b in zip(scalar, union):
             assert_trial_equal(a, b)
 
     @SETTINGS
@@ -164,7 +158,7 @@ class TestEngineUnionStack:
         seed0=st.integers(0, 10_000),
         byz_count=st.integers(1, 3),
     )
-    def test_byzantine_grid_equals_padded(self, mix, cols, seed0, byz_count):
+    def test_byzantine_grid_equals_scalar(self, mix, cols, seed0, byz_count):
         cfg = CountingConfig(max_phase=5)
         nets = [NETWORKS[i] for i in mix]
         seeds = [seed0 + 11 * j for j in range(cols)]
@@ -180,14 +174,14 @@ class TestEngineUnionStack:
             adversary_factory=lambda: make_adversary("early-stop"),
             byz_mask=masks,
         )
-        padded = run_counting_multinet(
-            [net for net in nets for _ in seeds],
-            [s for _ in nets for s in seeds],
-            config=cfg,
-            adversary_factory=lambda: make_adversary("early-stop"),
-            byz_mask=[m for m in masks for _ in seeds],
-        )
-        for a, b in zip(padded, union):
+        scalar = [
+            run_counting(
+                net, cfg, seed=s, adversary=make_adversary("early-stop"), byz_mask=m
+            )
+            for net, m in zip(nets, masks)
+            for s in seeds
+        ]
+        for a, b in zip(scalar, union):
             assert_trial_equal(a, b)
 
     def test_mixed_configs_keep_columns_independent(self):
@@ -201,10 +195,10 @@ class TestEngineUnionStack:
         seeds = [1, 2, 3, 4]
         col_cfgs = [cfgs[0], cfgs[1], cfgs[0], cfgs[1]]
         union = run_counting_unionstack(nets, seeds, config=col_cfgs)
-        padded = run_counting_multinet(
-            [net for net in nets for _ in seeds],
-            [s for _ in nets for s in seeds],
-            config=[c for _ in nets for c in col_cfgs],
-        )
-        for a, b in zip(padded, union):
+        scalar = [
+            run_counting(net, cfg, seed=s)
+            for net in nets
+            for s, cfg in zip(seeds, col_cfgs)
+        ]
+        for a, b in zip(scalar, union):
             assert_trial_equal(a, b)

@@ -93,9 +93,10 @@ class TestController:
         ctrl.log_fault(3, 1, "crash")
         ctrl.log_fault(0, 2, "raise")
         faults = ctrl.injected_faults()
+        # Sorted by (index, attempt), not by log order.
         assert [(f.index, f.attempt, f.kind) for f in faults] == [
-            (3, 1, "crash"),
             (0, 2, "raise"),
+            (3, 1, "crash"),
         ]
         assert all(f.pid == os.getpid() for f in faults)
 

@@ -16,7 +16,7 @@ from repro.core.config import CountingConfig
 from repro.core.sweep import run_multi_sweep
 from repro.graphs import build_small_world, hgraph_from_cycles
 from repro.service import ChurnDelta, ResidentEngine, SizeQuery
-from repro.sim.flood import FloodKernel, MultiFloodKernel
+from repro.sim.flood import FloodKernel, UnionFloodKernel
 from repro.sim.rng import derive_seed, make_rng
 
 CFG = CountingConfig(max_phase=12)
@@ -39,30 +39,47 @@ def cold_copy(net):
 
 
 class TestKernelAdoption:
-    """MultiFloodKernel(kernels=...): warm member kernels, same results."""
+    """Warm kernels passed through ``kernel=``: same results, validated."""
 
     def test_adopted_kernels_bit_for_bit(self):
         nets = [build_small_world(40, 4, seed=s) for s in range(3)]
         trial_nets = [nets[i % 3] for i in range(7)]
         seeds = list(range(7))
         cold = run_counting_multinet(trial_nets, seeds, config=CFG)
-        members = [FloodKernel(n.h.indptr, n.h.indices) for n in nets]
-        warm = run_counting_multinet(
-            trial_nets,
-            seeds,
-            config=CFG,
-            kernel=MultiFloodKernel(nets, kernels=members),
-        )
-        for a, b in zip(cold, warm):
+        warm_kernel = UnionFloodKernel.from_networks(nets)
+        for _ in range(2):  # the second call reuses the warm gather plans
+            warm = run_counting_multinet(
+                trial_nets, seeds, config=CFG, kernel=warm_kernel
+            )
+            for a, b in zip(cold, warm):
+                assert_trial_equal(a, b)
+
+    def test_one_block_kernel_keeps_its_plans(self):
+        # A plain FloodKernel runs as a one-block union: no CSR copy and
+        # no gather-plan rebuild between calls.
+        net = build_small_world(40, 4, seed=1)
+        kernel = FloodKernel(net.h.indptr, net.h.indices)
+        cold = run_counting_batch(net, SEEDS, config=CFG)
+        first = run_counting_batch(net, SEEDS, config=CFG, kernel=kernel)
+        plan, indices = kernel._neighbor_cols, kernel.indices
+        again = run_counting_batch(net, SEEDS, config=CFG, kernel=kernel)
+        assert plan is not None and kernel._neighbor_cols is plan
+        assert kernel.indices is indices
+        for a, b, c in zip(cold, first, again):
             assert_trial_equal(a, b)
+            assert_trial_equal(a, c)
 
     def test_adoption_validation(self):
         nets = [build_small_world(40, 4, seed=s) for s in range(2)]
-        members = [FloodKernel(n.h.indptr, n.h.indices) for n in nets]
+        union = UnionFloodKernel.from_networks(nets)
         with pytest.raises(ValueError, match="not both"):
-            MultiFloodKernel(nets, backend="numpy", kernels=members)
-        with pytest.raises(ValueError):
-            MultiFloodKernel(nets, kernels=members[:1])
+            run_counting_multinet(nets, [1, 2], kernel=union, backend="numpy")
+        with pytest.raises(ValueError, match="block sizes"):
+            run_counting_multinet(nets[:1], [1], kernel=union)
+        other = build_small_world(40, 4, seed=9)
+        stale = FloodKernel(other.h.indptr, other.h.indices)
+        with pytest.raises(ValueError, match="update_csr"):
+            run_counting_batch(nets[0], [1], kernel=stale)
 
 
 class TestSoak:
@@ -134,18 +151,28 @@ class TestServe:
             )[0]
             assert_trial_equal(r, ref)
 
-    def test_serve_reuses_cached_multinet_kernel_until_churn(self):
+    def test_serve_reuses_cached_union_stack_until_churn(self):
         engine = ResidentEngine(config=CFG)
         engine.add_overlay("a", n=40, d=4, seed=1)
         engine.add_overlay("b", n=48, d=4, seed=2)
         engine.serve([SizeQuery("a", 1), SizeQuery("b", 2)])
-        (key1,) = engine._multi_cache
+        (key1,) = engine._tuple_cache
+        stack1 = engine._tuple_cache[key1]
         engine.serve([SizeQuery("a", 3), SizeQuery("b", 4)])
-        assert list(engine._multi_cache) == [key1]  # hit, not rebuild
+        assert list(engine._tuple_cache) == [key1]  # hit, not rebuild
+        assert engine._tuple_cache[key1] is stack1
+        engine.serve([SizeQuery("b", 7)])  # one overlay: its warm kernel
+        assert list(engine._tuple_cache) == [key1]
         engine.apply_churn("a", ChurnDelta(joins=1), make_rng(0))
-        engine.serve([SizeQuery("a", 5), SizeQuery("b", 6)])
-        assert key1 in engine._multi_cache  # old version entry retained (FIFO)
-        assert len(engine._multi_cache) == 2  # new version got its own entry
+        assert not engine._tuple_cache  # the stale stack is evicted at once
+        results = engine.serve([SizeQuery("a", 5), SizeQuery("b", 6)])
+        (key2,) = engine._tuple_cache  # the new version gets its own entry
+        assert key2 != key1
+        for q, r in zip([SizeQuery("a", 5), SizeQuery("b", 6)], results):
+            ref = run_counting_batch(
+                cold_copy(engine.network(q.overlay)), [q.seed], config=CFG
+            )[0]
+            assert_trial_equal(r, ref)
 
     def test_unknown_overlay_raises(self):
         engine = ResidentEngine(config=CFG)
@@ -188,8 +215,7 @@ class TestLifecycle:
         engine.add_overlay("b", n=40, d=4, seed=2)
         engine.serve([SizeQuery("a", 1), SizeQuery("b", 2)])
         engine.sweep(seeds=range(2))
-        assert engine._multi_cache and engine._tuple_cache
+        assert engine._tuple_cache
         engine.remove_overlay("a")
-        assert not engine._multi_cache
         assert not engine._tuple_cache
         assert engine.overlay_names() == ("b",)
