@@ -34,8 +34,11 @@ one network, in four workloads:
 * **lossy** — the scenario-pack channel axis: ``B`` trials under a lossy
   and noisy :class:`repro.sim.channel.ChannelModel` as ONE batched call vs
   the per-seed loop of single-trial batches (the scalar runner has no
-  channel axis, so batch-of-1 calls are the sequential reference — the
-  channel stream is per trial, making the two bit-for-bit comparable);
+  channel axis, so batch-of-1 calls are the sequential reference).  Each
+  round's drops and noise for the whole ``(n, B)`` block are one hash
+  pass, keyed per trial and phase and indexed by the trial's own row and
+  round, so the batch pays for the channel once per round where the loop
+  pays once per trial per round, and the two agree bit for bit;
 * **service** — a continuous-estimation deployment under churn: E epochs
   of (estimate B trials, then churn the overlay) through the resident
   engine (:class:`repro.service.ResidentEngine` — incremental CSR
@@ -146,9 +149,9 @@ def run_lossy_per_seed(net, seeds, config=CFG, channel=LOSSY_CHANNEL):
     """Per-seed single-trial batches under the channel.
 
     The scalar runner has no channel axis, so the sequential reference is
-    a loop of batch-of-1 calls; each trial's channel stream is its own
-    (spawned per trial, sized by the trial's network), so the loop equals
-    the fused batch bit for bit.
+    a loop of batch-of-1 calls; a trial's channel draws depend only on its
+    own key, round and row, never on its column or the batch width, so
+    the loop equals the fused batch bit for bit.
     """
     out = []
     for s in seeds:

@@ -130,8 +130,13 @@ channel stream is the third spawned child of its root generator — spawned
 only when a channel is active, which leaves the color and adversary
 streams untouched (``Generator.spawn`` advances a child counter, not the
 bit stream), so lossless runs stay bit-for-bit equal to the historical
-output and a null channel is normalized away entirely.  Under an active
-channel the honest loop switches from the receive-at-``phase-1``
+output and a null channel is normalized away entirely.  Each phase builds
+one :class:`~repro.sim.channel.ChannelState` from the live cells, which
+draws one key per cell from that stream; every round then corrupts the
+whole ``(N, B)`` block with one counter-based hash of (key, round, row
+within the cell's own network), so no per-cell work runs inside a round
+and a cell's draws do not depend on which cells share its batch.  Under
+an active channel the honest loop switches from the receive-at-``phase-1``
 shortcut to an explicit running-max ``prev_kt`` (a dropped message breaks
 the monotonicity that shortcut relies on); sender-side metering still
 charges *attempted* transmissions (corruption happens on a kernel-side

@@ -8,8 +8,10 @@ Two invariants back the channel determinism contract
   ``noise_amp == 0``) normalizes away before reaching an engine, so the
   run is *bit-for-bit* the channel-free output on every batched entry
   point and every available kernel backend;
-* **lossy runs are layout-invariant** — the channel stream is spawned
-  per trial and sized by the trial's own network, so the same
+* **lossy runs are layout-invariant** — each trial draws one key per
+  phase from its own channel stream, and every round's draws hash that
+  key with the round and the row within the trial's own network (never
+  its column, block offset or the batch width), so the same
   (network, seed, channel) cell produces identical results whether it
   runs through the single-network entry point, as a ragged multinet
   cell beside an absent one, or as a segment of a rectangular

@@ -1,9 +1,19 @@
 """Unit tests for the lossy/noisy channel model and its per-batch state."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from repro.sim.channel import ChannelModel, ChannelState, _normalize_channel
+from repro.sim.channel import (
+    MAX_NOISE_AMP,
+    ChannelModel,
+    ChannelState,
+    _normalize_channel,
+)
+
+M64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 
 def state_for(model, *, cols, rows, seed=0):
@@ -12,6 +22,37 @@ def state_for(model, *, cols, rows, seed=0):
         (c, 0, rows, np.random.default_rng(seed + c)) for c in range(cols)
     ]
     return ChannelState(model, slots)
+
+
+def splitmix(z):
+    """splitmix64's finalizer on one Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def reference_round(model, cells, values, t):
+    """Round ``t`` of the channel contract, one cell at a time in Python ints.
+
+    ``cells`` is a list of ``(col, lo, hi, key)``; written from the module
+    docstring's contract, sharing no code with :class:`ChannelState`.
+    """
+    out = values.copy()
+    limit = int(np.iinfo(values.dtype).max)
+    amp = int(model.noise_amp)
+    drop = int(Fraction(model.loss_p) * 2**64)
+    width = int(Fraction(model.noise_p) * (2**64 - drop)) if amp else 0
+    for col, lo, hi, key in cells:
+        for r in range(lo, hi):
+            h = splitmix((key + ((t << 32) + r - lo) * GAMMA) & M64)
+            v = int(values[r, col])
+            if h < drop:
+                out[r, col] = 0
+            elif h < drop + width and v > 0:
+                o = splitmix((h + GAMMA) & M64)
+                offset = ((o >> 32) * (2 * amp + 1) >> 32) - amp
+                out[r, col] = min(max(v + offset, 1), limit)
+    return out
 
 
 class TestChannelModel:
@@ -36,6 +77,13 @@ class TestChannelModel:
     def test_noise_amp_must_be_nonnegative_integer(self, noise_amp):
         with pytest.raises(ValueError, match="noise_amp"):
             ChannelModel(noise_amp=noise_amp)
+
+    def test_noise_amp_capped_for_the_offset_draw(self):
+        # Multiply-shift maps 32 hash bits onto 2 * amp + 1 offsets, which
+        # must fit in 2**32; a larger amp could only saturate the clamp.
+        assert ChannelModel(noise_p=0.5, noise_amp=MAX_NOISE_AMP).noise_amp == 2**31 - 1
+        with pytest.raises(ValueError, match="at most"):
+            ChannelModel(noise_p=0.5, noise_amp=MAX_NOISE_AMP + 1)
 
     def test_is_null_requires_both_noise_knobs(self):
         # Either knob at zero disables the noise term entirely.
@@ -87,6 +135,13 @@ class TestChannelStateCorrupt:
         assert out is not values
         assert np.array_equal(values, snapshot)
 
+    def test_full_loss_beats_full_noise(self):
+        model = ChannelModel(loss_p=1.0, noise_p=1.0, noise_amp=3)
+        state = state_for(model, cols=4, rows=64)
+        values = np.full((64, 4), 9, dtype=np.int32)
+        for _ in range(3):
+            assert not state.corrupt(values).any()
+
     def test_rows_outside_slot_pass_through_unchanged(self):
         # A padded column's dead suffix is outside the slot's [lo, hi).
         model = ChannelModel(loss_p=1.0)
@@ -105,6 +160,34 @@ class TestChannelStateCorrupt:
         assert np.array_equal(out[:, 0], values[:, 0])
         assert np.array_equal(out[:, 2], values[:, 2])
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ChannelModel(loss_p=1.0),
+            ChannelModel(noise_p=1.0, noise_amp=3),
+            ChannelModel(loss_p=0.5, noise_p=1.0, noise_amp=3),
+        ],
+        ids=["loss", "noise", "both"],
+    )
+    def test_cells_outside_live_slots_never_written(self, model):
+        # Two blocks of a union stack with one absent cell per column:
+        # (block 0, col 1) and (block 1, col 0) carry no slot, and col 2
+        # carries none at all.
+        slots = [
+            (0, 0, 6, np.random.default_rng(1)),
+            (1, 6, 16, np.random.default_rng(2)),
+        ]
+        state = ChannelState(model, slots)
+        values = np.arange(1, 49, dtype=np.int32).reshape(16, 3)
+        live = np.zeros(values.shape, dtype=bool)
+        live[0:6, 0] = live[6:16, 1] = True
+        changed = np.zeros(values.shape, dtype=bool)
+        for _ in range(4):
+            out = state.corrupt(values)
+            assert np.array_equal(out[~live], values[~live])
+            changed |= out != values
+        assert changed[live].all() if model.noise_p == 0 else changed[live].any()
+
     def test_noise_only_perturbs_nonzero_within_amp(self):
         amp = 3
         state = state_for(
@@ -116,19 +199,94 @@ class TestChannelStateCorrupt:
         assert np.all(out[1::2] == 0)  # silence is never resurrected
         assert np.all(np.abs(out[::2] - 50) <= amp)
 
-    def test_noise_clamps_at_one_and_dtype_max(self):
-        amp = 5
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("amp", [5, MAX_NOISE_AMP])
+    def test_noise_clamps_at_one_and_dtype_max(self, dtype, amp):
+        # int64 is the lazily widened state: v + offset would overflow
+        # int64 itself at its max, so the clamp must not form that sum.
         state = state_for(
-            ChannelModel(noise_p=1.0, noise_amp=amp), cols=1, rows=128
+            ChannelModel(noise_p=1.0, noise_amp=amp), cols=2, rows=128
         )
-        limit = np.iinfo(np.int32).max
-        values = np.empty((128, 1), dtype=np.int32)
-        values[::2, 0] = 2  # can only dip below 1 via negative offsets
-        values[1::2, 0] = limit - 1  # can only wrap via positive offsets
+        limit = np.iinfo(dtype).max
+        values = np.empty((128, 2), dtype=dtype)
+        values[::2] = 2  # can only dip below 1 via negative offsets
+        values[1::2] = limit - 1  # can only wrap via positive offsets
         out = state.corrupt(values)
-        assert out.dtype == np.int32
+        assert out.dtype == dtype
         assert np.all(out >= 1)
         assert np.all(out <= limit)
+        # Both clamps actually engage.
+        assert np.any(out[::2] == 1)
+        assert np.any(out[1::2] == limit)
+
+    def test_matches_percell_reference(self):
+        # Slots at different columns and row offsets, two dtypes' worth of
+        # magnitudes, several rounds: bit for bit the Python-int contract.
+        model = ChannelModel(loss_p=0.3, noise_p=0.4, noise_amp=3)
+        spec = [(0, 0, 10, 21), (1, 0, 10, 22), (0, 10, 24, 23), (2, 10, 24, 24)]
+        keys = [
+            int(np.random.default_rng(seed).integers(2**64, dtype=np.uint64))
+            for *_, seed in spec
+        ]
+        state = ChannelState(
+            model,
+            [(col, lo, hi, np.random.default_rng(seed)) for col, lo, hi, seed in spec],
+        )
+        cells = [(col, lo, hi, key) for (col, lo, hi, _), key in zip(spec, keys)]
+        rng = np.random.default_rng(3)
+        for t in range(5):
+            values = rng.integers(0, 6, size=(24, 3)).astype(np.int32)
+            values[0, 0] = np.iinfo(np.int32).max
+            got = state.corrupt(values)
+            assert np.array_equal(got, reference_round(model, cells, values, t))
+
+    def test_one_key_per_slot_is_the_only_generator_read(self):
+        # The slot generator is read once, when the state is built; the
+        # rounds themselves never touch it.
+        rng = np.random.default_rng(5)
+        twin = np.random.default_rng(5)
+        state = ChannelState(
+            ChannelModel(loss_p=0.5, noise_p=0.5, noise_amp=2), [(0, 0, 16, rng)]
+        )
+        twin.integers(2**64, dtype=np.uint64)
+        for _ in range(3):
+            state.corrupt(np.ones((16, 1), dtype=np.int32))
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize(
+        "col, lo, rows, width",
+        [(0, 0, 40, 1), (3, 0, 40, 4), (1, 17, 80, 2), (5, 40, 64, 8)],
+    )
+    def test_position_invariance(self, col, lo, rows, width):
+        # The same slot generator seed yields the same corrupted segment
+        # whatever column, row offset, and batch width it sits at.
+        model = ChannelModel(loss_p=0.25, noise_p=0.5, noise_amp=2)
+        seg = np.random.default_rng(8).integers(0, 9, size=(3, 24)).astype(np.int32)
+        alone = ChannelState(model, [(0, 0, 24, np.random.default_rng(99))])
+        want = [alone.corrupt(seg[t][:, None])[:, 0].copy() for t in range(3)]
+        others = [
+            (c, 0, rows, np.random.default_rng(1000 + c))
+            for c in range(width)
+            if c != col
+        ]
+        placed = ChannelState(
+            model, others + [(col, lo, lo + 24, np.random.default_rng(99))]
+        )
+        values = np.full((rows, width), 7, dtype=np.int32)
+        for t in range(3):
+            values[lo : lo + 24, col] = seg[t]
+            got = placed.corrupt(values)
+            assert np.array_equal(got[lo : lo + 24, col], want[t])
+
+    def test_rounds_and_rows_do_not_repeat_masks(self):
+        state = state_for(ChannelModel(loss_p=0.5), cols=3, rows=256)
+        values = np.ones((256, 3), dtype=np.int32)
+        masks = [state.corrupt(values) == 0 for _ in range(4)]
+        for a, b in zip(masks, masks[1:]):
+            assert not np.array_equal(a, b)  # consecutive rounds
+        for mask in masks:
+            assert not np.array_equal(mask[:-1], mask[1:])  # adjacent rows
+            assert not np.array_equal(mask[:, 0], mask[:, 1])  # sibling slots
 
     def test_draws_are_deterministic_per_slot_stream(self):
         model = ChannelModel(loss_p=0.3, noise_p=0.4, noise_amp=2)
