@@ -9,10 +9,14 @@ The backend x layout grid at the bottom times one batched flooding round
 kernel backend that is available on this machine (numpy always; numba
 when importable) against both CSR layouts the backends must cover:
 
-* **regular** — a uniform-degree H-graph, the per-slot row-gather path;
+* **regular** — a uniform-degree H-graph: the numpy backend's one-take
+  gather for int8 state, its per-slot row-gather path for int32;
 * **ragged** — a block-diagonal union of two different-degree networks,
   the general ``reduceat`` / CSR-walk path the union stack uses when
   degrees differ.
+
+Each cell runs at int32 and at int8, the two ends of the engines' usual
+state-dtype ladder.
 """
 
 import numpy as np
@@ -115,10 +119,13 @@ def _grid_kernel(layout: str, n: int, backend: str) -> FloodKernel:
 @pytest.mark.parametrize("n", GRID_NS)
 @pytest.mark.parametrize("layout", ["regular", "ragged"])
 @pytest.mark.parametrize("backend", available_backends())
-def test_bench_stacked_round_grid(benchmark, backend, layout, n):
+@pytest.mark.parametrize("dtype", [np.int32, np.int8], ids=["int32", "int8"])
+def test_bench_stacked_round_grid(benchmark, dtype, backend, layout, n):
+    # int8 is the honest engines' state dtype: at GRID_B = 32 its rows are
+    # 32 bytes, which the numpy backend gathers with one np.take.
     kernel = _grid_kernel(layout, n, backend)
     rng = np.random.default_rng(0)
-    values = rng.integers(1, 30, size=(kernel.n, GRID_B), dtype=np.int32)
+    values = rng.integers(1, 30, size=(kernel.n, GRID_B), dtype=dtype)
     out = np.empty_like(values)
     kernel.neighbor_max_stacked(values, out=out)  # warm (JIT-compiles numba)
 

@@ -4,8 +4,9 @@
 generics), so the engine packages annotate arrays with the aliases below.
 Dtype precision follows what the engines guarantee:
 
-* ``IntArray`` — engine color/plan state, which is int32 until the lazy
-  widening guard promotes it to int64 (any signed integer width);
+* ``IntArray`` — engine color/plan state, which runs on the int8 ->
+  int16 -> int32 dtype ladder and reaches int64 only under the widening
+  guard (any signed integer width);
 * ``Int64Array`` / ``Int32Array`` — bookkeeping with a pinned width
   (CSR offsets, decided phases, meters);
 * ``BoolArray`` — node masks (byzantine / crashed / decided);

@@ -239,6 +239,10 @@ class BatchSubphaseState:
     :mod:`repro.core.batch`) — of the trials still running (trials leave
     the batch as they finish), and ``rngs`` their private adversary
     streams in the same order.
+
+    ``honest_colors`` is always int64, as in the scalar runner, whatever
+    narrow dtype the engine's own state runs in this phase: plan
+    arithmetic such as ``global_max_colors() + 1`` never wraps.
     """
 
     phase: int

@@ -61,14 +61,28 @@ rejected — pass a factory.
 
 Dtype policy
 ------------
-Honest runs keep color state in int32 (colors are ``O(log n)`` whp and
-nothing injects).  Adversarial runs *start* in int32 too and widen to int64
-lazily, at the first subphase whose bound plan (initial colors or scheduled
-injections) exceeds ``INT32_MAX`` — adversaries are the only source of
-unbounded values, and every built-in strategy stays far below the boundary,
-so Byzantine sweeps normally run the narrow, cache-friendlier state end to
-end.  Widening is exact: it happens before the plan is applied, and integer
-max-flooding produces identical values in either dtype.
+Each phase keeps its color state in the narrowest of int8, int16 and
+int32 that holds a provable bound on every value the phase can hold
+(:func:`_ladder_dtype`).  Flooding only takes maxima and the channel adds
+at most ``noise_amp`` per round, so after the phase's single color draw
+the bound is known: the largest color drawn, plus ``noise_amp x phase``
+under an active channel.  Colors are geometric(1/2), ``O(log n)`` whp, so
+honest phases run in int8 — a one-byte row is what lets the numpy
+backend gather every neighbor slot with one ``np.take``.
+
+The Byzantine loop raises the bound with every subphase's plan (initial
+colors, injections and the suppressed re-sends that replay them, plus the
+same noise term; a negative initial color lowers its floor) and, before
+the plan is applied, widens to the narrowest rung that holds it.  Above
+the ladder is the historical rule: state stays at most int32, and the
+first plan value outside int32 itself widens the run to int64 for good.
+Built-in strategies inject at most ``HUGE_COLOR = 2**20``, so their cells
+run int32 or narrower.  Adversaries always see int64 honest colors.
+
+No rung changes a result: integer max-flooding is exact in any dtype that
+holds its values, and the channel's clamp at the state dtype's maximum
+is never reached below int32 because the bound keeps every noisy value
+inside the rung.  Every result is bit for bit the int32/int64 run's.
 
 One engine, three entry points
 ------------------------------
@@ -197,13 +211,35 @@ AdversarySpec = "Adversary | Callable[[], Adversary]"
 
 __all__ = ["run_counting_batch", "run_counting_multinet", "run_counting_unionstack"]
 
-#: Boundaries of the narrow adversarial state: plans whose values fit
-#: [INT32_MIN, INT32_MAX] run the subphase in int32; the first plan outside
-#: widens the run to int64.  (Injection values are validated positive, but
-#: initial colors are taken as-is — a negative value must stay negative and
-#: inert under max-flooding, exactly as the sequential int64 engine keeps it.)
+#: Boundaries of the int32 top rung: plans whose values fit
+#: [INT32_MIN, INT32_MAX] run the subphase in at most int32; the first plan
+#: outside widens the run to int64 for good.  (Injection values are
+#: validated positive, but initial colors are taken as-is — a negative
+#: value must stay negative and inert under max-flooding, exactly as the
+#: sequential int64 engine keeps it.)
 _INT32_MAX = int(np.iinfo(np.int32).max)
 _INT32_MIN = int(np.iinfo(np.int32).min)
+
+#: The dtype ladder below int64, narrowest first, with each rung's range.
+_LADDER: tuple[tuple[type[np.signedinteger[Any]], int, int], ...] = tuple(
+    (dt, int(np.iinfo(dt).min), int(np.iinfo(dt).max))
+    for dt in (np.int8, np.int16, np.int32)
+)
+
+
+def _ladder_dtype(lo: int, hi: int) -> type[np.signedinteger[Any]]:
+    """Narrowest of int8/int16/int32 whose range holds ``[lo, hi]``.
+
+    ``[lo, hi]`` is a provable bound on every value a phase can hold (see
+    the module docstring's dtype policy).  A bound past int32 still gets
+    int32: that rung is the historical state dtype, whose channel clamp
+    at ``INT32_MAX`` is part of the stream, and only a plan value outside
+    int32 itself widens to int64 (the Byzantine loop's guard).
+    """
+    for dtype, low, high in _LADDER:
+        if low <= lo and hi <= high:
+            return dtype
+    return np.int32
 
 
 def run_counting_batch(
@@ -902,6 +938,40 @@ def _fresh_state(
     return decided, present.copy()
 
 
+def _draw_phase_colors(
+    color_rngs: list[list[Any]],
+    live: Int64Array,
+    alive_live: BoolArray,
+    counts: Int64Array,
+    n_sub: int,
+) -> tuple[list[list[Int64Array | None]], int]:
+    """Every live cell's colors for the whole phase, and the largest one.
+
+    One stream read per live cell per phase: a single geometric draw of
+    ``n_sub * count`` values equals ``n_sub`` successive draws of
+    ``count`` (distribution sampling consumes the bit stream per variate,
+    independent of call boundaries), so per-cell streams still match the
+    sequential engine draw for draw.  A dead cell draws nothing (``None``);
+    entry ``[g][row]`` is an ``(n_sub, count)`` matrix.  The maximum (0 if
+    nothing was drawn) is what picks the phase's state dtype.
+    """
+    blocks = alive_live.shape[0]
+    phase_draws: list[list[Int64Array | None]] = [
+        [None] * live.shape[0] for _ in range(blocks)
+    ]
+    draw_max = 0
+    for g in range(blocks):
+        for row, col in enumerate(live):
+            if not alive_live[g, row]:
+                continue
+            count = int(counts[g, row])
+            if count:
+                draws = sample_colors(color_rngs[g][int(col)], n_sub * count)
+                phase_draws[g][row] = draws.reshape(n_sub, count)
+                draw_max = max(draw_max, int(draws.max()))
+    return phase_draws, draw_max
+
+
 def _run_union_group(
     nets: list[SmallWorldNetwork],
     ukernel: FloodKernel,
@@ -932,6 +1002,8 @@ def _run_union_group(
     decided, alive = _fresh_state(present, offsets)
     meters = MeterBatch(blocks * cols)
     traces = [PhaseTrace() for _ in range(blocks * cols)]
+    # The most one channel round can raise a transmitted value.
+    noise_step = 0 if channel is None else int(channel.noise_amp)
 
     for phase in range(1, config.max_phase + 1):
         undecided_all = decided == UNDECIDED
@@ -961,30 +1033,18 @@ def _run_union_group(
         # Flat (network-major) meter/trace ids of this phase's live trials.
         live_ids = np.flatnonzero(alive)
 
-        # One stream read per live trial per phase: a single geometric draw
-        # of ``n_sub * count`` values equals ``n_sub`` successive draws of
-        # ``count`` (distribution sampling consumes the bit stream per
-        # variate, independent of call boundaries), so per-trial streams
-        # still match the sequential engine draw for draw.  A dead trial
-        # draws nothing.
-        phase_draws: list[list[Int64Array | None]] = [
-            [None] * b_live for _ in range(blocks)
-        ]
-        for g in range(blocks):
-            for row, col in enumerate(live):
-                if not alive_live[g, row]:
-                    continue
-                count = int(counts[g, row])
-                if count:
-                    draws = sample_colors(color_rngs[g][int(col)], n_sub * count)
-                    phase_draws[g][row] = draws.reshape(n_sub, count)
+        phase_draws, draw_max = _draw_phase_colors(
+            color_rngs, live, alive_live, counts, n_sub
+        )
 
-        # Trials-as-columns int32 state: each node's live-trial values sit
-        # in one cache line, which is what makes the stacked kernel fast.
-        # Colors are O(log n) whp and the engine never injects, so int32
-        # cannot overflow.
-        colors_cn = np.zeros((b_live, rows_n), dtype=np.int32)
-        cur_t = np.empty((rows_n, b_live), dtype=np.int32)
+        # Trials-as-columns state in the narrowest dtype that holds the
+        # phase: each node's live-trial values sit in one cache line (one
+        # byte each, almost always), which is what makes the stacked
+        # kernel fast.  Nothing injects, so the largest draw plus the
+        # channel's per-round noise bounds every value.
+        state_dtype = _ladder_dtype(0, draw_max + noise_step * phase)
+        colors_cn = np.zeros((b_live, rows_n), dtype=state_dtype)
+        cur_t = np.empty((rows_n, b_live), dtype=state_dtype)
         # ``recv`` is pointwise monotone across a subphase's rounds (cur
         # only grows, so each neighbor-max dominates the previous one);
         # hence max_{t < phase} recv_t == recv at round phase-1 and no
@@ -994,9 +1054,9 @@ def _run_union_group(
         # breaks that monotonicity (a dropped message can shrink a
         # neighbor-max), so the lossy path below keeps an explicit running
         # maximum instead and resets it every subphase.
-        prev_t = np.zeros((rows_n, b_live), dtype=np.int32)
-        recv_t = np.empty((rows_n, b_live), dtype=np.int32)
-        k_last_t = np.empty((rows_n, b_live), dtype=np.int32)
+        prev_t = np.zeros((rows_n, b_live), dtype=state_dtype)
+        recv_t = np.empty((rows_n, b_live), dtype=state_dtype)
+        k_last_t = np.empty((rows_n, b_live), dtype=state_dtype)
         flag_continue = np.zeros((rows_n, b_live), dtype=bool)
         senders = np.zeros((blocks, b_live), dtype=np.int64)
         seg_nz = np.empty((blocks, b_live), dtype=np.int64)
@@ -1297,9 +1357,9 @@ def _run_union_byzantine_group(
     over the union CSR.  The Lemma 16 gate and the witness cap are per
     *block* (each block's own ``(n_g, k_g)``), applied to the block's row
     segment only; crash masks apply as one ``(N, C)`` mask and witness
-    metering reduces segment-wise.  Color state starts in int32 and
-    widens to int64 at the first plan whose values exceed ``INT32_MAX``
-    (see the module docstring's dtype policy).  Returns results as a
+    metering reduces segment-wise.  Each phase's color state starts on
+    the narrowest ladder rung its draws allow and widens when a plan
+    leaves it (see the module docstring's dtype policy).  Returns results as a
     ``G x C`` nested list, ``None`` at absent cells.
     """
     d = nets[0].d
@@ -1359,7 +1419,10 @@ def _run_union_byzantine_group(
     inj_acc = np.zeros((blocks, cols), dtype=np.int64)
     inj_rej = np.zeros((blocks, cols), dtype=np.int64)
     round_cost = 1 + (config.verification_round_cost if config.verification else 0)
+    # The most one channel round can raise a transmitted value.
+    noise_step = 0 if channel is None else int(channel.noise_amp)
     state_dtype: type[np.signedinteger[Any]] = np.int32
+    wide = False  # a plan left int32: int64 state for the rest of the run
 
     for phase in range(1, config.max_phase + 1):
         undecided_all = honest_uncrashed & (decided == UNDECIDED)
@@ -1392,17 +1455,15 @@ def _run_union_byzantine_group(
             grp.sel = live_pos[kept]
             grp.rng_cols = tuple(adv_rngs[grp.g][int(j)] for j in kept)
 
-        phase_draws: list[list[Int64Array | None]] = [
-            [None] * b_live for _ in range(blocks)
-        ]
-        for g in range(blocks):
-            for row, col in enumerate(live):
-                if not alive_live[g, row]:
-                    continue
-                count = int(counts[g, row])
-                if count:
-                    draws = sample_colors(color_rngs[g][int(col)], n_sub * count)
-                    phase_draws[g][row] = draws.reshape(n_sub, count)
+        phase_draws, draw_max = _draw_phase_colors(
+            color_rngs, live, alive_live, counts, n_sub
+        )
+        # The phase's value bound [bound_lo, bound_hi] starts at its draws
+        # plus the channel's noise; plans below may only raise it.
+        noise = noise_step * phase
+        bound_lo, bound_hi = 0, draw_max + noise
+        if not wide:
+            state_dtype = _ladder_dtype(bound_lo, bound_hi)
 
         crashed_nc = np.ascontiguousarray(crashed_cn[live].T)
         any_crash = bool(crashed_nc.any())
@@ -1464,9 +1525,12 @@ def _run_union_byzantine_group(
                 if grp.byz_nodes.size == 0 or grp.sel.shape[0] == 0:
                     continue
                 sel = grp.sel
+                # Adversaries see int64 colors whatever the state's rung,
+                # as in the scalar runner: plan arithmetic such as
+                # ``max + 1`` must not wrap in a narrow dtype.
                 g_colors = _col_block(colors[grp.lo : grp.hi], sel, grp.n)[
                     grp.honest_nodes
-                ]
+                ].astype(np.int64)
                 state = BatchSubphaseState(
                     phase=phase,
                     subphase=sub,
@@ -1516,12 +1580,19 @@ def _run_union_byzantine_group(
                             )
                 group_plans.append((grp, initial_g, counts_g, groups_g))
 
-            if (
-                plan_max > _INT32_MAX or plan_min < _INT32_MIN
-            ) and state_dtype == np.int32:
-                state_dtype = np.int64
-                colors = colors.astype(np.int64)
-                cur = np.empty((rows_n, b_live), dtype=np.int64)
+            # Widen before the plan is applied: to int64 for good once a
+            # value leaves int32, else up the ladder to the narrowest rung
+            # holding the plan plus its noise (suppressed re-sends carry
+            # injection values, so the injection maximum covers them).
+            bound_lo = min(bound_lo, plan_min)
+            bound_hi = max(bound_hi, plan_max + noise)
+            if plan_max > _INT32_MAX or plan_min < _INT32_MIN:
+                wide = True
+            need = np.int64 if wide else _ladder_dtype(bound_lo, bound_hi)
+            if np.dtype(need).itemsize > np.dtype(state_dtype).itemsize:
+                state_dtype = need
+                colors = colors.astype(state_dtype)
+                cur = np.empty((rows_n, b_live), dtype=state_dtype)
                 sent = np.empty_like(cur)
                 prev_kt = np.empty_like(cur)
                 recv = np.empty_like(cur)

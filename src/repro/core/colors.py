@@ -22,12 +22,28 @@ __all__ = [
 
 
 def sample_colors(rng: np.random.Generator, size: int) -> Int64Array:
-    """Draw ``size`` geometric(1/2) colors (support {1, 2, ...})."""
+    """Draw ``size`` geometric(1/2) colors (support {1, 2, ...}).
+
+    Bit for bit ``rng.geometric(0.5, size=size)``, stream position
+    included, in a few vectorized passes.  For ``p >= 1/3`` numpy's
+    geometric reads one double ``U`` per variate (the same read as
+    ``rng.random``) and returns the least ``x >= 1`` with
+    ``U <= 1 - 2**-x``; those sums are exact in binary64, so ``x`` is
+    ``max(1, -floor(log2(1 - U)))``.  ``1 - U`` is exact too (``U`` is a
+    multiple of ``2**-53``) and never subnormal, so ``-floor(log2)`` is
+    ``1023`` minus its biased exponent field.
+    """
     if size < 0:
         raise ValueError("size must be non-negative")
     if size == 0:
         return np.empty(0, dtype=np.int64)
-    return rng.geometric(0.5, size=size).astype(np.int64, copy=False)
+    draws = rng.random(size)
+    np.subtract(1.0, draws, out=draws)
+    colors = draws.view(np.int64)  # sign bit clear: shift reads the exponent
+    np.right_shift(colors, 52, out=colors)
+    np.subtract(1023, colors, out=colors)
+    np.maximum(colors, 1, out=colors)
+    return colors
 
 
 def color_pmf(r: int | AnyArray) -> float | FloatArray:

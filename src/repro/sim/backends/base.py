@@ -8,8 +8,10 @@ dispatches to its backend, which receives the kernel instance plus the
 value arrays.  Two implementations ship:
 
 * ``numpy`` (:mod:`.numpy_backend`) — the default: fancy-index gathers
-  plus segmented ``reduceat`` reductions (general CSR) and per-neighbor-
-  slot row gathers (uniform degree).  Always available.
+  plus segmented ``reduceat`` reductions (general CSR); on uniform degree,
+  one ``np.take`` of every neighbor slot into a cached scratch when a
+  state row is at most 32 bytes, else per-neighbor-slot row gathers.
+  Always available.
 * ``numba`` (:mod:`.numba_backend`) — optional: a single fused gather+max
   loop compiled with ``@njit(parallel=True, cache=True)``, threading over
   rows *inside* one kernel call, with no ``(n, B)``-plane temporaries.
@@ -19,8 +21,9 @@ Backends are **bit-for-bit interchangeable**: integer max-flooding is
 exact and order-independent, so every backend must return identical
 arrays for identical inputs.  The contract is enforced by the 5-engine
 equivalence grid (``tests/integration/test_engine_equivalence.py``) and
-the int32-state hypothesis property, which CI runs under every available
-backend.
+the state-dtype ladder properties
+(``tests/property/test_dtype_ladder_properties.py``), which CI runs under
+every available backend.
 """
 
 from __future__ import annotations
@@ -77,8 +80,12 @@ class KernelBackend(Protocol):
         """Neighbor-max over an ``(n, B)`` trials-as-columns matrix.
 
         Must handle both the uniform-degree layout and the general CSR
-        layout; ``out`` (when given) never aliases ``values`` at engine
-        call sites, but implementations must stay correct under aliasing
-        (compute into a fresh buffer, then copy).
+        layout, for every integer dtype of the engines' state ladder
+        (int8, int16, int32, int64) — the result keeps ``values``' dtype.
+        ``out`` (when given) never aliases ``values`` at engine call
+        sites, but implementations must stay correct under aliasing
+        (gather into a buffer ``out`` does not share, then reduce or
+        copy).  Per-kernel scratch lives on the kernel object and is
+        dropped by :meth:`~repro.sim.flood.FloodKernel.invalidate_plans`.
         """
         ...

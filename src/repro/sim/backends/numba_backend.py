@@ -14,9 +14,12 @@ logic is fully testable on numba-less runners by monkeypatching
 ``NUMBA_AVAILABLE``; only :func:`repro.sim.backends.resolve_backend`'s
 availability gate decides whether the backend is ever selected for real.
 
-Dtype support is int32/int64 (the engine state dtypes).  Anything else
-falls back to the numpy backend per call, with a one-time warning per
-dtype — integer max is exact, so the fallback is bit-for-bit identical.
+Dtype support is int8/int16/int32/int64 — every rung of the engines'
+state-dtype ladder (see :mod:`repro.core.batch`); the loops are generic,
+so numba compiles one specialization per dtype on first use.  Anything
+else falls back to the numpy backend per call, with a one-time warning
+per dtype — integer max is exact, so the fallback is bit-for-bit
+identical.
 The ``(B, n)`` tiled-``reduceat`` layout (``neighbor_max_batch``) always
 delegates to numpy: no engine hot path uses it, and the stacked layout is
 where fusion pays.
@@ -103,8 +106,11 @@ def _stacked_csr(
                     out[v, j] = values[u, j]
 
 
-#: Engine state dtypes the compiled kernels are specialized for.
-_SUPPORTED_DTYPES = frozenset({np.dtype(np.int32), np.dtype(np.int64)})
+#: Engine state dtypes the compiled kernels are specialized for: the
+#: whole int8 -> int16 -> int32 -> int64 ladder.
+_SUPPORTED_DTYPES = frozenset(
+    np.dtype(dt) for dt in (np.int8, np.int16, np.int32, np.int64)
+)
 
 
 class NumbaBackend:

@@ -25,7 +25,7 @@ sum of the sizes; each column holds one trial per network), so one plain
 :meth:`FloodKernel.neighbor_max_stacked` call over the concatenated CSR
 floods *all* the networks at once with zero padding rows, no per-segment
 scratch copies, and no masked zeroing — the union of d-regular blocks is
-itself d-regular, so the fast per-neighbor-slot row-gather path applies to
+itself d-regular, so the fast uniform-degree row-gather path applies to
 the whole stack.  Blocks share no edges, so values can never cross a block
 boundary; the per-network row segments (``offsets``) drive the engine's
 segment-wise bookkeeping (decided counting, saturation, witness
@@ -43,7 +43,7 @@ stacked gather plan.  Only the geometric-max baseline still uses it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -95,11 +95,15 @@ class FloodKernel:
         # trial set, so a handful of sizes recur within one run).
         self._batch_plans: dict[int, tuple[Int64Array, Int64Array]] = {}
         # Regular graphs (H is a d-regular multigraph) admit a much faster
-        # batched kernel: per-neighbor-slot row gathers, no reduceat.
+        # batched kernel: whole-row gathers per neighbor slot, no reduceat.
         self._uniform_degree = (
             int(degrees[0]) if degrees.size and degrees.min() == degrees.max() else 0
         )
         self._neighbor_cols: Int64Array | None = None
+        # One-take gather plan of the numpy backend: the flat neighbor
+        # columns plus one ``(degree * n, B)`` scratch, keyed by the
+        # (dtype, B) of the last narrow-row gather (see :meth:`_take_plan`).
+        self._take: tuple[tuple[np.dtype[Any], int], Int64Array, AnyArray] | None = None
         self._backend = resolve_backend(backend)
 
     @property
@@ -146,7 +150,8 @@ class FloodKernel:
         return self._backend.neighbor_max(self, sent, out)
 
     def invalidate_plans(self) -> None:
-        """Drop every cached gather plan (batch plans, neighbor columns).
+        """Drop every cached gather plan (batch plans, neighbor columns,
+        the one-take flat columns and their scratch).
 
         Plans are pure functions of the CSR, so they only need dropping
         when the adjacency itself changes — :meth:`update_csr` calls this;
@@ -155,6 +160,7 @@ class FloodKernel:
         """
         self._batch_plans.clear()
         self._neighbor_cols = None
+        self._take = None
 
     def update_csr(self, indptr: IntArray, indices: IntArray) -> None:
         """Re-point the kernel at a patched adjacency, keeping the backend.
@@ -227,12 +233,18 @@ class FloodKernel:
 
         This is the batched engine's hot kernel.  The transposed layout
         keeps each node's ``B`` trial values contiguous, so on a
-        uniform-degree graph the reduction unrolls into ``degree`` row
-        gathers combined with in-place ``np.maximum`` — several times
-        faster than the segmented ``reduceat`` of :meth:`neighbor_max_batch`
-        because the gather reads whole cache lines and the giant ``(B*nnz,)``
-        intermediate disappears.  Non-regular graphs fall back to the
-        general kernel (transpose in, transpose out).
+        uniform-degree graph the numpy backend gathers whole rows: when a
+        row is at most 32 bytes (int8 state up to ``B = 32``, int32 up to
+        ``B = 8``) one ``np.take`` of every neighbor slot into a cached
+        scratch plus one ``max(axis=0)``; wider rows take ``degree``
+        per-slot row gathers combined with in-place ``np.maximum``.  Both
+        are several times faster than the segmented ``reduceat`` of
+        :meth:`neighbor_max_batch`, whose giant ``(B*nnz,)`` intermediate
+        disappears.  Non-regular graphs fall back to that general kernel
+        (transpose in, transpose out).  The engines hand this method the
+        narrowest integer dtype that holds their phase's values (see
+        :mod:`repro.core.batch`); any integer dtype is exact, and ``out``
+        may alias ``values``.
 
         When ``channel`` is given, the transmitted values are first passed
         through :meth:`repro.sim.channel.ChannelState.corrupt` (per-round
@@ -257,6 +269,28 @@ class FloodKernel:
                 self.indices.reshape(self.n, self._uniform_degree).T
             )
         return self._neighbor_cols
+
+    def _take_plan(
+        self, dtype: np.dtype[Any], batch: int
+    ) -> tuple[Int64Array, AnyArray]:
+        """Flat ``(degree * n,)`` neighbor columns and a matching scratch.
+
+        Slot-major like :meth:`_cols` (entry ``j * n + v`` is node ``v``'s
+        j-th neighbor), so ``np.take`` of an ``(n, B)`` matrix lands as a
+        ``(degree, n, B)`` stack whose ``max(axis=0)`` is the neighbor-max.
+        One scratch is kept, for the last ``(dtype, B)`` seen: an engine
+        phase holds both fixed across its rounds, so the scratch is
+        rebuilt only when a phase changes them, and memory stays one
+        ``degree * n * B`` plane.  Plans are pure functions of the current CSR, so
+        :meth:`invalidate_plans` (hence :meth:`update_csr`) drops it.
+        """
+        key = (dtype, batch)
+        take = self._take
+        if take is None or take[0] != key:
+            flat = self._cols().reshape(-1)
+            take = (key, flat, np.empty((flat.shape[0], batch), dtype=dtype))
+            self._take = take
+        return take[1], take[2]
 
     def spread_steps(self, seed_values: AnyArray, steps: int) -> Int64Array:
         """Run ``steps`` rounds of running-max flooding from ``seed_values``.
@@ -318,11 +352,11 @@ class UnionFloodKernel(FloodKernel):
     graphs are concatenated block-diagonally, so every
     round over an ``(N, B)`` trials-as-columns state (``N`` = total rows)
     is one ordinary :meth:`FloodKernel.neighbor_max_stacked` call — when
-    every block is d-regular the union is d-regular too and the per-slot
-    row-gather fast path covers the whole stack.  ``offsets[g]`` is block
-    ``g``'s first row; :meth:`segment_count_nonzero` and
-    :meth:`segment_sum` reduce an ``(N, B)`` matrix to per-(block, column)
-    values for the engine's decided/saturation/witness bookkeeping.
+    every block is d-regular the union is d-regular too and the
+    uniform-degree row-gather fast path covers the whole stack.
+    ``offsets[g]`` is block ``g``'s first row; :meth:`segment_count_nonzero`
+    and :meth:`segment_sum` reduce an ``(N, B)`` matrix to per-(block,
+    column) values for the engine's decided/saturation/witness bookkeeping.
 
     Blocks share no edges by construction, so no value can cross a block
     boundary (enforced by ``tests/property/test_unionstack_properties.py``).

@@ -35,6 +35,53 @@ class TestSampling:
         assert np.mean(colors > 3) == pytest.approx(0.125, abs=0.01)
 
 
+class TestMatchesNumpyGeometric:
+    """``sample_colors`` is numpy's ``geometric(0.5)`` stream, bit for bit."""
+
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+    @pytest.mark.parametrize("size", [1, 7, 4096, 300_000])
+    def test_values_and_stream_position(self, bitgen, size):
+        ours = np.random.Generator(bitgen(size))
+        ref = np.random.Generator(bitgen(size))
+        got = sample_colors(ours, size)
+        want = ref.geometric(0.5, size=size)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        # Both consumed the same draws: the next read agrees.
+        assert ours.integers(1 << 62) == ref.integers(1 << 62)
+
+    def test_successive_calls_follow_one_stream(self):
+        ours, ref = make_rng(11), make_rng(11)
+        got = np.concatenate([sample_colors(ours, k) for k in (3, 0, 500, 1)])
+        np.testing.assert_array_equal(got, ref.geometric(0.5, size=504))
+
+    def test_every_boundary_against_the_search_loop(self):
+        """Uniforms at and beside each ``1 - 2**-x`` map like numpy's loop."""
+
+        def search(u: float) -> int:  # numpy's random_geometric_search, p = 1/2
+            x, total, prob = 1, 0.5, 0.5
+            while u > total:
+                prob *= 0.5
+                total += prob
+                x += 1
+            return x
+
+        us = [0.0, 2.0**-53, 0.25, 0.5 - 2.0**-53]
+        for k in range(1, 54):
+            edge = 1.0 - 2.0**-k
+            us += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
+        us = np.array([u for u in us if 0.0 <= u < 1.0])
+
+        class Fixed:
+            def random(self, size: int) -> np.ndarray:
+                assert size == us.size
+                return us.copy()
+
+        got = sample_colors(Fixed(), us.size)  # type: ignore[arg-type]
+        assert got.max() == 53
+        np.testing.assert_array_equal(got, [search(float(u)) for u in us])
+
+
 class TestDistributionFunctions:
     def test_pmf_sums_to_one(self):
         rs = np.arange(1, 60)

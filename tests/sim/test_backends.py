@@ -59,6 +59,10 @@ def fake_numba(monkeypatch):
     _reset_selection_state()
 
 
+#: Every rung of the batched engines' color-state dtype ladder.
+LADDER_DTYPES = [np.int8, np.int16, np.int32, np.int64]
+
+
 def ragged_kernel(**kw):
     # Degrees 1, 3, 2, 2 — no uniform degree, so the general CSR layout
     # (reduceat on numpy, the indptr walk on numba) is exercised.
@@ -213,7 +217,7 @@ class TestNumbaKernelEquivalence:
         net = build_small_world(64, 8, seed=5)
         return net.h.indptr, net.h.indices
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("dtype", LADDER_DTYPES)
     def test_neighbor_max_matches_numpy(self, nb, dtype):
         kern = self.regular_kernel()
         values = np.random.default_rng(0).integers(0, 99, size=kern.n).astype(dtype)
@@ -221,7 +225,7 @@ class TestNumbaKernelEquivalence:
             nb.neighbor_max(kern, values), NumpyBackend().neighbor_max(kern, values)
         )
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("dtype", LADDER_DTYPES)
     @pytest.mark.parametrize("make", ["regular", "ragged"])
     def test_neighbor_max_stacked_matches_numpy(self, nb, make, dtype):
         kern = self.regular_kernel() if make == "regular" else ragged_kernel()
@@ -232,6 +236,20 @@ class TestNumbaKernelEquivalence:
         got = nb.neighbor_max_stacked(kern, values)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_narrow_dtypes_run_without_fallback(self, nb, dtype):
+        # The narrow rungs of the engines' state ladder are compiled, not
+        # delegated: no fallback warning, same result as numpy's one-take.
+        kern = self.regular_kernel()
+        values = np.random.default_rng(7).integers(
+            -50, 99, size=(kern.n, 16)
+        ).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nb.neighbor_max_stacked(kern, values)
+        assert got.dtype == dtype
+        assert np.array_equal(got, NumpyBackend().neighbor_max_stacked(kern, values))
 
     def test_stacked_out_buffer(self, nb):
         kern = self.regular_kernel()

@@ -141,7 +141,7 @@ class TestR001:
 
 
 # ----------------------------------------------------------------------
-# R002 - int32-with-lazy-widening dtype policy.
+# R002 - dtype-ladder policy for engine color state.
 # ----------------------------------------------------------------------
 class TestR002:
     def test_unconditional_int64_state_allocation(self):

@@ -7,7 +7,8 @@ package turns those conventions into machine-checked contracts:
 ========  ==========================================================
 R001      no scalar Python loops over trials/nodes inside flooding
           rounds in hot-path modules
-R002      int32-with-lazy-widening dtype policy for engine color state
+R002      dtype-ladder policy for engine color state (int8 -> int32,
+          int64 only under the widening guard)
 R003      no array allocation lexically inside per-round loops
 R004      ``Adversary`` subclasses must port the batch protocol
 R005      Generator-only RNG discipline (no global ``np.random.*``)

@@ -77,7 +77,7 @@ def exempt_codes_for(path: str) -> frozenset[str]:
             codes.update(fragment_codes)
     return frozenset(codes)
 
-#: The module owning the int32-with-lazy-widening color state (R002).
+#: The module owning the dtype-ladder color state (R002).
 DTYPE_MODULES = ("repro/core/batch.py",)
 
 #: The one module allowed to construct numpy Generators (R005 exemption).
@@ -92,7 +92,8 @@ ENTRY_POINTS = {
 
 #: Helpers sanctioned to build int64 plan state (R002 exemption): the
 #: typed plan normalizers own the adversary-value interface, and the
-#: widening guards (``if plan_max > _INT32_MAX ...``) own the escalation.
+#: widening guards (``if plan_max > _INT32_MAX ...`` or a test of the
+#: current ``state_dtype``) own the escalation up the ladder.
 SANCTIONED_WIDENING_HELPERS = ("_normalize_batch_plan",)
 WIDENING_GUARD_IDENTS = {"_INT32_MAX", "_INT32_MIN", "state_dtype"}
 
@@ -300,20 +301,22 @@ class ScalarLoopRule(Rule):
 
 
 class DtypePolicyRule(Rule):
-    """R002: engine color state is int32 until a plan forces widening.
+    """R002: engine color state runs on the int8 -> int32 dtype ladder.
 
-    Color/plan state arrays start as int32 and may only become int64
-    through the sanctioned lazy-widening sites: the typed plan
-    normalizers and blocks guarded by the ``_INT32_MAX`` overflow test.
-    An unconditional int64 allocation doubles the hot path's memory
-    traffic for every run that never sees a huge adversary value.
+    Each phase's color/plan state arrays take the narrowest of int8,
+    int16 and int32 that holds the phase's value bound (``state_dtype``
+    from the ladder helper) and may only become int64 through the
+    sanctioned widening sites: the typed plan normalizers and blocks
+    guarded by the ``_INT32_MAX`` overflow test or a ``state_dtype``
+    check.  An unconditional int64 allocation moves eight times the
+    bytes of the int8 state a bounded phase needs, on every round.
     ``dtype=int`` is flagged everywhere: it is the platform default
     integer, which breaks the explicit-width policy silently.
     """
 
     code = "R002"
     name = "dtype-policy"
-    summary = "int64/platform-int allocation outside the widening helpers"
+    summary = "int64/platform-int state allocation off the dtype ladder"
     autofixable = True  # dtype=int -> dtype=np.int64 is a mechanical rewrite
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -348,9 +351,9 @@ class DtypePolicyRule(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"int64 allocation for engine state '{target.id}' outside "
-                    "the sanctioned lazy-widening helpers; state starts int32 "
-                    "and widens only under the _INT32_MAX guard",
+                    f"int64 allocation for engine state '{target.id}' off the "
+                    "dtype ladder; allocate with the phase's state_dtype, which "
+                    "reaches int64 only under the _INT32_MAX widening guard",
                 )
 
 
