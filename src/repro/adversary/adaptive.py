@@ -10,6 +10,10 @@ traffic it observed.  Two concrete attackers live here:
   comes from a dedicated stream spawned off the adversary's first trial
   stream at bind time, so the inner strategy's own draws are bit-for-bit
   unchanged (spawning advances the child counter, not the bitstream).
+  Draw contract: one bounded draw per walker per adaptation point (a
+  single vectorized ``integers`` call over the walkers with at least one
+  neighbor, in ascending node order), plus one bounded redraw per
+  collision that leaves the walker a free neighbor.
 * :class:`TrafficAdaptiveAdversary` — re-places the whole Byzantine set
   onto the nodes that transmitted in the most (``mode="hot"``) or fewest
   (``mode="cold"``) rounds since the last adaptation point, summed across
@@ -35,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .._types import BoolArray
+from .._types import BoolArray, Int64Array, IntArray
 from ..sim.rng import spawn
 from .base import (
     Adversary,
@@ -51,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.neighborhood import ByzantineClaims
     from ..graphs.smallworld import SmallWorldNetwork
 
-__all__ = ["MobileAdversary", "TrafficAdaptiveAdversary"]
+__all__ = ["MobileAdversary", "TrafficAdaptiveAdversary", "walk_step"]
 
 
 class _DelegatingAdversary(Adversary):
@@ -106,6 +110,18 @@ class MobileAdversary(_DelegatingAdversary):
     stream — a child spawned off the first trial's adversary stream at
     :meth:`bind_batch`, which leaves the inner strategy's bitstreams
     untouched.
+
+    The walk stream is read as follows (see :func:`walk_step`): one
+    vectorized ``integers(0, deg)`` call picks a neighbor for every walker
+    with ``deg >= 1`` at once; when the picks are distinct they are the
+    destinations.  Otherwise walkers resolve in ascending order, and one
+    whose pick an earlier walker already claimed redraws once, uniformly
+    over its unclaimed neighbors.  A first pick is uniform over all
+    neighbors and a redraw happens exactly when it lands on one of the
+    ``c`` claimed ones, so each unclaimed neighbor is reached with
+    probability ``1/deg + (c/deg) / (deg - c) = 1/(deg - c)`` — the
+    stated law.  Cost: one bounded draw per walker per adaptation point,
+    plus one per collision that leaves a free neighbor.
     """
 
     name = "mobile"
@@ -128,25 +144,61 @@ class MobileAdversary(_DelegatingAdversary):
         rng = self._walk_rng
         if rng is None or state.byz_nodes.shape[0] == 0:
             return None
-        n = state.n
-        taken = np.zeros(n, dtype=bool)
-        dests: list[int] = []
-        for b in (int(v) for v in state.byz_nodes):
-            nbrs = state.network.g_neighbors(b)
-            dest = -1
-            if nbrs.shape[0]:
-                for idx in rng.permutation(nbrs.shape[0]):
-                    cand = int(nbrs[idx])
-                    if not taken[cand]:
-                        dest = cand
-                        break
-            if dest < 0:
-                dest = b if not taken[b] else int(np.flatnonzero(~taken)[0])
-            taken[dest] = True
-            dests.append(dest)
-        mask = np.zeros(n, dtype=bool)
+        net = state.network
+        dests = walk_step(net.g_indptr, net.g_indices, state.byz_nodes, state.n, rng)
+        mask = np.zeros(state.n, dtype=bool)
         mask[dests] = True
         return mask
+
+
+def walk_step(
+    g_indptr: Int64Array,
+    g_indices: Int64Array,
+    walkers: IntArray,
+    n: int,
+    rng: np.random.Generator,
+) -> Int64Array:
+    """One :class:`MobileAdversary` step: the destination of each walker.
+
+    ``walkers`` are distinct node IDs in ascending order and ``g_indptr`` /
+    ``g_indices`` the ``G`` CSR over ``n`` nodes; the result is aligned
+    with ``walkers`` and holds distinct node IDs.  See the class docstring
+    for the rule, its law and its draw contract.
+    """
+    starts = g_indptr[walkers]
+    deg = g_indptr[walkers + 1] - starts
+    movable = deg > 0
+    if movable.all():
+        dests = g_indices[starts + rng.integers(0, deg)]
+        order = np.argsort(dests, kind="stable")
+        ranked = dests[order]
+        repeats = order[1:][ranked[1:] == ranked[:-1]]
+        if not repeats.shape[0]:
+            return dests
+        first = int(repeats.min())
+    else:
+        dests = np.full(walkers.shape[0], -1, dtype=np.int64)
+        dests[movable] = g_indices[starts[movable] + rng.integers(0, deg[movable])]
+        first = 0
+
+    # The picks before ``first`` are distinct, so they stand; resolve the
+    # rest in ascending order against the destinations claimed so far.
+    taken = set(dests[:first].tolist())
+    for i, pick in enumerate(dests[first:].tolist(), start=first):
+        if pick < 0 or pick in taken:
+            claimed = np.zeros(n, dtype=bool)
+            claimed[dests[:i]] = True
+            nbrs = g_indices[starts[i] : starts[i] + deg[i]]
+            free = nbrs[~claimed[nbrs]]
+            if free.shape[0]:
+                pick = int(free[rng.integers(free.shape[0])])
+            else:
+                pick = int(walkers[i])
+                if pick in taken:
+                    pick = int(np.flatnonzero(~claimed)[0])
+            dests[i] = pick
+        taken.add(pick)
+    return dests
 
 
 class TrafficAdaptiveAdversary(_DelegatingAdversary):

@@ -1479,8 +1479,17 @@ def _run_union_byzantine_group(
         phase_inj_rej = np.zeros((blocks, b_live), dtype=np.int64)
         msg_senders = np.zeros((blocks, b_live), dtype=np.int64)
         msg_records = np.zeros((blocks, b_live), dtype=np.int64)
-        seg_nz = np.empty((blocks, b_live), dtype=np.int64)
-        seg_rec = np.empty((blocks, b_live), dtype=np.int64)
+        # Per-node round counters, reset every subphase and reduced into
+        # the per-block totals once per subphase.  A subphase has
+        # ``phase <= max_phase`` rounds, so ``min_scalar_type(phase)``
+        # holds every count without overflow.
+        count_sent = config.count_messages or bool(adaptive_groups)
+        count_records = config.count_messages and config.verification
+        round_mask = np.empty((rows_n, b_live), dtype=bool)
+        round_bytes = round_mask.view(np.uint8)
+        counter_dtype = np.min_scalar_type(phase)
+        sent_rounds = np.empty((rows_n, b_live), dtype=counter_dtype)
+        record_rounds = np.empty((rows_n, b_live), dtype=counter_dtype)
         chan: ChannelState | None = None
         if channel is not None:
             chan = ChannelState(
@@ -1498,7 +1507,7 @@ def _run_union_byzantine_group(
                 ],
             )
         traffic_nb = (
-            np.zeros((rows_n, b_live), dtype=np.int64) if adaptive_groups else None
+            np.empty((rows_n, b_live), dtype=np.int64) if adaptive_groups else None
         )
         for grp in groups:
             grp.dec_cols = _col_block(decided_nc[grp.lo : grp.hi], grp.sel, grp.n)
@@ -1604,6 +1613,8 @@ def _run_union_byzantine_group(
                     cur[np.ix_(grp.byz_rows, grp.sel)] = initial_g
 
             prev_kt.fill(0)
+            sent_rounds.fill(0)
+            record_rounds.fill(0)
             for t in range(1, phase + 1):
                 # --- adversary injections (per-block Lemma 16 gate) ------
                 for grp, _initial, counts_g, groups_g in group_plans:
@@ -1634,17 +1645,15 @@ def _run_union_byzantine_group(
                 ukernel.neighbor_max_stacked(sent, out=recv, channel=chan)
                 if any_crash:
                     recv[crashed_nc] = 0
-                if traffic_nb is not None:
-                    traffic_nb += sent != 0
 
                 # --- accounting (before the running-max update eats the
                 # new-record evidence) ------------------------------------
-                if config.count_messages:
-                    msg_senders += ukernel.segment_count_nonzero(sent, out=seg_nz)
-                    if config.verification:
-                        msg_records += ukernel.segment_count_nonzero(
-                            recv > cur, out=seg_rec
-                        )
+                if count_sent:
+                    np.not_equal(sent, 0, out=round_mask)
+                    np.add(sent_rounds, round_bytes, out=sent_rounds)
+                if count_records:
+                    np.greater(recv, cur, out=round_mask)
+                    np.add(record_rounds, round_bytes, out=record_rounds)
 
                 if t == phase:
                     np.copyto(k_last, recv)
@@ -1659,9 +1668,16 @@ def _run_union_byzantine_group(
                 (k_last > prev_kt) & (k_last > threshold),
                 out=flag_continue,
             )
+            if config.count_messages:
+                msg_senders += ukernel.segment_sum(sent_rounds, dtype=np.int64)
+                if count_records:
+                    msg_records += ukernel.segment_sum(record_rounds, dtype=np.int64)
 
             # --- between-subphase adaptation (mobility, re-planning) -----
             if traffic_nb is not None:
+                # Traffic since the last adaptation point is this
+                # subphase's per-node count of rounds with a send.
+                np.copyto(traffic_nb, sent_rounds)
                 relocated = False
                 for grp in adaptive_groups:
                     if grp.sel.shape[0] == 0:
@@ -1685,12 +1701,10 @@ def _run_union_byzantine_group(
                         grp.byz_nodes = np.flatnonzero(new_byz)
                         grp.byz_rows = grp.byz_nodes + grp.lo
                         grp.honest_nodes = np.flatnonzero(~new_byz)
-                        for j in grp.cols:
-                            byz_cn[int(j), grp.lo : grp.hi] = new_byz
+                        byz_cn[grp.cols, grp.lo : grp.hi] = new_byz
                         relocated = True
                 if relocated:
                     honest_uncrashed = ~byz_cn & ~crashed_cn
-                traffic_nb.fill(0)
 
         if config.count_messages:
             meters.add_messages(live_ids, (msg_senders * d)[alive_live])

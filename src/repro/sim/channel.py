@@ -190,6 +190,8 @@ class ChannelState:
         "_round",
         "_bufs",
         "_scratch",
+        "_limit",
+        "_span",
     )
 
     def __init__(self, model: ChannelModel, slots: list[ChannelSlot]) -> None:
@@ -211,6 +213,10 @@ class ChannelState:
         self._round = 0
         self._bufs: tuple[AnyArray, ...] | None = None
         self._scratch: AnyArray | None = None
+        # The scratch dtype's maximum (set with the scratch) and the
+        # offset span ``2 amp + 1``: per-round constants of _add_noise.
+        self._limit = 0
+        self._span = np.uint64(2 * int(model.noise_amp) + 1)
 
     @property
     def model(self) -> ChannelModel:
@@ -253,6 +259,7 @@ class ChannelState:
         ):
             scratch = np.empty(values.shape, dtype=values.dtype)
             self._scratch = scratch
+            self._limit = int(np.iinfo(scratch.dtype).max)
 
         # Round t reads counter position t * 2**32 + row of each cell.
         step = ((self._round << 32) * _GAMMA) % _TWO64
@@ -289,13 +296,12 @@ class ChannelState:
         vals = vals[hit].astype(np.int64)
         draw = h.reshape(-1)[idx] + np.uint64(_GAMMA)
         _mix(draw, np.empty_like(draw))
-        amp = int(self._model.noise_amp)
-        span = np.uint64(2 * amp + 1)
-        offsets = ((draw >> np.uint64(32)) * span >> np.uint64(32)).astype(np.int64)
-        offsets -= amp
+        offsets = ((draw >> np.uint64(32)) * self._span >> np.uint64(32)).astype(
+            np.int64
+        )
+        offsets -= int(self._model.noise_amp)
         # Clamp into [1, dtype max] without overflowing int64: a corrupted
         # value can never masquerade as silence (0) or wrap negative.
-        limit = int(np.iinfo(scratch.dtype).max)
-        vals = np.minimum(vals, limit - np.maximum(offsets, 0)) + offsets
+        vals = np.minimum(vals, self._limit - np.maximum(offsets, 0)) + offsets
         np.maximum(vals, 1, out=vals)
         flat[idx] = vals

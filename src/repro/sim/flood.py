@@ -136,14 +136,15 @@ class FloodKernel:
         np.copyto(out, counts)
         return out
 
-    def segment_sum(self, values: AnyArray) -> AnyArray:
+    def segment_sum(self, values: AnyArray, dtype: Any = None) -> AnyArray:
         """Per-(block, column) sums of an ``(N, B)`` numeric matrix.
 
         One segmented ``reduceat`` over the row axis; the block offsets
         are the segment boundaries, so the result's row ``g`` aggregates
-        exactly block ``g``'s rows.
+        exactly block ``g``'s rows.  ``dtype`` is the accumulator (pass
+        ``np.int64`` to sum narrow counters without wrapping).
         """
-        return np.add.reduceat(values, self.offsets[:-1], axis=0)
+        return np.add.reduceat(values, self.offsets[:-1], axis=0, dtype=dtype)
 
     def neighbor_max(self, sent: AnyArray, out: AnyArray | None = None) -> AnyArray:
         """``out[v] = max(sent[u] for u in N(v))`` (0 if all neighbors silent)."""
