@@ -70,14 +70,15 @@ under an active channel.  Colors are geometric(1/2), ``O(log n)`` whp, so
 honest phases run in int8 — a one-byte row is what lets the numpy
 backend gather every neighbor slot with one ``np.take``.
 
-The Byzantine loop raises the bound with every subphase's plan (initial
+Under an adversary every subphase's plan raises the bound (initial
 colors, injections and the suppressed re-sends that replay them, plus the
-same noise term; a negative initial color lowers its floor) and, before
-the plan is applied, widens to the narrowest rung that holds it.  Above
-the ladder is the historical rule: state stays at most int32, and the
-first plan value outside int32 itself widens the run to int64 for good.
-Built-in strategies inject at most ``HUGE_COLOR = 2**20``, so their cells
-run int32 or narrower.  Adversaries always see int64 honest colors.
+same noise term; a negative initial color lowers its floor), and the
+phase loop widens to the narrowest rung that holds it before the plan is
+applied.  Above the ladder is the historical rule: state stays at most
+int32, and the first plan value outside int32 itself widens the run to
+int64 for good.  Built-in strategies inject at most
+``HUGE_COLOR = 2**20``, so their cells run int32 or narrower.
+Adversaries always see int64 honest colors.
 
 No rung changes a result: integer max-flooding is exact in any dtype that
 holds its values, and the channel's clamp at the state dtype's maximum
@@ -149,17 +150,18 @@ one :class:`~repro.sim.channel.ChannelState` from the live cells, which
 draws one key per cell from that stream; every round then corrupts the
 whole ``(N, B)`` block with one counter-based hash of (key, round, row
 within the cell's own network), so no per-cell work runs inside a round
-and a cell's draws do not depend on which cells share its batch.  Under
-an active channel the honest loop switches from the receive-at-``phase-1``
-shortcut to an explicit running-max ``prev_kt`` (a dropped message breaks
-the monotonicity that shortcut relies on); sender-side metering still
-charges *attempted* transmissions (corruption happens on a kernel-side
-scratch copy), while verification's new-record metering naturally counts
-only what the channel delivered.
+and a cell's draws do not depend on which cells share its batch.  The
+phase loop reads a subphase's ``prev_kt`` (the largest pre-final-round
+receive) straight off round ``phase-1``'s receive only while receives are
+provably monotone; an active channel breaks that (a dropped message can
+shrink a neighbor-max), so under one the loop keeps an explicit running
+maximum.  Sender-side metering still charges *attempted* transmissions
+(corruption happens on a kernel-side scratch copy), while verification's
+new-record metering naturally counts only what the channel delivered.
 
 Adaptive adversaries
 --------------------
-The Byzantine loop invokes :meth:`~repro.adversary.base.Adversary.batch_adapt`
+The phase loop invokes :meth:`~repro.adversary.base.Adversary.batch_adapt`
 on every placement sub-group at the end of every subphase (so the first
 subphase always runs the bound placement).  Adversaries that override the
 hook observe per-node attempted-send traffic accumulated since the last
@@ -234,7 +236,7 @@ def _ladder_dtype(lo: int, hi: int) -> type[np.signedinteger[Any]]:
     the module docstring's dtype policy).  A bound past int32 still gets
     int32: that rung is the historical state dtype, whose channel clamp
     at ``INT32_MAX`` is part of the stream, and only a plan value outside
-    int32 itself widens to int64 (the Byzantine loop's guard).
+    int32 itself widens to int64 (the phase loop's guard).
     """
     for dtype, low, high in _LADDER:
         if low <= lo and hi <= high:
@@ -776,8 +778,8 @@ def _run_union(
     and ``configs`` one config per column.  Validates the grid before
     allocating any state, resolves the kernel (``container`` may ship a
     pre-stacked union CSR and a backend), then runs each config's columns
-    through the honest or Byzantine loop.  Returns results as a ``G x C``
-    nested list, ``None`` at absent cells.
+    through the one phase loop, :func:`_run_config_group`.  Returns
+    results as a ``G x C`` nested list, ``None`` at absent cells.
     """
     degrees = {int(net.d) for net in nets}
     if len(degrees) > 1:
@@ -812,21 +814,10 @@ def _run_union(
     for cfg, col_ids in _group_by_config(configs).items():
         sub_present = present[:, col_ids]
         sub_seeds = [[row[j] for j in col_ids] for row in seeds]
-        if adversary_factory is None:
-            group = _run_union_group(nets, kernel, sub_seeds, sub_present, cfg, channel)
-        else:
-            # Absent cells (None) get an empty mask that no group reads.
-            sub_masks = [
-                [
-                    _as_mask(None if masks is None else masks[g][j], int(net.n), "mask")
-                    for j in col_ids
-                ]
-                for g, net in enumerate(nets)
-            ]
-            group = _run_union_byzantine_group(
-                nets, kernel, sub_seeds, sub_present, cfg, adversary_factory,
-                sub_masks, channel,
-            )
+        sub_masks = None if masks is None else [[row[j] for j in col_ids] for row in masks]
+        group = _run_config_group(
+            nets, kernel, sub_seeds, sub_present, cfg, adversary_factory, sub_masks, channel
+        )
         for row, group_row in zip(out, group):
             for local, j in enumerate(col_ids):
                 row[j] = group_row[local]
@@ -941,246 +932,54 @@ def _fresh_state(
 def _draw_phase_colors(
     color_rngs: list[list[Any]],
     live: Int64Array,
-    alive_live: BoolArray,
+    und: BoolArray,
     counts: Int64Array,
     n_sub: int,
-) -> tuple[list[list[Int64Array | None]], int]:
-    """Every live cell's colors for the whole phase, and the largest one.
+) -> tuple[AnyArray, IntArray | None, int]:
+    """Every live cell's colors for the whole phase, laid out for one put.
 
-    One stream read per live cell per phase: a single geometric draw of
-    ``n_sub * count`` values equals ``n_sub`` successive draws of
-    ``count`` (distribution sampling consumes the bit stream per variate,
-    independent of call boundaries), so per-cell streams still match the
-    sequential engine draw for draw.  A dead cell draws nothing (``None``);
-    entry ``[g][row]`` is an ``(n_sub, count)`` matrix.  The maximum (0 if
-    nothing was drawn) is what picks the phase's state dtype.
+    One stream read per live cell per phase: ``sample_colors`` reads one
+    ``rng.random`` double per color, so a call for ``n_sub * count``
+    colors consumes the stream exactly as ``n_sub`` successive calls for
+    ``count`` do, and per-cell streams still match the sequential engine
+    draw for draw.  Cells draw block-major in column order (a cell with
+    nothing undecided draws nothing).
+
+    Returns ``(draws, index, draw_max)``.  Column ``i`` of the
+    ``(n_sub, K)`` matrix ``draws`` belongs to the ``i``-th undecided
+    position of ``und`` (the ``(B_live, N)`` transpose of the state), so
+    each cell's draws fill one run of columns, with no permutation;
+    ``index[i]`` is that position's flat offset in the C-ordered
+    ``(N, B_live)`` state, and ``state.reshape(-1)[index] = draws[s]``
+    scatters all of subphase ``s`` at once.  ``index`` is None when every
+    position is undecided: the scatter is then the transposed copy of
+    ``draws[s].reshape(B_live, N)``.  ``draws`` is held in the narrowest
+    ladder rung of its values; ``draw_max`` (0 if nothing was drawn) is
+    what picks the phase's state dtype.
     """
-    blocks = alive_live.shape[0]
-    phase_draws: list[list[Int64Array | None]] = [
-        [None] * live.shape[0] for _ in range(blocks)
-    ]
+    blocks, b_live = counts.shape
+    rows_n = und.shape[1]
+    # Column of each cell's first draw: cells follow one another column
+    # by column, blocks in order within a column, like und's positions.
+    starts = (np.cumsum(counts.T) - counts.T.ravel()).reshape(b_live, blocks)
+    drawn: list[tuple[int, int, Int64Array]] = []
     draw_max = 0
     for g in range(blocks):
         for row, col in enumerate(live):
-            if not alive_live[g, row]:
-                continue
             count = int(counts[g, row])
             if count:
-                draws = sample_colors(color_rngs[g][int(col)], n_sub * count)
-                phase_draws[g][row] = draws.reshape(n_sub, count)
-                draw_max = max(draw_max, int(draws.max()))
-    return phase_draws, draw_max
-
-
-def _run_union_group(
-    nets: list[SmallWorldNetwork],
-    ukernel: FloodKernel,
-    seeds: Sequence[Sequence[SeedLike]],
-    present: BoolArray,
-    config: CountingConfig,
-    channel: ChannelModel | None = None,
-) -> list[list[CountingResult | None]]:
-    """Algorithm 1 on the union stack: one config, G blocks x C columns.
-
-    Mirrors the adversary-free path of :func:`repro.core.runner
-    .run_counting` statement for statement, with node vectors widened to
-    the union's ``(N, C)`` trials-as-columns matrices (``N = sum(n_g)``):
-    every flooding round is one plain row-gather over the concatenated
-    CSR, and decided counting, saturation/message accounting, and
-    per-trial liveness read the per-network row segments.  The only
-    per-trial Python work left in the hot loop is the color draw (each
-    trial owns a private RNG stream whose draw order must match the
-    sequential engine's).  Returns results as a ``G x C`` nested list,
-    ``None`` at absent cells.
-    """
-    d = nets[0].d
-    blocks, cols = present.shape
-    rows_n = ukernel.n
-    offsets = ukernel.offsets
-    n_act = np.asarray(ukernel.sizes, dtype=np.int64)  # (G,)
-    color_rngs, _adv_rngs, chan_rngs = _cell_streams(seeds, present, channel)
-    decided, alive = _fresh_state(present, offsets)
-    meters = MeterBatch(blocks * cols)
-    traces = [PhaseTrace() for _ in range(blocks * cols)]
-    # The most one channel round can raise a transmitted value.
-    noise_step = 0 if channel is None else int(channel.noise_amp)
-
-    for phase in range(1, config.max_phase + 1):
-        undecided_all = decided == UNDECIDED
-        active = np.empty((blocks, cols), dtype=np.int64)
-        for g in range(blocks):
-            active[g] = np.count_nonzero(
-                undecided_all[:, offsets[g] : offsets[g + 1]], axis=1
-            )
-        if config.stop_when_all_decided:
-            alive &= active > 0
-        if not alive.any():
-            break
-        live = np.flatnonzero(alive.any(axis=0))
-        b_live = live.shape[0]
-        n_sub = subphase_count(
-            phase, config.eps, d, config.alpha_variant, config.subphase_multiplier
-        )
-        threshold = color_threshold(phase, d)
-        und = undecided_all[live]
-        counts = active[:, live]
-        alive_live = alive[:, live]
-        all_undecided = counts == n_act[:, None]
-        # Per-round sender count of a block that transmits in full (0 for
-        # dead trials, which hold zero colors all phase).
-        full = n_act[:, None] * alive_live
-        thr_floor = int(np.floor(threshold))
-        # Flat (network-major) meter/trace ids of this phase's live trials.
-        live_ids = np.flatnonzero(alive)
-
-        phase_draws, draw_max = _draw_phase_colors(
-            color_rngs, live, alive_live, counts, n_sub
-        )
-
-        # Trials-as-columns state in the narrowest dtype that holds the
-        # phase: each node's live-trial values sit in one cache line (one
-        # byte each, almost always), which is what makes the stacked
-        # kernel fast.  Nothing injects, so the largest draw plus the
-        # channel's per-round noise bounds every value.
-        state_dtype = _ladder_dtype(0, draw_max + noise_step * phase)
-        colors_cn = np.zeros((b_live, rows_n), dtype=state_dtype)
-        cur_t = np.empty((rows_n, b_live), dtype=state_dtype)
-        # ``recv`` is pointwise monotone across a subphase's rounds (cur
-        # only grows, so each neighbor-max dominates the previous one);
-        # hence max_{t < phase} recv_t == recv at round phase-1 and no
-        # running "previous k_t" accumulation is needed — round phase-1's
-        # receive buffer *is* prev_kt.  phase == 1 has no earlier rounds,
-        # so prev stays at its zero initialization.  An active channel
-        # breaks that monotonicity (a dropped message can shrink a
-        # neighbor-max), so the lossy path below keeps an explicit running
-        # maximum instead and resets it every subphase.
-        prev_t = np.zeros((rows_n, b_live), dtype=state_dtype)
-        recv_t = np.empty((rows_n, b_live), dtype=state_dtype)
-        k_last_t = np.empty((rows_n, b_live), dtype=state_dtype)
-        flag_continue = np.zeros((rows_n, b_live), dtype=bool)
-        senders = np.zeros((blocks, b_live), dtype=np.int64)
-        seg_nz = np.empty((blocks, b_live), dtype=np.int64)
-        chan: ChannelState | None = None
-        if channel is not None:
-            # One slot per live (network, column) cell over its own block
-            # segment: a dead cell stops consuming draws exactly when its
-            # own run would have stopped.
-            chan = ChannelState(
-                channel,
-                [
-                    (
-                        row,
-                        int(offsets[g]),
-                        int(offsets[g + 1]),
-                        chan_rngs[g][int(col)],
-                    )
-                    for g in range(blocks)
-                    for row, col in enumerate(live)
-                    if alive_live[g, row]
-                ],
-            )
-
-        for sub in range(n_sub):
-            # Partially undecided segments keep untouched entries at their
-            # initial 0 (the mask is fixed for the whole phase), so only
-            # masked positions ever need writing.
-            for g in range(blocks):
-                lo, hi = int(offsets[g]), int(offsets[g + 1])
-                for row in range(b_live):
-                    draws = phase_draws[g][row]
-                    if draws is None:
-                        continue
-                    if all_undecided[g, row]:
-                        colors_cn[row, lo:hi] = draws[sub]
-                    else:
-                        seg = colors_cn[row, lo:hi]
-                        seg[und[row, lo:hi]] = draws[sub]
-            np.copyto(cur_t, colors_cn.T)
-            if chan is not None:
-                prev_t.fill(0)
-
-            senders.fill(0)
-            saturated = False
-            for t in range(1, phase + 1):
-                # No crashes and no Byzantine suppression on this path, so
-                # every node transmits its running max: sent == cur.  (The
-                # channel corrupts a kernel-side scratch copy, so the
-                # sender count still meters attempted transmissions.)
-                if config.count_messages:
-                    if saturated:
-                        senders += full
-                    else:
-                        nz = ukernel.segment_count_nonzero(cur_t, out=seg_nz)
-                        senders += nz
-                        # Saturation is per trial (the nonzero set only
-                        # grows within a subphase); the shared flag trips
-                        # once every live trial's block transmits in full.
-                        saturated = bool((nz >= full).all())
-                if chan is not None:
-                    # Lossy path: prev_kt must be an explicit running max
-                    # over every pre-final round's (possibly shrunken)
-                    # receive, not just round phase-1's.
-                    if t == phase:
-                        ukernel.neighbor_max_stacked(
-                            cur_t, out=k_last_t, channel=chan
-                        )
-                    else:
-                        ukernel.neighbor_max_stacked(
-                            cur_t, out=recv_t, channel=chan
-                        )
-                        np.maximum(prev_t, recv_t, out=prev_t)
-                        np.maximum(cur_t, recv_t, out=cur_t)
-                elif t == phase:
-                    # Last round: only k_t is still needed — recv, prev,
-                    # and the running max are dead after this point.
-                    ukernel.neighbor_max_stacked(cur_t, out=k_last_t)
-                elif t == phase - 1:
-                    # By monotonicity this receive equals prev_kt.
-                    ukernel.neighbor_max_stacked(cur_t, out=prev_t)
-                    np.maximum(cur_t, prev_t, out=cur_t)
-                else:
-                    ukernel.neighbor_max_stacked(cur_t, out=recv_t)
-                    np.maximum(cur_t, recv_t, out=cur_t)
-            if config.count_messages:
-                meters.add_messages(live_ids, senders[alive_live] * d)
-            np.logical_or(
-                flag_continue,
-                (k_last_t > prev_t) & (k_last_t > thr_floor),
-                out=flag_continue,
-            )
-        # Without an adversary the per-round cost is exactly 1, so the
-        # phase's round total factors out of the subphase loop.
-        meters.add_rounds(live_ids, n_sub * phase)
-
-        newly = und & ~flag_continue.T
-        dec_rows = decided[live]
-        dec_rows[newly] = phase
-        decided[live] = dec_rows
-        if config.record_phase_trace:
-            for g in range(blocks):
-                lo, hi = int(offsets[g]), int(offsets[g + 1])
-                newly_counts = np.count_nonzero(newly[:, lo:hi], axis=1)
-                for row, col in enumerate(live):
-                    if not alive_live[g, row]:
-                        continue
-                    traces[g * cols + int(col)].append(
-                        PhaseRecord(
-                            phase=phase,
-                            subphases=n_sub,
-                            flooding_rounds=n_sub * phase,
-                            newly_decided=int(newly_counts[row]),
-                            active_before=int(counts[g, row]),
-                            injections_accepted=0,
-                            injections_rejected=0,
-                        )
-                    )
-        if config.stop_when_all_decided and not (decided == UNDECIDED).any():
-            break
-
-    zeros = np.zeros((cols, rows_n), dtype=bool)
-    return _cell_results(
-        nets, present, offsets, decided, zeros, zeros, meters, traces, None, None
-    )
+                cell = sample_colors(color_rngs[g][int(col)], n_sub * count)
+                drawn.append((int(starts[row, g]), count, cell))
+                draw_max = max(draw_max, int(cell.max()))
+    total = int(counts.sum())
+    draws = np.empty((n_sub, total), dtype=_ladder_dtype(0, draw_max))
+    for start, count, cell in drawn:
+        draws[:, start : start + count] = cell.reshape(n_sub, count)
+    if total == rows_n * b_live:
+        return draws, None, draw_max
+    # Flat state offset ``row * B_live + col`` of every (col, row) of und.
+    flat = np.arange(0, rows_n * b_live, b_live)[None, :] + np.arange(b_live)[:, None]
+    return draws, flat[und], draw_max
 
 
 def _cell_results(
@@ -1192,13 +991,13 @@ def _cell_results(
     byz: BoolArray,
     meters: MeterBatch,
     traces: list[PhaseTrace],
-    inj_acc: Int64Array | None,
-    inj_rej: Int64Array | None,
+    inj_acc: Int64Array,
+    inj_rej: Int64Array,
 ) -> list[list[CountingResult | None]]:
     """Assemble per-cell results (``None`` at absent cells).
 
     ``decided``/``crashed``/``byz`` are ``(C, N)``; the injection
-    counters are ``(G, C)`` or None (an honest run injects nothing).
+    counters are ``(G, C)``.
     """
     cols = present.shape[1]
     out: list[list[CountingResult | None]] = []
@@ -1219,8 +1018,8 @@ def _cell_results(
                     byz=byz[j, lo:hi].copy(),
                     meter=meters.meter(g * cols + j),
                     trace=traces[g * cols + j],
-                    injections_accepted=0 if inj_acc is None else int(inj_acc[g, j]),
-                    injections_rejected=0 if inj_rej is None else int(inj_rej[g, j]),
+                    injections_accepted=int(inj_acc[g, j]),
+                    injections_rejected=int(inj_rej[g, j]),
                 )
             )
         out.append(row)
@@ -1295,13 +1094,18 @@ def _union_placement_groups(
     adversary_factory: AdversarySpec,
     nets: list[SmallWorldNetwork],
     offsets: Int64Array,
-    masks: list[list[BoolArray]],
+    masks: Sequence[Sequence[BoolArray | None]] | None,
     present: BoolArray,
 ) -> list[_UnionPlacementGroup]:
-    """Sub-group present (block, column) cells by (network, placement)."""
-    group_map: dict[tuple[int, bytes], list[int]] = {}
+    """Sub-group present (block, column) cells by (network, placement).
+
+    ``masks`` is ``G x C`` like the seed grid (``None`` = no Byzantine
+    node anywhere); absent cells join no group and their masks are unread.
+    """
+    group_map: dict[tuple[int, bytes], tuple[BoolArray, list[int]]] = {}
     for g, j in np.argwhere(present).tolist():
-        group_map.setdefault((g, masks[g][j].tobytes()), []).append(j)
+        mask = _as_mask(None if masks is None else masks[g][j], int(nets[g].n), "mask")
+        group_map.setdefault((g, mask.tobytes()), (mask, []))[1].append(j)
     if len(group_map) > 1 and isinstance(adversary_factory, Adversary):
         raise ValueError(
             "a shared adversary instance cannot drive trials with different "
@@ -1309,9 +1113,9 @@ def _union_placement_groups(
             "pass a zero-argument adversary factory instead"
         )
     groups: list[_UnionPlacementGroup] = []
-    for (g, _), idxs in group_map.items():
+    for (g, _), (mask, idxs) in group_map.items():
         col_ids = np.asarray(idxs, dtype=np.int64)
-        byz = np.ascontiguousarray(masks[g][idxs[0]])
+        byz = np.ascontiguousarray(mask)
         groups.append(
             _UnionPlacementGroup(
                 g,
@@ -1333,59 +1137,65 @@ def _col_block(mat: AnyArray, sel: IntArray, n_rows: int) -> AnyArray:
     return mat[:n_rows][:, sel]
 
 
-def _run_union_byzantine_group(
+def _run_config_group(
     nets: list[SmallWorldNetwork],
     ukernel: FloodKernel,
     seeds: Sequence[Sequence[SeedLike]],
     present: BoolArray,
     config: CountingConfig,
-    adversary_factory: AdversarySpec,
-    masks: list[list[BoolArray]],
-    channel: ChannelModel | None = None,
+    adversary_factory: AdversarySpec | None,
+    masks: Sequence[Sequence[BoolArray | None]] | None,
+    channel: ChannelModel | None,
 ) -> list[list[CountingResult | None]]:
-    """Algorithm 2 on the union stack: one config, per-cell placements.
+    """Algorithms 1 and 2 on the union stack: one config, G blocks x C columns.
 
-    Mirrors the adversarial path of :func:`repro.core.runner.run_counting`
-    statement for statement on the block-diagonal ``(N, C)`` state:
-    per-trial pre-phase crash masks (memoized on placement + claim
-    content), the Lemma 16 injection gate, per-trial relay suppression,
-    witness-traffic metering from new-record counts, and per-trial early
-    exit.  Cells sub-group by (network block, placement)
-    (:class:`_UnionPlacementGroup`) — each group's adversary binds to its
-    own graph, simulates its own pre-phase crashes, and plans only its
-    own columns — while the flooding rounds run as single row-gathers
-    over the union CSR.  The Lemma 16 gate and the witness cap are per
-    *block* (each block's own ``(n_g, k_g)``), applied to the block's row
-    segment only; crash masks apply as one ``(N, C)`` mask and witness
-    metering reduces segment-wise.  Each phase's color state starts on
-    the narrowest ladder rung its draws allow and widens when a plan
-    leaves it (see the module docstring's dtype policy).  Returns results as a
-    ``G x C`` nested list, ``None`` at absent cells.
+    Mirrors :func:`repro.core.runner.run_counting` statement for statement
+    on the block-diagonal ``(N, C)`` state, the flooding rounds running as
+    single row-gathers over the union CSR.  With no ``adversary_factory``
+    (Algorithm 1) the run builds no placement group, binds nothing, skips
+    the pre-phase, charges one round per flooding round and meters no
+    witness traffic, exactly as the scalar runner's ``adversary is not
+    None`` gates do.  With one (Algorithm 2) cells sub-group by (network
+    block, placement) (:class:`_UnionPlacementGroup`): each group's
+    adversary binds to its own graph, simulates its own pre-phase crashes
+    (memoized on placement + claim content) and plans only its own
+    columns.  The Lemma 16 gate and the witness cap are per *block* (each
+    block's own ``(n_g, k_g)``), applied to the block's row segment only;
+    crash masks apply as one ``(N, B)`` mask, relay suppression per
+    column, and witness metering reduces segment-wise.  Each phase's
+    color state starts on the narrowest ladder rung its draws allow and
+    widens when a plan leaves it (see the module docstring's dtype
+    policy).  Returns results as a ``G x C`` nested list, ``None`` at
+    absent cells.
     """
     d = nets[0].d
     blocks, cols = present.shape
     rows_n = ukernel.n
     offsets = ukernel.offsets
+    n_act = np.asarray(ukernel.sizes, dtype=np.int64)  # (G,)
     witness_cap = np.asarray(
         [min(ball_size_bound(d, int(net.k), 1), int(net.n), 64) for net in nets],
         dtype=np.int64,
     )
     color_rngs, adv_rngs, chan_rngs = _cell_streams(seeds, present, channel)
-
-    groups = _union_placement_groups(adversary_factory, nets, offsets, masks, present)
-    adaptive_groups = [grp for grp in groups if _is_adaptive(grp.adversary)]
     meters = MeterBatch(blocks * cols)
     traces = [PhaseTrace() for _ in range(blocks * cols)]
     byz_cn = np.zeros((cols, rows_n), dtype=bool)
     crashed_cn = np.zeros((cols, rows_n), dtype=bool)
+
+    groups: list[_UnionPlacementGroup] = []
+    if adversary_factory is not None:
+        groups = _union_placement_groups(adversary_factory, nets, offsets, masks, present)
+    adaptive_groups = [grp for grp in groups if _is_adaptive(grp.adversary)]
     for grp in groups:
         byz_cn[grp.cols, grp.lo : grp.hi] = grp.byz
-
-    for grp in groups:
         grp.adversary.bind_batch(
             grp.network, grp.byz, [adv_rngs[grp.g][int(j)] for j in grp.cols], config
         )
-    if config.verification:
+    # Verification exists only against an adversary: the pre-phase, the
+    # extra per-round cost and witness metering all sit behind it.
+    verify = config.verification and adversary_factory is not None
+    if verify:
         for grp in groups:
             claims_list = grp.adversary.batch_topology_claims()
             if len(claims_list) != grp.cols.shape[0]:
@@ -1418,7 +1228,9 @@ def _run_union_byzantine_group(
     honest_uncrashed = ~byz_cn & ~crashed_cn
     inj_acc = np.zeros((blocks, cols), dtype=np.int64)
     inj_rej = np.zeros((blocks, cols), dtype=np.int64)
-    round_cost = 1 + (config.verification_round_cost if config.verification else 0)
+    round_cost = 1 + (config.verification_round_cost if verify else 0)
+    count_sent = config.count_messages or bool(adaptive_groups)
+    count_records = config.count_messages and verify
     # The most one channel round can raise a transmitted value.
     noise_step = 0 if channel is None else int(channel.noise_amp)
     state_dtype: type[np.signedinteger[Any]] = np.int32
@@ -1426,11 +1238,7 @@ def _run_union_byzantine_group(
 
     for phase in range(1, config.max_phase + 1):
         undecided_all = honest_uncrashed & (decided == UNDECIDED)
-        active = np.empty((blocks, cols), dtype=np.int64)
-        for g in range(blocks):
-            active[g] = np.count_nonzero(
-                undecided_all[:, offsets[g] : offsets[g + 1]], axis=1
-            )
+        active = np.add.reduceat(undecided_all, offsets[:-1], axis=1, dtype=np.int64).T
         if config.stop_when_all_decided:
             alive &= active > 0
         if not alive.any():
@@ -1440,26 +1248,22 @@ def _run_union_byzantine_group(
         n_sub = subphase_count(
             phase, config.eps, d, config.alpha_variant, config.subphase_multiplier
         )
-        threshold = color_threshold(phase, d)
+        # Colors are integers, so ``> threshold`` is ``> floor(threshold)``,
+        # and an int threshold compares in the state's own dtype.
+        thr_floor = int(np.floor(color_threshold(phase, d)))
         und = undecided_all[live]
         counts = active[:, live]
         alive_live = alive[:, live]
         live_ids = np.flatnonzero(alive)  # flat ids, network-major
+        # Per-round sender count of a block that transmits in full (0 for
+        # dead cells, which hold no color all phase).
+        full_senders = n_act[:, None] * alive_live
 
-        live_pos = np.full(cols, -1, dtype=np.int64)
-        live_pos[live] = np.arange(b_live)
-        for grp in groups:
-            keep = alive[grp.g, grp.cols]
-            grp.alive_local = np.flatnonzero(keep)
-            kept = grp.cols[keep]
-            grp.sel = live_pos[kept]
-            grp.rng_cols = tuple(adv_rngs[grp.g][int(j)] for j in kept)
-
-        phase_draws, draw_max = _draw_phase_colors(
-            color_rngs, live, alive_live, counts, n_sub
+        draws, draw_index, draw_max = _draw_phase_colors(
+            color_rngs, live, und, counts, n_sub
         )
         # The phase's value bound [bound_lo, bound_hi] starts at its draws
-        # plus the channel's noise; plans below may only raise it.
+        # plus the channel's noise; plans below may only widen it.
         noise = noise_step * phase
         bound_lo, bound_hi = 0, draw_max + noise
         if not wide:
@@ -1467,13 +1271,13 @@ def _run_union_byzantine_group(
 
         crashed_nc = np.ascontiguousarray(crashed_cn[live].T)
         any_crash = bool(crashed_nc.any())
-        decided_nc = np.ascontiguousarray(decided[live].T)
-        colors = np.zeros((rows_n, b_live), dtype=state_dtype)
+        # Trials-as-columns state: a node's live-trial values share a cache
+        # line (one byte each in an honest phase), which is what makes the
+        # stacked kernel fast.
         cur = np.empty((rows_n, b_live), dtype=state_dtype)
-        sent = np.empty((rows_n, b_live), dtype=state_dtype)
-        prev_kt = np.empty((rows_n, b_live), dtype=state_dtype)
-        recv = np.empty((rows_n, b_live), dtype=state_dtype)
-        k_last = np.empty((rows_n, b_live), dtype=state_dtype)
+        sent_buf = np.empty_like(cur)
+        prev_kt = np.empty_like(cur)
+        k_last = np.empty_like(cur)
         flag_continue = np.zeros((rows_n, b_live), dtype=bool)
         phase_inj_acc = np.zeros((blocks, b_live), dtype=np.int64)
         phase_inj_rej = np.zeros((blocks, b_live), dtype=np.int64)
@@ -1483,8 +1287,6 @@ def _run_union_byzantine_group(
         # the per-block totals once per subphase.  A subphase has
         # ``phase <= max_phase`` rounds, so ``min_scalar_type(phase)``
         # holds every count without overflow.
-        count_sent = config.count_messages or bool(adaptive_groups)
-        count_records = config.count_messages and config.verification
         round_mask = np.empty((rows_n, b_live), dtype=bool)
         round_bytes = round_mask.view(np.uint8)
         counter_dtype = np.min_scalar_type(phase)
@@ -1492,6 +1294,9 @@ def _run_union_byzantine_group(
         record_rounds = np.empty((rows_n, b_live), dtype=counter_dtype)
         chan: ChannelState | None = None
         if channel is not None:
+            # One slot per live (network, column) cell over its own block
+            # segment: a dead cell stops consuming draws exactly when its
+            # own run would have stopped.
             chan = ChannelState(
                 channel,
                 [
@@ -1509,20 +1314,26 @@ def _run_union_byzantine_group(
         traffic_nb = (
             np.empty((rows_n, b_live), dtype=np.int64) if adaptive_groups else None
         )
-        for grp in groups:
-            grp.dec_cols = _col_block(decided_nc[grp.lo : grp.hi], grp.sel, grp.n)
-            grp.crash_cols = _col_block(crashed_nc[grp.lo : grp.hi], grp.sel, grp.n)
+        if groups:
+            live_pos = np.full(cols, -1, dtype=np.int64)
+            live_pos[live] = np.arange(b_live)
+            decided_nc = np.ascontiguousarray(decided[live].T)
+            for grp in groups:
+                keep = alive[grp.g, grp.cols]
+                grp.alive_local = np.flatnonzero(keep)
+                kept = grp.cols[keep]
+                grp.sel = live_pos[kept]
+                grp.rng_cols = tuple(adv_rngs[grp.g][int(j)] for j in kept)
+                grp.dec_cols = _col_block(decided_nc[grp.lo : grp.hi], grp.sel, grp.n)
+                grp.crash_cols = _col_block(crashed_nc[grp.lo : grp.hi], grp.sel, grp.n)
 
         for sub in range(1, n_sub + 1):
-            # --- draw colors (undecided honest nodes only) ---------------
-            colors.fill(0)
-            for g in range(blocks):
-                lo, hi = int(offsets[g]), int(offsets[g + 1])
-                for row in range(b_live):
-                    draws = phase_draws[g][row]
-                    if draws is None:
-                        continue
-                    colors[lo:hi, row][und[row, lo:hi]] = draws[sub - 1]
+            # --- this subphase's colors (undecided honest nodes only) ----
+            if draw_index is None:
+                np.copyto(cur, draws[sub - 1].reshape(b_live, rows_n).T)
+            else:
+                cur.fill(0)
+                cur.reshape(-1)[draw_index] = draws[sub - 1]
 
             # --- per-(block, placement) adversary plans ------------------
             group_plans: list[tuple[Any, ...]] = []
@@ -1537,7 +1348,7 @@ def _run_union_byzantine_group(
                 # Adversaries see int64 colors whatever the state's rung,
                 # as in the scalar runner: plan arithmetic such as
                 # ``max + 1`` must not wrap in a narrow dtype.
-                g_colors = _col_block(colors[grp.lo : grp.hi], sel, grp.n)[
+                g_colors = _col_block(cur[grp.lo : grp.hi], sel, grp.n)[
                     grp.honest_nodes
                 ].astype(np.int64)
                 state = BatchSubphaseState(
@@ -1600,21 +1411,47 @@ def _run_union_byzantine_group(
             need = np.int64 if wide else _ladder_dtype(bound_lo, bound_hi)
             if np.dtype(need).itemsize > np.dtype(state_dtype).itemsize:
                 state_dtype = need
-                colors = colors.astype(state_dtype)
-                cur = np.empty((rows_n, b_live), dtype=state_dtype)
-                sent = np.empty_like(cur)
+                cur = cur.astype(state_dtype)
+                sent_buf = np.empty_like(cur)
                 prev_kt = np.empty_like(cur)
-                recv = np.empty_like(cur)
                 k_last = np.empty_like(cur)
 
-            np.copyto(cur, colors)
             for grp, initial_g, _counts, _groups in group_plans:
                 if initial_g is not None:
                     cur[np.ix_(grp.byz_rows, grp.sel)] = initial_g
 
-            prev_kt.fill(0)
-            sent_rounds.fill(0)
-            record_rounds.fill(0)
+            # Only a crash or a suppressed relay makes a node send anything
+            # but its running max; otherwise ``sent`` *is* ``cur``.
+            sent = sent_buf if any_crash or suppress_pairs else cur
+            # ``prev_kt`` shortcut.  Without a channel or a suppressed
+            # relay, every transmitted value is nondecreasing over the
+            # subphase's rounds: ``cur`` only grows (running maxima and
+            # injections are maxima), and a crashed node sends 0 in every
+            # round.  A neighbor-max of nondecreasing values is itself
+            # nondecreasing, so max_{t < phase} recv_t is round phase-1's
+            # receive, which lands straight in ``prev_kt``.  (A negative
+            # initial color only makes that receive negative where the
+            # running max would read 0, and both lose to any ``k_last``
+            # above the non-negative threshold.)  phase == 1 has no
+            # earlier round, so ``prev_kt`` stays 0.  A channel breaks
+            # monotonicity (a dropped message can shrink a neighbor-max),
+            # and so does a suppressed relay's re-send schedule; then
+            # ``prev_kt`` is an explicit running max.
+            monotone = chan is None and not suppress_pairs
+            if phase == 1 or not monotone:
+                prev_kt.fill(0)
+            # Senders are counted per node when the per-node traffic is
+            # needed (adaptation) or the nonzero set of ``sent`` may shrink
+            # between rounds (a silenced sender, a negative value); else
+            # per block and round, until every live block sends in full.
+            per_node = count_sent and (
+                sent is not cur or bool(adaptive_groups) or bound_lo < 0
+            )
+            saturated = False
+            if per_node:
+                sent_rounds.fill(0)
+            if count_records:
+                record_rounds.fill(0)
             for t in range(1, phase + 1):
                 # --- adversary injections (per-block Lemma 16 gate) ------
                 for grp, _initial, counts_g, groups_g in group_plans:
@@ -1630,48 +1467,60 @@ def _run_union_byzantine_group(
                         phase_inj_rej[grp.g, grp.sel] += cnts
 
                 # --- transmit --------------------------------------------
-                np.copyto(sent, cur)
-                if any_crash:
-                    sent[crashed_nc] = 0
-                for rows_b, cols_b in suppress_pairs:
-                    sent[np.ix_(rows_b, cols_b)] = 0
-                for grp, col, by_round in suppressed_resend:
-                    if config.verification and t > grp.k - 1:
-                        continue
-                    for inj in by_round.get(t, ()):
-                        sent[inj.nodes + grp.lo, col] = inj.value
+                if sent is not cur:
+                    np.copyto(sent, cur)
+                    if any_crash:
+                        sent[crashed_nc] = 0
+                    for rows_b, cols_b in suppress_pairs:
+                        sent[np.ix_(rows_b, cols_b)] = 0
+                    for grp, col, by_round in suppressed_resend:
+                        if config.verification and t > grp.k - 1:
+                            continue
+                        for inj in by_round.get(t, ()):
+                            sent[inj.nodes + grp.lo, col] = inj.value
 
-                # --- receive ---------------------------------------------
-                ukernel.neighbor_max_stacked(sent, out=recv, channel=chan)
+                # --- receive: into k_last, whose last write is round
+                # phase's k_t, except for a shortcut prev_kt ---------------
+                got = prev_kt if monotone and t == phase - 1 else k_last
+                ukernel.neighbor_max_stacked(sent, out=got, channel=chan)
                 if any_crash:
-                    recv[crashed_nc] = 0
+                    got[crashed_nc] = 0
 
                 # --- accounting (before the running-max update eats the
                 # new-record evidence) ------------------------------------
-                if count_sent:
+                if per_node:
                     np.not_equal(sent, 0, out=round_mask)
                     np.add(sent_rounds, round_bytes, out=sent_rounds)
+                elif count_sent:
+                    if saturated:
+                        msg_senders += full_senders
+                    else:
+                        nz = ukernel.segment_count_nonzero(sent)
+                        msg_senders += nz
+                        # The nonzero set only grows here, so the trip is
+                        # final once every live block sends in full.
+                        saturated = bool((nz >= full_senders).all())
                 if count_records:
-                    np.greater(recv, cur, out=round_mask)
+                    np.greater(got, cur, out=round_mask)
                     np.add(record_rounds, round_bytes, out=record_rounds)
 
-                if t == phase:
-                    np.copyto(k_last, recv)
-                else:
-                    np.maximum(prev_kt, recv, out=prev_kt)
-                np.maximum(cur, recv, out=cur)
-                if any_crash:
-                    cur[crashed_nc] = 0
+                # After the last round only k_t is still needed.
+                if t < phase:
+                    if not monotone:
+                        np.maximum(prev_kt, got, out=prev_kt)
+                    np.maximum(cur, got, out=cur)
+                    if any_crash:
+                        cur[crashed_nc] = 0
 
             np.logical_or(
                 flag_continue,
-                (k_last > prev_kt) & (k_last > threshold),
+                (k_last > prev_kt) & (k_last > thr_floor),
                 out=flag_continue,
             )
-            if config.count_messages:
+            if per_node and config.count_messages:
                 msg_senders += ukernel.segment_sum(sent_rounds, dtype=np.int64)
-                if count_records:
-                    msg_records += ukernel.segment_sum(record_rounds, dtype=np.int64)
+            if count_records:
+                msg_records += ukernel.segment_sum(record_rounds, dtype=np.int64)
 
             # --- between-subphase adaptation (mobility, re-planning) -----
             if traffic_nb is not None:
@@ -1708,7 +1557,7 @@ def _run_union_byzantine_group(
 
         if config.count_messages:
             meters.add_messages(live_ids, (msg_senders * d)[alive_live])
-            if config.verification:
+            if verify:
                 meters.add_messages(
                     live_ids,
                     (2 * msg_records * witness_cap[:, None])[alive_live],
@@ -1723,9 +1572,8 @@ def _run_union_byzantine_group(
         dec_rows[newly] = phase
         decided[live] = dec_rows
         if config.record_phase_trace:
+            newly_counts = np.add.reduceat(newly, offsets[:-1], axis=1, dtype=np.int64)
             for g in range(blocks):
-                lo, hi = int(offsets[g]), int(offsets[g + 1])
-                newly_counts = np.count_nonzero(newly[:, lo:hi], axis=1)
                 for row, col in enumerate(live):
                     if not alive_live[g, row]:
                         continue
@@ -1734,7 +1582,7 @@ def _run_union_byzantine_group(
                             phase=phase,
                             subphases=n_sub,
                             flooding_rounds=n_sub * phase,
-                            newly_decided=int(newly_counts[row]),
+                            newly_decided=int(newly_counts[row, g]),
                             active_before=int(counts[g, row]),
                             injections_accepted=int(phase_inj_acc[g, row]),
                             injections_rejected=int(phase_inj_rej[g, row]),

@@ -121,20 +121,14 @@ class FloodKernel:
         self.sizes: tuple[int, ...] = (self.n,)
         self.offsets: Int64Array = np.array([0, self.n], dtype=np.int64)
 
-    def segment_count_nonzero(
-        self, values: AnyArray, out: Int64Array | None = None
-    ) -> Int64Array:
+    def segment_count_nonzero(self, values: AnyArray) -> Int64Array:
         """Per-(block, column) nonzero counts of an ``(N, B)`` matrix.
 
         One segmented ``reduceat`` over ``values != 0``, mirroring
         :meth:`segment_sum` — the per-block Python loop this replaces cost
         a kernel dispatch per block per round.
         """
-        counts = np.add.reduceat(values != 0, self.offsets[:-1], axis=0, dtype=np.int64)
-        if out is None:
-            return counts
-        np.copyto(out, counts)
-        return out
+        return np.add.reduceat(values != 0, self.offsets[:-1], axis=0, dtype=np.int64)
 
     def segment_sum(self, values: AnyArray, dtype: Any = None) -> AnyArray:
         """Per-(block, column) sums of an ``(N, B)`` numeric matrix.

@@ -12,8 +12,8 @@ reported number.
 import numpy as np
 import pytest
 
-from repro.adversary import placement_for_delta
-from repro.adversary.base import Adversary, SubphasePlan
+from repro.adversary import placement_for_delta, random_placement
+from repro.adversary.base import Adversary, Injection, SubphasePlan
 from repro.core import (
     ADVERSARIES,
     CountingConfig,
@@ -128,6 +128,26 @@ class _StatefulScalarAdversary(Adversary):
     def subphase_plan(self, state):
         self.calls += 1
         return SubphasePlan(initial_colors=None, injections=[], relay=self.calls % 2 == 0)
+
+
+class _PulseAdversary(Adversary):
+    """From phase 3 on, never relays but re-sends a round-1 injection.
+
+    Such a node sends 40 in round 1 and nothing after, so a neighbor that
+    is still undecided typically hears 40 in round 1, less in round 2 and
+    40 again (relayed back) in round 3: its receives are not monotone over
+    the rounds, and the engines must keep ``prev_kt`` as an explicit
+    running max rather than read it off round ``phase - 1``.  (Earlier
+    phases relay honestly, so those neighbors are not decided early.)
+    """
+
+    name = "pulse"
+
+    def subphase_plan(self, state):
+        if state.phase < 3:
+            return SubphasePlan(initial_colors=None, injections=[], relay=True)
+        inj = Injection(t=1, nodes=state.byz_nodes, value=40)
+        return SubphasePlan(initial_colors=None, injections=[inj], relay=False)
 
 
 class TestByzantineBatchedEquivalence:
@@ -291,6 +311,20 @@ class TestByzantineBatchedEquivalence:
             config=cfg,
             adversary_factory=SelfRngScalarAdversary(),
             byz_mask=byz,
+        )
+        for a, b in zip(seq, bat):
+            assert_trial_equal(a, b)
+
+    def test_suppressed_resends_match_sequential(self, net_small):
+        cfg = CountingConfig(max_phase=12)
+        byz = random_placement(net_small.n, 3, rng=4)
+        seeds = [20, 21, 22]
+        seq = [
+            run_counting(net_small, cfg, seed=s, adversary=_PulseAdversary(), byz_mask=byz)
+            for s in seeds
+        ]
+        bat = run_counting_batch(
+            net_small, seeds, config=cfg, adversary_factory=_PulseAdversary, byz_mask=byz
         )
         for a, b in zip(seq, bat):
             assert_trial_equal(a, b)

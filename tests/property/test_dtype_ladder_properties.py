@@ -8,7 +8,8 @@ when a plan value leaves int32 (see :mod:`repro.core.batch`).  These
 tests pin the ladder end-to-end by spying on every flood-kernel
 max-reduction (the only place color state crosses the wire): honest runs
 hand the kernel one-byte state, built-in strategies never exceed int32,
-and each forced widening (a large draw, a mid-phase injection, a negative
+and each forced widening (a large draw, a mid-phase injection, an
+injection that only the channel's noise pushes past int8, a negative
 initial color, a huge noise amplitude, an out-of-int32 plan) shows up at
 the kernel.  Every narrow run is also compared bit for bit with the same
 run forced to int32 through the ladder helper, which is the historical
@@ -309,3 +310,31 @@ def test_adversaries_see_int64_colors_in_an_int8_phase():
         assert dtype == np.int64
         if subphase == 1:  # the subphase holding the forced 127
             assert np.all(next_color == 128)
+
+
+class _Injector126(Adversary):
+    """Injects 126 at every Byzantine node in round 1 of every subphase."""
+
+    def batch_subphase_plan(self, state):
+        inj = Injection(t=1, nodes=state.byz_nodes, value=126)
+        return BatchSubphasePlan(injections=[[inj] for _ in range(state.batch)])
+
+
+@pytest.mark.parametrize("noise_amp, itemsize", [(0, 1), (2, 2)])
+def test_lossy_byzantine_injection_widens_through_noise(noise_amp, itemsize):
+    # 126 fits int8, but a channel adds up to noise_amp per round, so the
+    # plan bound plus noise (126 + 2 * phase) must move the state to int16;
+    # with the same channel minus its noise the state stays int8.
+    net = build_small_world(96, 8, seed=10)
+    byz = random_placement(96, 3, rng=4)
+    channel = ChannelModel(loss_p=0.1, noise_p=0.2, noise_amp=noise_amp)
+    seen = _ladder_and_int32(
+        lambda: run_counting_batch(
+            net,
+            seeds=[15, 16],
+            adversary_factory=_Injector126,
+            byz_mask=byz,
+            channel=channel,
+        )
+    )
+    assert seen and set(seen) == {itemsize}

@@ -128,12 +128,6 @@ class TestKernelSegments:
             lo, hi = int(uk.offsets[g]), int(uk.offsets[g + 1])
             assert np.array_equal(nz[g], np.count_nonzero(values[lo:hi], axis=0))
             assert np.array_equal(sums[g], values[lo:hi].sum(axis=0))
-        # The out= contract: results land in the caller's buffer, equal to
-        # the allocating path (the segmented-reduceat rewrite must honor
-        # both) and the buffer itself is returned.
-        nz_buf = np.empty_like(nz)
-        assert uk.segment_count_nonzero(values, out=nz_buf) is nz_buf
-        assert np.array_equal(nz_buf, nz)
 
 
 class TestEngineUnionStack:
