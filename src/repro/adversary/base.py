@@ -228,7 +228,7 @@ class BatchSubphasePlan:
     relay: BoolArray | bool = True
 
 
-@dataclass
+@dataclass(init=False)
 class BatchSubphaseState:
     """The ``B``-trial analogue of :class:`SubphaseState`.
 
@@ -242,7 +242,11 @@ class BatchSubphaseState:
 
     ``honest_colors`` is always int64, as in the scalar runner, whatever
     narrow dtype the engine's own state runs in this phase: plan
-    arithmetic such as ``global_max_colors() + 1`` never wraps.
+    arithmetic such as ``global_max_colors() + 1`` never wraps.  It may be
+    given as an array or as a zero-argument callable returning one; the
+    engine passes a callable over its own copy of the subphase's colors,
+    so the int64 matrix is built on the first read (most strategies never
+    read it) and, once built, kept.
     """
 
     phase: int
@@ -252,10 +256,46 @@ class BatchSubphaseState:
     network: "SmallWorldNetwork"
     byz_nodes: IntArray
     trials: IntArray
-    honest_colors: IntArray
     decided_phase: IntArray
     crashed: BoolArray
     rngs: tuple[np.random.Generator, ...]
+
+    def __init__(
+        self,
+        phase: int,
+        subphase: int,
+        rounds: int,
+        k: int,
+        network: "SmallWorldNetwork",
+        byz_nodes: IntArray,
+        trials: IntArray,
+        honest_colors: IntArray | Callable[[], IntArray],
+        decided_phase: IntArray,
+        crashed: BoolArray,
+        rngs: tuple[np.random.Generator, ...],
+    ) -> None:
+        self.phase = phase
+        self.subphase = subphase
+        self.rounds = rounds
+        self.k = k
+        self.network = network
+        self.byz_nodes = byz_nodes
+        self.trials = trials
+        self.honest_colors = honest_colors
+        self.decided_phase = decided_phase
+        self.crashed = crashed
+        self.rngs = rngs
+
+    @property
+    def honest_colors(self) -> IntArray:
+        colors = self._honest_colors
+        if callable(colors):
+            colors = self._honest_colors = colors()
+        return colors
+
+    @honest_colors.setter
+    def honest_colors(self, value: IntArray | Callable[[], IntArray]) -> None:
+        self._honest_colors = value
 
     @property
     def n(self) -> int:

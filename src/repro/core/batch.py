@@ -179,6 +179,7 @@ unaffected.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -1130,6 +1131,13 @@ def _union_placement_groups(
     return groups
 
 
+def _honest_int64(
+    rows: AnyArray, sel: IntArray, n_rows: int, honest_nodes: IntArray
+) -> Int64Array:
+    """A placement group's honest colors, ``rows[honest_nodes, sel]`` in int64."""
+    return _col_block(rows, sel, n_rows)[honest_nodes].astype(np.int64)
+
+
 def _col_block(mat: AnyArray, sel: IntArray, n_rows: int) -> AnyArray:
     """``mat[:n_rows, sel]`` — a view when ``sel`` is one contiguous run."""
     if sel.shape[0] and int(sel[-1]) - int(sel[0]) + 1 == sel.shape[0]:
@@ -1341,16 +1349,20 @@ def _run_config_group(
             suppressed_resend: list[tuple[Any, ...]] = []
             plan_max = 0
             plan_min = 0
+            # Adversaries see int64 colors whatever the state's rung, as in
+            # the scalar runner: plan arithmetic such as ``max + 1`` must
+            # not wrap in a narrow dtype.  Most never look, so every state
+            # shares one narrow copy of this subphase's colors (plans are
+            # applied only after all groups have planned) and widens its
+            # own honest rows on first read.
+            shown = cur.copy() if groups else cur
             for grp in groups:
                 if grp.byz_nodes.size == 0 or grp.sel.shape[0] == 0:
                     continue
                 sel = grp.sel
-                # Adversaries see int64 colors whatever the state's rung,
-                # as in the scalar runner: plan arithmetic such as
-                # ``max + 1`` must not wrap in a narrow dtype.
-                g_colors = _col_block(cur[grp.lo : grp.hi], sel, grp.n)[
-                    grp.honest_nodes
-                ].astype(np.int64)
+                g_colors = functools.partial(
+                    _honest_int64, shown[grp.lo : grp.hi], sel, grp.n, grp.honest_nodes
+                )
                 state = BatchSubphaseState(
                     phase=phase,
                     subphase=sub,

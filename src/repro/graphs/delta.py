@@ -20,7 +20,9 @@ structures incrementally instead:
 * ``L`` lives as per-node adjacency chunks (``B_H(v, k) \\ {v}`` with
   distances, the rows :func:`repro.graphs.smallworld.k_balls` produces).
   After patching ``H``, only the chunks the delta could have touched are
-  recomputed, in one :func:`~repro.graphs.smallworld.k_balls` call.
+  recomputed, in one :func:`~repro.graphs.smallworld.k_balls` call over
+  the patched ``H`` (still ``d``-regular, which that pass requires: it
+  reads the CSR as an ``(n, d)`` table).
   ``B(v, k)`` changes only if some path of
   length ``<= k`` from ``v`` uses a changed edge; following that path
   from ``v``, the prefix up to the *first* changed edge uses only

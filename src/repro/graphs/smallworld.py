@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from .._types import Int64Array, Int8Array, IntArray, SeedLike
-from .balls import bfs_distances, gather_neighbors
+from .balls import bfs_distances
 from .hgraph import HGraph, generate_hgraph
 
 __all__ = [
@@ -181,9 +181,18 @@ def build_small_world(
 
 #: Sources :func:`k_balls` expands together.  A fixed block bounds the
 #: working set near one block's balls rather than all ``n`` of them, and
-#: keeps the block's tagged pair keys in ``int32`` while
-#: ``2 * _BLOCK * n < 2**31`` (``n`` up to 8M nodes).
+#: keeps the block's packed keys in ``int32`` while they fit (see
+#: :func:`_key_dtype`; ``n`` up to ~2M nodes at ``k = 3``).
 _BLOCK = 128
+
+
+def _key_dtype(span: int, k: int) -> type[np.signedinteger[Any]]:
+    """Key dtype for ``span = block * n`` visited pairs expanded to depth ``k``.
+
+    The last depth packs ``(row * n + node) << s | dist`` with
+    ``s = k.bit_length()``; ``int32`` holds that with a bit to spare.
+    """
+    return np.int32 if span << (k.bit_length() + 1) < 2**31 else np.int64
 
 
 def k_balls(
@@ -199,28 +208,39 @@ def k_balls(
     delta touched.  Each row depends only on its ball's membership and
     distances, never on which other sources share the call.
 
-    Sources expand breadth-first together, ``_BLOCK`` at a time.  A visited
-    pair ``(row, u)`` is the integer key ``row * n + u``.  Each depth
-    gathers the frontier's neighbors in one ragged pass, then one sort plus
+    ``H`` is ``d``-regular (a union of ``d/2`` Hamiltonian cycles), so the
+    CSR is read as an ``(n, d)`` table; a CSR whose degree is not uniform
+    raises ``ValueError``.  Sources expand breadth-first together,
+    ``_BLOCK`` at a time, and a visited pair ``(row, u)`` is the integer
+    key ``row * n + u``.  Each depth below ``k`` gathers the frontier's
+    neighbors with one row ``take`` on the table, then one sort plus
     adjacent-unequal mask both deduplicates the candidate keys and drops
     those already in the previous two layers (a neighbor of a depth-``t``
     node lies at depth ``t - 1``, ``t`` or ``t + 1``, so older layers
-    cannot recur).  One argsort over all fresh keys then yields rows in
-    order and ids sorted within each row.
+    cannot recur).  Depth ``k`` needs no layer of its own: every earlier
+    layer and the depth-``k`` candidates are packed as
+    ``key << s | dist`` and sorted once, so the first copy of each key
+    carries its least distance, and keeping first copies yields rows in
+    order, ids sorted within each row, and their distances.
     """
     n = indptr.shape[0] - 1
     srcs = np.asarray(sources, dtype=np.int64)
+    deg = np.diff(indptr)
+    if deg.size and np.any(deg != deg[0]):
+        raise ValueError("k_balls needs a CSR of uniform degree (H is d-regular)")
+    g_indptr = np.zeros(srcs.shape[0] + 1, dtype=np.int64)
+    if not srcs.size:
+        return g_indptr, np.empty(0, np.int64), np.empty(0, np.int8)
+    key_t = _key_dtype(min(_BLOCK, srcs.shape[0]) * n, k)
+    adj = indices[indptr[0] : indptr[-1]].astype(key_t).reshape(n, int(deg[0]))
     counts: list[Int64Array] = []
     id_parts: list[IntArray] = []
     dist_parts: list[Int8Array] = []
     for lo in range(0, srcs.shape[0], _BLOCK):
-        c, ids, dists = _block_balls(indptr, indices, srcs[lo : lo + _BLOCK], k, n)
+        c, ids, dists = _block_balls(adj, srcs[lo : lo + _BLOCK].astype(key_t), k)
         counts.append(c)
         id_parts.append(ids)
         dist_parts.append(dists)
-    g_indptr = np.zeros(srcs.shape[0] + 1, dtype=np.int64)
-    if not counts:
-        return g_indptr, np.empty(0, np.int64), np.empty(0, np.int8)
     np.cumsum(np.concatenate(counts), out=g_indptr[1:])
     g_indices = np.concatenate(id_parts, dtype=np.int64)
     g_dist = np.concatenate(dist_parts)
@@ -228,18 +248,16 @@ def k_balls(
 
 
 def _block_balls(
-    indptr: IntArray, indices: IntArray, block: Int64Array, k: int, n: int
+    adj: IntArray, block: IntArray, k: int
 ) -> tuple[Int64Array, IntArray, Int8Array]:
     """One block of :func:`k_balls`: per-row counts, sorted ids, distances."""
-    b = block.shape[0]
-    key_t = np.int32 if 2 * b * n < 2**31 else np.int64
-    f_rows = np.arange(b, dtype=key_t)
-    frontier = block.astype(key_t)
-    layers = [f_rows * n + frontier]  # depth 0: the sources themselves
-    for _ in range(k):
-        deg = indptr[frontier + 1] - indptr[frontier]
-        cand = gather_neighbors(indptr, indices, frontier).astype(key_t)
-        cand += np.repeat(f_rows * n, deg)
+    n, b = adj.shape[0], block.shape[0]
+    row_base = np.arange(b + 1, dtype=adj.dtype) * n  # row r's keys: [r*n, (r+1)*n)
+    base = row_base[:-1]  # row * n of each frontier node
+    frontier = block
+    layers = [base + frontier]  # depth 0: the sources themselves
+    for _ in range(k - 1):
+        cand = (adj.take(frontier, axis=0) + base[:, None]).ravel()
         # Tag keys already seen even and candidates odd: after one sort each
         # key's copies sit together, a seen copy first, so a key is fresh
         # exactly when its group starts with a candidate.
@@ -248,20 +266,30 @@ def _block_balls(
         group = tagged >> 1
         fresh_mask = (tagged & 1).astype(bool)
         fresh_mask[1:] &= group[1:] != group[:-1]
-        fresh = group[fresh_mask]
-        if not fresh.size:
-            break
+        fresh = np.compress(fresh_mask, group)
         layers.append(fresh)
-        f_rows = fresh // n
-        frontier = fresh - f_rows * n
-    sizes = [layer.shape[0] for layer in layers[1:]]
-    keys = np.concatenate(layers[1:]) if sizes else np.empty(0, key_t)
-    dists = np.repeat(np.arange(1, len(layers), dtype=np.int8), sizes)
-    order = np.argsort(keys)
-    keys = keys[order]
-    key_rows = keys // n
-    counts = np.bincount(key_rows, minlength=b).astype(np.int64, copy=False)
-    return counts, keys - key_rows * n, dists[order]
+        base = np.repeat(row_base[:-1], np.diff(np.searchsorted(fresh, row_base)))
+        frontier = fresh - base
+    # Depth k: pack every layer with its distance, plus the candidates at
+    # distance k, and keep the first (least-distance) copy of each key
+    # unless that copy is the source itself (distance 0).
+    s = k.bit_length()
+    cand = (adj.take(frontier, axis=0) + base[:, None]).ravel()
+    packed = np.concatenate(
+        [layer << s | t for t, layer in enumerate(layers)] + [cand << s | k]
+    )
+    packed.sort()
+    group = packed >> s
+    keep = np.empty(packed.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(group[1:], group[:-1], out=keep[1:])
+    dist_mask = (1 << s) - 1
+    keep &= (packed & dist_mask) != 0
+    kept = np.compress(keep, packed)
+    keys = kept >> s
+    counts = np.diff(np.searchsorted(keys, row_base)).astype(np.int64, copy=False)
+    ids = keys - np.repeat(row_base[:-1], counts)
+    return counts, ids, (kept & dist_mask).astype(np.int8)
 
 
 def ball_chunk(

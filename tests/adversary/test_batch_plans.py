@@ -1,8 +1,8 @@
 """Unit tests for the batched adversary protocol (adversary/base.py).
 
 Covers :class:`Injection` validation (the satellite hardening), plan
-stacking, batch-state column views, native-batch detection, and the
-per-trial fallback wrapper.
+stacking, batch-state column views, the engine's lazily widened honest
+colors, native-batch detection, and the per-trial fallback wrapper.
 """
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 
 from repro.adversary.base import (
     Adversary,
+    BatchSubphasePlan,
     BatchSubphaseState,
     HonestAdversary,
     Injection,
@@ -18,12 +19,14 @@ from repro.adversary.base import (
     has_native_batch,
     stack_subphase_plans,
 )
+from repro.adversary.placement import random_placement
 from repro.adversary.strategies import (
     EarlyStopAdversary,
     InflationAdversary,
     SuppressionAdversary,
 )
 from repro.core import CountingConfig, make_adversary, run_counting
+from repro.core.batch import _honest_int64, run_counting_batch
 from repro.sim.rng import stream
 
 
@@ -151,6 +154,66 @@ class TestBatchState:
         state = _batch_state(net_small, np.array([5]), 2)
         state.honest_colors = np.empty((0, 2), dtype=np.int64)
         assert state.global_max_colors().tolist() == [0, 0]
+
+
+class _KeepStates(Adversary):
+    """Keeps every state it is shown; copies ``honest_colors`` at plan
+    time only when ``eager`` (a class flag, since the engine builds one
+    instance per placement group)."""
+
+    eager = False
+    kept: list = []
+
+    def batch_subphase_plan(self, state):
+        snap = state.honest_colors.copy() if _KeepStates.eager else None
+        _KeepStates.kept.append((state, snap))
+        return BatchSubphasePlan()
+
+
+class TestLazyHonestColors:
+    def test_callable_is_built_once_on_first_read(self, net_small):
+        state = _batch_state(net_small, np.array([5]), 2)
+        calls = []
+        want = np.arange(2 * (net_small.n - 1)).reshape(-1, 2)
+        state.honest_colors = lambda: calls.append(1) or want
+        assert not calls
+        assert state.global_max_colors().tolist() == want.max(axis=0).tolist()
+        assert state.honest_colors is want
+        assert len(calls) == 1
+
+    def _run(self, net, eager):
+        _KeepStates.eager, _KeepStates.kept = eager, []
+        # Two placements alternate over the trials, so one group's columns
+        # are not one contiguous run.
+        a, b = random_placement(net.n, 4, rng=5), random_placement(net.n, 4, rng=6)
+        res = run_counting_batch(
+            net, seeds=[3, 4, 5], adversary_factory=_KeepStates, byz_mask=[a, b, a]
+        )
+        return res, _KeepStates.kept
+
+    def test_late_read_equals_plan_time_copy(self, net_small):
+        eager_res, eager = self._run(net_small, eager=True)
+        late_res, late = self._run(net_small, eager=False)
+        assert np.array_equal(eager_res.decided_matrix(), late_res.decided_matrix())
+        assert len(late) == len(eager) > 1
+        for (_, snap), (state, _) in zip(eager, late):
+            # Read only now, after the engine has overwritten its state
+            # with later subphases' colors and floods.
+            assert state.honest_colors.dtype == np.int64
+            assert np.array_equal(state.honest_colors, snap)
+
+    def test_unread_state_does_no_gather(self, net_small, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _honest_int64(*args)
+
+        monkeypatch.setattr("repro.core.batch._honest_int64", counted)
+        self._run(net_small, eager=False)
+        assert not calls
+        self._run(net_small, eager=True)
+        assert calls
 
 
 class TestNativeBatchDetection:

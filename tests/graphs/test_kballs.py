@@ -21,7 +21,7 @@ from repro.graphs import (
     lattice_parameter,
 )
 from repro.graphs.balls import bfs_distances
-from repro.graphs.smallworld import _BLOCK, k_balls
+from repro.graphs.smallworld import _BLOCK, _key_dtype, k_balls
 
 
 def oracle_csr(indptr, indices, sources, k):
@@ -74,6 +74,39 @@ class TestBuildAgainstOracle:
     )
     def test_sizes_around_block(self, n):
         assert_build_matches_oracle(build_small_world(n, 6, seed=n))
+
+
+class TestKeyDtype:
+    def test_int32_until_the_packed_key_overflows(self):
+        # k=3 packs dist in s=2 bits; the choice keeps one bit spare.
+        assert _key_dtype(2**28 - 1, 3) is np.int32
+        assert _key_dtype(2**28, 3) is np.int64
+        assert _key_dtype(2**29 - 1, 1) is np.int32
+        assert _key_dtype(2**29, 1) is np.int64
+
+    @pytest.mark.parametrize("d", [4, 6, 8, 10])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_int64_keys_match_int32(self, monkeypatch, d, k):
+        # int64 keys need n of ~2M nodes for real; force them instead.
+        h = generate_hgraph(150, d, seed=d * 10 + k)
+        sources = np.arange(h.n, dtype=np.int64)
+        narrow = k_balls(h.indptr, h.indices, sources, k)
+        assert _key_dtype(min(_BLOCK, h.n) * h.n, k) is np.int32
+        monkeypatch.setattr(
+            "repro.graphs.smallworld._key_dtype", lambda span, k: np.int64
+        )
+        wide = k_balls(h.indptr, h.indices, sources, k)
+        assert_csr_identical(wide, narrow)
+        assert_csr_identical(wide, oracle_csr(h.indptr, h.indices, sources, k))
+
+
+class TestNonUniformDegree:
+    def test_ragged_csr_is_rejected(self):
+        # A path 0-1-2: degrees 1, 2, 1.
+        indptr = np.array([0, 1, 3, 4], dtype=np.int64)
+        indices = np.array([1, 0, 2, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match="uniform degree"):
+            k_balls(indptr, indices, np.array([0], dtype=np.int64), 1)
 
 
 class TestSourceSubsets:
