@@ -41,11 +41,12 @@ one network, in four workloads:
   pays once per trial per round, and the two agree bit for bit;
 * **service** — a continuous-estimation deployment under churn: E epochs
   of (estimate B trials, then churn the overlay) through the resident
-  engine (:class:`repro.service.ResidentEngine` — incremental CSR
-  patches, warm flood kernel) vs the cold per-epoch loop (rebuild +
-  re-validate the graph and a fresh kernel every epoch).  The gated
-  speedup is cold/resident; the entry also records sustained
-  queries/sec under churn for both paths;
+  engine (:class:`repro.service.ResidentEngine` — cycle splice plus one
+  ``G`` rebuild per delta, warm flood kernel) vs the cold per-epoch loop
+  (rebuild the graph from its cycles and a fresh kernel every epoch).
+  Both paths rebuild ``G`` once per epoch, so the gated speedup
+  (cold/resident) measures kernel and cache reuse only; the entry also
+  records sustained queries/sec under churn for both paths;
 * **baseline** — the geometric-max estimator, scalar vs trials-as-columns
   batch.
 
@@ -109,10 +110,8 @@ MULTI_NS = (256, 512, 1024)
 #: without stalling them.
 LOSSY_CHANNEL = ChannelModel(loss_p=0.15, noise_p=0.05, noise_amp=2)
 SERVICE_EPOCHS = 4
-# Fraction of nodes replaced per epoch (>= 1 node).  Kept small on
-# purpose: churn between consecutive estimation rounds is a few nodes,
-# and the lattice's (k-1)-ball geometry makes the incremental patch
-# near-global once many nodes change at once (see repro.graphs.delta).
+# Fraction of nodes replaced per epoch (>= 1 node): churn between
+# consecutive estimation rounds is a few nodes, the service shape.
 SERVICE_CHURN = 0.001
 
 
@@ -263,10 +262,13 @@ def run_service_resident(
 ):
     """E epochs of (estimate, then churn) through the resident engine.
 
-    The engine keeps the graph and flood kernel warm: each epoch patches
-    the CSR incrementally (:class:`repro.graphs.delta.ResidentGraph`) and
-    rebinds the kernel in place.  The churn deltas derive from a fixed
-    seed stream, so every invocation replays the identical trajectory.
+    The engine keeps the flood kernel warm: each epoch splices the
+    overlay's cycles and rebuilds its CSR
+    (:class:`repro.graphs.delta.ResidentGraph`, the same ``G`` rebuild
+    the cold loop pays) and rebinds the kernel in place, so against
+    :func:`run_service_cold` this measures kernel and cache reuse only.
+    The churn deltas derive from a fixed seed stream, so every
+    invocation replays the identical trajectory.
     """
     engine = ResidentEngine(config=config)
     engine.add_overlay("svc", n=n, d=8, seed=3)
@@ -301,8 +303,8 @@ def run_service_cold(snapshots, seeds, config=CFG):
 
     Every epoch re-derives and re-validates the full graph from its
     Hamiltonian cycles (all lattice chunks recomputed) and builds a fresh
-    flood kernel — the work the resident engine's incremental patching
-    and kernel reuse avoid.
+    flood kernel — the kernel construction is what the resident engine's
+    reuse avoids.
     """
     out = []
     for net in snapshots:

@@ -177,14 +177,13 @@ def hgraph_from_cycles(cycles: Int64Array) -> HGraph:
     """Assemble an :class:`HGraph` from an explicit ``(d/2, n)`` cycle array.
 
     This is the CSR-assembly half of :func:`generate_hgraph`, split out so
-    callers that *derive* cycles some other way — the incremental churn
-    layer (:mod:`repro.graphs.delta`) snapshots its patched cycles through
-    here — produce adjacency bit-for-bit identical to a sampled graph with
-    the same cycles.  The row ordering contract this establishes (and
-    which :class:`~repro.graphs.delta.ResidentGraph` relies on): row ``v``
-    is ``[succ_0(v), pred_0(v), succ_1(v), pred_1(v), ...]``, one
-    successor/predecessor pair per cycle in cycle order — the stable
-    argsort keeps the per-cycle append order within each row.
+    callers that *derive* cycles some other way — the churn layer
+    (:mod:`repro.graphs.delta`) rebuilds each post-delta ``H`` from its
+    spliced cycles here — produce adjacency bit-for-bit identical to a
+    sampled graph with the same cycles.  Row ``v`` is ``[succ_0(v),
+    pred_0(v), succ_1(v), pred_1(v), ...]``, one successor/predecessor pair
+    per cycle in cycle order — the stable argsort keeps the per-cycle
+    append order within each row.
     """
     cycles = np.ascontiguousarray(cycles, dtype=np.int64)
     if cycles.ndim != 2:

@@ -204,9 +204,9 @@ def k_balls(
     ball of ``sources[i]``: ``int64`` offsets, ``int64`` node ids sorted
     within each row, and ``int8`` distances ``dist_H(v, u)`` in ``[1, k]``.
     :func:`build_small_world` passes every node, so the result is the ``G``
-    CSR; :class:`repro.graphs.delta.ResidentGraph` passes the nodes a churn
-    delta touched.  Each row depends only on its ball's membership and
-    distances, never on which other sources share the call.
+    CSR; :func:`ball_chunk` passes one.  Each row depends only on its
+    ball's membership and distances, never on which other sources share
+    the call.
 
     ``H`` is ``d``-regular (a union of ``d/2`` Hamiltonian cycles), so the
     CSR is read as an ``(n, d)`` table; a CSR whose degree is not uniform
@@ -299,10 +299,8 @@ def ball_chunk(
 
     Returns ``(neighbors, dists)`` — the sorted node ids within ``H``
     distance ``<= k`` of ``v`` (excluding ``v``) and their exact
-    distances.  This is the one-source case of :func:`k_balls`, the unit
-    :func:`build_small_world` lays out row by row in the ``G`` CSR and
-    :class:`repro.graphs.delta.ResidentGraph` recomputes for nodes whose
-    ``k``-ball a join/leave delta touched.
+    distances.  This is the one-source case of :func:`k_balls`: row ``v``
+    of the ``G`` CSR that :func:`build_small_world` lays out.
     """
     _, nodes, dists = k_balls(indptr, indices, np.array([v], dtype=np.int64), k)
     return nodes, dists

@@ -8,11 +8,11 @@ overlays churn".  Three pieces:
   (which ids leave, how many join);
 * :class:`ResidentEngine` — keeps graphs
   (:class:`repro.graphs.delta.ResidentGraph`), flood kernels, and
-  union-stack payloads cached across epochs; a delta patches the CSR
-  incrementally and invalidates only the caches that contained the
-  mutated overlay.  Every estimation path delegates to the stock batch
-  entry points, so results stay bit-for-bit equal to cold per-epoch
-  runs;
+  union-stack payloads cached across epochs; a delta splices the
+  Hamiltonian cycles, rebuilds the CSR from them, and invalidates only
+  the caches that contained the mutated overlay.  Every estimation path
+  delegates to the stock batch entry points, so results stay
+  bit-for-bit equal to cold per-epoch runs;
 * :class:`EstimationService` — bounded-queue asyncio front fusing
   concurrent size queries into batched engine rounds, with churn
   commands as ordering barriers and a draining ``aclose()``.

@@ -6,8 +6,8 @@ trials *within* one call; this module amortizes the per-call setup across
 per registered overlay:
 
 * the mutable graph (:class:`repro.graphs.delta.ResidentGraph`) — a churn
-  delta patches the CSR incrementally instead of re-sampling and
-  re-validating from scratch;
+  delta splices the overlay's Hamiltonian cycles and rebuilds the CSR
+  from them, keeping the rest of the overlay instead of re-sampling it;
 * one warm :class:`~repro.sim.flood.FloodKernel` — rebound in place via
   :meth:`~repro.sim.flood.FloodKernel.update_csr` after each delta, which
   invalidates exactly the stale gather plans (cache rule: a delta on
@@ -23,7 +23,7 @@ per registered overlay:
 Caching is a *speed* layer only: every estimation path delegates to the
 stock batch entry points with the cached objects passed through their
 ``kernel=`` / container hooks, so results are bit-for-bit equal to cold
-per-epoch runs (pinned by ``tests/service/test_engine.py``).
+per-epoch runs (pinned by ``tests/service/test_service_engine.py``).
 
 Sharded execution (``jobs > 1``) threads the engine's
 :class:`repro.exec.RetryPolicy` / :class:`repro.exec.ExecutionReport`
@@ -174,10 +174,10 @@ class ResidentEngine:
     ) -> AppliedDelta:
         """Apply one join/leave delta and rebind the overlay's kernel.
 
-        The incremental patch (:meth:`repro.graphs.delta.ResidentGraph
-        .apply_delta`) recomputes only the adjacency chunks the delta
-        touched; :meth:`~repro.sim.flood.FloodKernel.update_csr` then
-        re-points the warm kernel and drops its stale gather plans.
+        :meth:`repro.graphs.delta.ResidentGraph.apply_delta` splices the
+        cycles and rebuilds the overlay's CSR from them;
+        :meth:`~repro.sim.flood.FloodKernel.update_csr` then re-points the
+        warm kernel and drops its stale gather plans.
         Union stacks are keyed by overlay versions, which only grow, so
         the stacks that contained this overlay can never be hit again:
         they are evicted here, releasing the old snapshots they hold.

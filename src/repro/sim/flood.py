@@ -158,10 +158,10 @@ class FloodKernel:
         self._take = None
 
     def update_csr(self, indptr: IntArray, indices: IntArray) -> None:
-        """Re-point the kernel at a patched adjacency, keeping the backend.
+        """Re-point the kernel at a new adjacency, keeping the backend.
 
-        The resident churn engine (:mod:`repro.service`) patches overlay
-        CSRs incrementally across epochs; rebinding the existing kernel
+        The resident churn engine (:mod:`repro.service`) replaces overlay
+        CSRs across epochs; rebinding the existing kernel
         revalidates the new adjacency, recomputes the degree metadata, and
         invalidates exactly the cached plans — cheaper than constructing a
         kernel per epoch and a precise answer to "which caches does a

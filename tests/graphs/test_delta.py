@@ -1,4 +1,4 @@
-"""ResidentGraph: incremental churn patches equal cold rebuilds.
+"""ResidentGraph: churn deltas equal cold rebuilds.
 
 The resident engine's bit-for-bit guarantee bottoms out here: after any
 sequence of join/leave deltas, :meth:`ResidentGraph.snapshot` must equal
@@ -79,34 +79,31 @@ class TestDeltaEqualsColdRebuild:
         assert rg.version == 2
 
 
-class TestLocality:
-    def test_small_delta_recomputes_partial_ball(self):
-        # One replacement on a large sparse ring: the (k-1)-ball affected
-        # set must stay well below the full graph.
+class TestRebuild:
+    def test_small_delta_recomputes_every_row(self):
+        # Every delta rebuilds G in one all-sources k_balls pass, so the
+        # report counts every row of the post-delta network.
         rg = ResidentGraph.sample(4096, 8, seed=5)
         applied = rg.apply_delta([100], 1, make_rng(9))
-        assert 0 < applied.recomputed < rg.n // 2
         snap = rg.snapshot()
+        assert applied.recomputed == snap.n
         assert_net_equal(snap, cold_rebuild(snap))
 
     @pytest.mark.parametrize(
-        "n,d,seed,leaves,joins,rng_seed,recomputed",
+        "n,d,seed,leaves,joins,rng_seed",
         [
-            (512, 8, 5, [100], 1, 9, 425),
-            (300, 6, 2, [7, 150, 299], 2, 4, 139),
+            (512, 8, 5, [100], 1, 9),
+            (300, 6, 2, [7, 150, 299], 2, 4),
         ],
     )
-    def test_patched_chunks_equal_per_node_ball_chunk(
-        self, n, d, seed, leaves, joins, rng_seed, recomputed
+    def test_rows_equal_per_node_ball_chunk(
+        self, n, d, seed, leaves, joins, rng_seed
     ):
-        # The patch recomputes its affected set in one all-sources pass;
-        # every resident chunk must still equal the one-source ball_chunk
-        # on the patched H, and the affected set (pinned count) must not
-        # grow, so the patch stays local.
+        # Every G row must equal the one-source ball_chunk on the new H.
         rg = ResidentGraph.sample(n, d, seed=seed)
         applied = rg.apply_delta(leaves, joins, make_rng(rng_seed))
-        assert applied.recomputed == recomputed
         snap = rg.snapshot()
+        assert applied.recomputed == snap.n
         for v in range(snap.n):
             nodes, dists = ball_chunk(snap.h.indptr, snap.h.indices, v, snap.k)
             assert snap.g_neighbors(v).dtype == nodes.dtype == np.int64
@@ -141,3 +138,19 @@ class TestValidation:
             rg.apply_delta([], -1, rng)
         with pytest.raises(ValueError):
             rg.apply_delta(range(38), 0, rng)  # would leave n < 3
+
+    def test_rejected_delta_changes_nothing(self):
+        rg = ResidentGraph.sample(40, 4, seed=0)
+        snap = rg.snapshot()
+        rng = make_rng(0)
+        with pytest.raises(TypeError, match="joins must be an integer"):
+            rg.apply_delta([3], 1.5, rng)
+        with pytest.raises(TypeError, match="leave ids must be integers"):
+            rg.apply_delta([2.9], 0, rng)  # no silent truncation to node 2
+        with pytest.raises(TypeError, match="leave ids must be integers"):
+            rg.apply_delta(np.array([True, False]), 0, rng)
+        assert (rg.n, rg.version) == (40, 0)
+        assert rg.snapshot() is snap
+        # Integer-like joins and empty leave lists are accepted.
+        rg.apply_delta([], np.int64(1), rng)
+        assert (rg.n, rg.version) == (41, 1)

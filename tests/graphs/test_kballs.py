@@ -117,8 +117,8 @@ class TestSourceSubsets:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_random_sorted_subsets(self, h, data):
-        # ResidentGraph recomputes a sorted affected set; every row must be
-        # the oracle's ball, whatever other sources share the call.
+        # A call over any sorted subset of sources gives every row the
+        # oracle's ball, whatever other sources share the call.
         k = data.draw(st.integers(1, 3), label="k")
         srcs = data.draw(
             st.lists(st.integers(0, h.n - 1), unique=True, max_size=_BLOCK + 30),
