@@ -38,22 +38,34 @@ variant of the same protocol:
   :class:`BatchSubphaseState` — the ``B``-column analogue of
   :class:`SubphaseState`, carrying a ``(n_honest, B)`` honest-color matrix,
   ``(n, B)`` decision/crash state, and the per-trial rng tuple — and
-  returns a :class:`BatchSubphasePlan` with a ``(byz, B)`` initial-color
-  matrix, per-trial injection schedules, and per-trial relay flags.
+  returns a :class:`BatchSubphasePlan` in dense array form: a ``(byz, B)``
+  initial-color matrix, a ``(T, byz, B)`` injection array whose layer
+  ``t - 1`` holds round ``t``'s injected value per (Byzantine row, trial)
+  with 0 meaning "no injection", a ``(T, B)`` count of the injections each
+  trial schedules per round (meters and the Lemma 16 counters charge
+  injections, not nodes), and a ``(B,)`` relay vector.  Rows follow
+  ``state.byz_nodes``; a plan names no node ids, so it cannot target an
+  honest node.
 
 The equivalence contract is *bit-for-bit*: column ``j`` of a batch plan
 must be exactly the plan the same adversary would produce for trial ``j``'s
-scalar state (the built-in strategies are all ported natively; see
+scalar state (the built-in strategies build the dense form natively; see
 ``tests/core/test_runner_batch.py``).  Scalar third-party adversaries keep
 working unchanged: the base-class :meth:`Adversary.batch_subphase_plan`
-is a generic per-column fallback that slices the batch state into scalar
-:class:`SubphaseState` views (:meth:`BatchSubphaseState.column`) and calls
-``subphase_plan`` once per trial — still several times faster end-to-end,
-because the flooding rounds stay batched.  Adversaries that keep *mutable
-per-run state* should be passed to the batch engine as a zero-argument
-factory; the engine then wraps them in :class:`PerTrialAdversaryBatch`,
-which maintains one scalar instance per trial exactly as the old
-sequential fallback did.
+is a generic per-column fallback that hands scalar :class:`SubphaseState`
+views (:meth:`BatchSubphaseState.column`, whose honest colors are widened
+only if the hook reads them) to ``subphase_plan`` once per trial, and
+:func:`stack_subphase_plans` — the one converter from scalar plans —
+maps their node ids to Byzantine rows, checking membership once per plan.
+Injection is a running maximum, so same-round injections at one node
+combine by ``max``; a trial that does not relay re-sends them
+last-writer-wins in list order instead, which the stacked plan carries in
+its ``resend`` array.  The fallback is still several times faster
+end-to-end than sequential runs, because the flooding rounds stay
+batched.  Adversaries that keep *mutable per-run state* should be passed
+to the batch engine as a zero-argument factory; the engine then wraps
+them in :class:`PerTrialAdversaryBatch`, which maintains one scalar
+instance per trial exactly as the old sequential fallback did.
 """
 
 from __future__ import annotations
@@ -184,9 +196,32 @@ class SubphasePlan:
     relay: bool = True
 
 
-@dataclass
-class SubphaseState:
-    """Full-information snapshot handed to the adversary each subphase."""
+class _LazyHonestColors:
+    """``honest_colors`` given as an array or as a zero-argument callable
+    returning one: the callable runs on the first read, and its result is
+    kept."""
+
+    _honest_colors: IntArray | Callable[[], IntArray]
+
+    @property
+    def honest_colors(self) -> IntArray:
+        colors = self._honest_colors
+        if callable(colors):
+            colors = self._honest_colors = colors()
+        return colors
+
+    @honest_colors.setter
+    def honest_colors(self, value: IntArray | Callable[[], IntArray]) -> None:
+        self._honest_colors = value
+
+
+@dataclass(init=False)
+class SubphaseState(_LazyHonestColors):
+    """Full-information snapshot handed to the adversary each subphase.
+
+    ``honest_colors`` may be given as an array or as a zero-argument
+    callable returning one, built on the first read.
+    """
 
     phase: int
     subphase: int
@@ -194,10 +229,33 @@ class SubphaseState:
     k: int
     network: "SmallWorldNetwork"
     byz_nodes: IntArray
-    honest_colors: IntArray
     decided_phase: IntArray
     crashed: BoolArray
     rng: np.random.Generator
+
+    def __init__(
+        self,
+        phase: int,
+        subphase: int,
+        rounds: int,
+        k: int,
+        network: "SmallWorldNetwork",
+        byz_nodes: IntArray,
+        honest_colors: IntArray | Callable[[], IntArray],
+        decided_phase: IntArray,
+        crashed: BoolArray,
+        rng: np.random.Generator,
+    ) -> None:
+        self.phase = phase
+        self.subphase = subphase
+        self.rounds = rounds
+        self.k = k
+        self.network = network
+        self.byz_nodes = byz_nodes
+        self.honest_colors = honest_colors
+        self.decided_phase = decided_phase
+        self.crashed = crashed
+        self.rng = rng
 
     @property
     def n(self) -> int:
@@ -213,7 +271,9 @@ class BatchSubphasePlan:
     """Per-trial Byzantine behavior for one subphase of a batched run.
 
     Column ``j`` of every field must equal the :class:`SubphasePlan` the
-    adversary would emit for trial ``j`` run sequentially.
+    adversary would emit for trial ``j`` run sequentially.  Byzantine rows
+    follow ``state.byz_nodes``; values are int64 (the engine validates
+    shapes and signs before applying anything).
     """
 
     #: ``(byz, B)`` initial-color matrix, or None when no trial generates.
@@ -221,15 +281,25 @@ class BatchSubphasePlan:
     #: all-zero column (identical engine behavior: Byzantine state starts
     #: at the 0 sentinel either way).
     initial_colors: IntArray | None = None
-    #: Per-trial injection schedules (``injections[j]`` drives trial ``j``);
-    #: None means no trial injects.
-    injections: list[list[Injection]] | None = None
+    #: ``(T, byz, B)`` injected values: layer ``t - 1`` is round ``t``, 0
+    #: means no injection, and rounds past ``T`` (or past the subphase)
+    #: inject nothing.  None means no trial injects.
+    injections: Int64Array | None = None
+    #: ``(T, B)`` number of injections trial ``j`` schedules in round ``t``
+    #: (what the accepted/rejected counters and meters charge); required
+    #: with ``injections``.
+    counts: Int64Array | None = None
     #: Per-trial relay flags (``(B,)`` bool array) or one shared bool.
     relay: BoolArray | bool = True
+    #: ``(T, byz, B)`` values a non-relaying trial re-sends each round,
+    #: when they differ from ``injections`` (several same-round injections
+    #: at one node re-send the last one, not their maximum).  None means
+    #: those trials re-send ``injections``.
+    resend: Int64Array | None = None
 
 
 @dataclass(init=False)
-class BatchSubphaseState:
+class BatchSubphaseState(_LazyHonestColors):
     """The ``B``-trial analogue of :class:`SubphaseState`.
 
     All per-node state is trials-as-columns: ``honest_colors`` is
@@ -287,17 +357,6 @@ class BatchSubphaseState:
         self.rngs = rngs
 
     @property
-    def honest_colors(self) -> IntArray:
-        colors = self._honest_colors
-        if callable(colors):
-            colors = self._honest_colors = colors()
-        return colors
-
-    @honest_colors.setter
-    def honest_colors(self, value: IntArray | Callable[[], IntArray]) -> None:
-        self._honest_colors = value
-
-    @property
     def n(self) -> int:
         return self.network.n
 
@@ -312,7 +371,11 @@ class BatchSubphaseState:
         return self.honest_colors.max(axis=0)
 
     def column(self, j: int) -> SubphaseState:
-        """Trial ``j``'s scalar view (used by the per-column fallback)."""
+        """Trial ``j``'s scalar view (used by the per-column fallback).
+
+        Its honest colors stay lazy: the batch matrix is widened only if
+        the scalar hook reads them.
+        """
         return SubphaseState(
             phase=self.phase,
             subphase=self.subphase,
@@ -320,7 +383,7 @@ class BatchSubphaseState:
             k=self.k,
             network=self.network,
             byz_nodes=self.byz_nodes,
-            honest_colors=self.honest_colors[:, j],
+            honest_colors=lambda: self.honest_colors[:, j],
             decided_phase=self.decided_phase[:, j],
             crashed=self.crashed[:, j],
             rng=self.rngs[j],
@@ -356,33 +419,75 @@ class BatchAdaptationState:
 
 
 def stack_subphase_plans(
-    plans: Sequence[SubphasePlan], byz_count: int
+    plans: Sequence[SubphasePlan], byz_nodes: IntArray, n: int
 ) -> BatchSubphasePlan:
     """Merge per-trial scalar plans (column ``j`` = ``plans[j]``) into one
-    :class:`BatchSubphasePlan`.
+    dense :class:`BatchSubphasePlan` over ``byz_nodes``, the run's sorted
+    Byzantine ids among ``n`` nodes.
 
     ``initial_colors=None`` columns become all-zero columns, which the
     engine treats identically (Byzantine nodes start each subphase at the
-    0 sentinel).  Shapes are validated here so a misaligned scalar plan
-    fails with the same message the sequential engine raises.
+    0 sentinel); a misaligned initial-color vector fails with the message
+    the sequential engine raises.  Every injection target is mapped to its
+    Byzantine row by one gather over all the plans' injections: a target
+    outside ``[0, n)`` or outside the Byzantine set raises the
+    :meth:`Injection.require_byzantine` error of the first injection that
+    names one, as the sequential engine does.  Same-round injections at
+    one node combine by ``max`` (injection is a running maximum).  A
+    non-relaying trial re-sends its injections in list order, the last
+    writer winning, so when such a trial injects the plan also carries
+    that ``resend`` array.
     """
-    batch = len(plans)
+    batch, m = len(plans), byz_nodes.shape[0]
     initial: Int64Array | None = None
     for j, plan in enumerate(plans):
         if plan.initial_colors is None:
             continue
         vals = np.asarray(plan.initial_colors, dtype=np.int64)
-        if vals.shape != (byz_count,):
+        if vals.shape != (m,):
             raise ValueError("initial_colors must align with byz nodes")
         if initial is None:
-            initial = np.zeros((byz_count, batch), dtype=np.int64)
+            initial = np.zeros((m, batch), dtype=np.int64)
         initial[:, j] = vals
-    injections: list[list[Injection]] | None = [list(plan.injections) for plan in plans]
-    if not any(injections):
-        injections = None
     relay = np.array([bool(plan.relay) for plan in plans], dtype=bool)
+    listed = [(j, inj) for j, plan in enumerate(plans) for inj in plan.injections]
+    if not listed:
+        return BatchSubphasePlan(initial_colors=initial, relay=relay)
+
+    targets = np.concatenate([inj.nodes for _, inj in listed])
+    sizes = np.array([inj.nodes.shape[0] for _, inj in listed], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    row_of = np.full(n, -1, dtype=np.int64)
+    row_of[byz_nodes] = np.arange(m)
+    in_range = (targets >= 0) & (targets < n)
+    rows = row_of[np.where(in_range, targets, 0)]  # no wrap-around reads
+    bad = ~in_range | (rows < 0)
+    if bad.any():
+        first = int(np.searchsorted(ends, int(np.argmax(bad)), side="right"))
+        listed[first][1].require_byzantine(row_of >= 0)
+    ts = np.array([inj.t for _, inj in listed], dtype=np.int64) - 1
+    cols = np.array([j for j, _ in listed], dtype=np.int64)
+    values = np.array([inj.value for _, inj in listed], dtype=np.int64)
+    injections = np.zeros((int(ts.max()) + 1, m, batch), dtype=np.int64)
+    np.maximum.at(
+        injections,
+        (np.repeat(ts, sizes), rows, np.repeat(cols, sizes)),
+        np.repeat(values, sizes),
+    )
+    counts = np.zeros((injections.shape[0], batch), dtype=np.int64)
+    np.add.at(counts, (ts, cols), 1)
+    resend: Int64Array | None = None
+    if not relay[cols].all():
+        resend = np.zeros_like(injections)
+        for (j, inj), stop, size in zip(listed, ends.tolist(), sizes.tolist()):
+            if not relay[j]:
+                resend[inj.t - 1, rows[stop - size : stop], j] = inj.value
     return BatchSubphasePlan(
-        initial_colors=initial, injections=injections, relay=relay
+        initial_colors=initial,
+        injections=injections,
+        counts=counts,
+        relay=relay,
+        resend=resend,
     )
 
 
@@ -479,13 +584,21 @@ class Adversary:
         column exactly as sequential runs re-bind it per trial.  Strategies
         override this with natively vectorized plans; adversaries with
         *other* mutable per-run state should go through
-        :class:`PerTrialAdversaryBatch` instead.
+        :class:`PerTrialAdversaryBatch` instead.  The base class's own
+        honest behavior needs no scalar view: it draws each trial's colors
+        straight into that trial's column.
         """
+        if type(self).subphase_plan is Adversary.subphase_plan:
+            from ..core.colors import sample_color_columns
+
+            return BatchSubphasePlan(
+                initial_colors=sample_color_columns(state.rngs, state.byz_nodes.shape[0])
+            )
         plans: list[SubphasePlan] = []
         for j in range(state.batch):
             self.rng = state.rngs[j]
             plans.append(self.subphase_plan(state.column(j)))
-        return stack_subphase_plans(plans, state.byz_nodes.shape[0])
+        return stack_subphase_plans(plans, state.byz_nodes, state.n)
 
     def batch_adapt(self, state: BatchAdaptationState) -> BoolArray | None:
         """Optional between-subphase adaptation hook (default: static).
@@ -555,7 +668,7 @@ class PerTrialAdversaryBatch(Adversary):
             self.instances[int(trial)].subphase_plan(state.column(j))
             for j, trial in enumerate(state.trials)
         ]
-        return stack_subphase_plans(plans, state.byz_nodes.shape[0])
+        return stack_subphase_plans(plans, state.byz_nodes, state.n)
 
 
 def has_native_batch(adversary: Adversary) -> bool:

@@ -24,10 +24,11 @@ Each strategy is one bullet of the attack-surface analysis (DESIGN.md §2.4):
 Every strategy is ported to the batched adversary protocol
 (``batch_subphase_plan`` over :class:`~repro.adversary.base.BatchSubphaseState`,
 see the :mod:`repro.adversary.base` docstring): batch plans are built
-natively as ``(byz, B)`` matrices / per-trial schedules, with column ``j``
-bit-for-bit equal to the scalar plan trial ``j`` would receive, so
-Algorithm 2 sweeps run on the trial-batched engine without a per-trial
-Python fallback.
+natively in the dense form — a ``(byz, B)`` initial-color matrix and a
+``(T, byz, B)`` injection array with its ``(T, B)`` injection counts —
+with column ``j`` bit-for-bit equal to the scalar plan trial ``j`` would
+receive, so Algorithm 2 sweeps run on the trial-batched engine without a
+per-trial Python fallback.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._types import BoolArray
-from ..core.colors import sample_colors
+from .._types import BoolArray, Int64Array
+from ..core.colors import sample_color_columns, sample_colors
 from .base import (
     Adversary,
     BatchSubphasePlan,
@@ -122,18 +123,11 @@ class InflationAdversary(Adversary):
         return SubphasePlan(initial_colors=None, injections=injections, relay=True)
 
     def batch_subphase_plan(self, state: BatchSubphaseState) -> BatchSubphasePlan:
-        # The schedule depends only on (phase, subphase), so every trial
-        # shares one injection list (the engine never mutates plans).
+        # The schedule depends only on (phase, subphase): one value per
+        # round, shared by every Byzantine row and trial.
         stamp = (state.phase * 4096 + state.subphase) * 64
-        injections = [
-            Injection(
-                t=t,
-                nodes=state.byz_nodes,
-                value=self.base_value + stamp + t,
-            )
-            for t in range(1, state.rounds + 1)
-        ]
-        return BatchSubphasePlan(injections=[injections] * state.batch)
+        rounds = np.arange(1, state.rounds + 1, dtype=np.int64)
+        return _every_node_plan(state, (self.base_value + stamp + rounds)[:, None])
 
 
 class SuppressionAdversary(Adversary):
@@ -249,16 +243,17 @@ class ComboAdversary(Adversary):
     def batch_subphase_plan(self, state: BatchSubphaseState) -> BatchSubphasePlan:
         m, batch = state.byz_nodes.shape[0], state.batch
         split = int(round(m * self.early_fraction))
-        late = state.byz_nodes[split:]
         colors = np.zeros((m, batch), dtype=np.int64)
         colors[:split, :] = self.value
-        injections: list[list[Injection]] | None = None
-        if late.size:
+        plan = BatchSubphasePlan(initial_colors=colors if split else None)
+        if split < m:
+            # One injection per trial, at the last round the gate allows.
             t = max(1, min(state.k - 1, state.rounds))
-            inj = Injection(t=t, nodes=late, value=self.value + state.phase)
-            injections = [[inj]] * batch
-        initial = colors if split else None
-        return BatchSubphasePlan(initial_colors=initial, injections=injections)
+            plan.injections = np.zeros((t, m, batch), dtype=np.int64)
+            plan.injections[t - 1, split:, :] = self.value + state.phase
+            plan.counts = np.zeros((t, batch), dtype=np.int64)
+            plan.counts[t - 1] = 1
+        return plan
 
 
 class AdaptiveRecordAdversary(Adversary):
@@ -282,23 +277,21 @@ class AdaptiveRecordAdversary(Adversary):
         return SubphasePlan(initial_colors=colors, injections=injections, relay=True)
 
     def batch_subphase_plan(self, state: BatchSubphaseState) -> BatchSubphasePlan:
-        m = state.byz_nodes.shape[0]
-        bases = state.global_max_colors()
-        # Honest maxima concentrate near log2 n, so many trials share a
-        # base; those trials share one schedule object (plans are
-        # read-only, and the engine groups shared node arrays anyway).
-        schedules: dict[int, list[Injection]] = {}
-        injections: list[list[Injection]] = []
-        colors = np.empty((m, state.batch), dtype=np.int64)
-        for j in range(state.batch):
-            base = int(bases[j])
-            schedule = schedules.get(base)
-            if schedule is None:
-                schedule = [
-                    Injection(t=t, nodes=state.byz_nodes, value=base + t)
-                    for t in range(1, state.rounds + 1)
-                ]
-                schedules[base] = schedule
-            injections.append(schedule)
-            colors[:, j] = sample_colors(state.rngs[j], m)
-        return BatchSubphasePlan(initial_colors=colors, injections=injections)
+        rounds = np.arange(1, state.rounds + 1, dtype=np.int64)
+        plan = _every_node_plan(state, state.global_max_colors() + rounds[:, None])
+        plan.initial_colors = sample_color_columns(state.rngs, state.byz_nodes.shape[0])
+        return plan
+
+
+def _every_node_plan(state: BatchSubphaseState, values: Int64Array) -> BatchSubphasePlan:
+    """One injection per round and trial at every Byzantine node.
+
+    ``values`` is ``(rounds, B)`` — or ``(rounds, 1)`` when every trial
+    injects the same value — holding round ``t``'s value in row ``t - 1``.
+    """
+    injections = np.empty((state.rounds, state.byz_nodes.shape[0], state.batch), dtype=np.int64)
+    injections[...] = values[:, None, :]
+    return BatchSubphasePlan(
+        injections=injections,
+        counts=np.ones((state.rounds, state.batch), dtype=np.int64),
+    )

@@ -31,15 +31,25 @@ The equivalence is enforced by the property tests in
 ``tests/core/test_runner_batch.py`` and ``tests/core/test_sweep.py``.
 
 Adversarial (Algorithm 2) trials batch too: the engine drives the batched
-adversary protocol (:meth:`~repro.adversary.base.Adversary.batch_subphase_plan`
-over ``(byz, B)`` plans — see :mod:`repro.adversary.base`), simulates the
-pre-phase crash rule per trial (deduplicating identical claim sets), gates
-injections per Lemma 16 per trial, and meters witness traffic from ``(n, B)``
-new-record counts.  Built-in strategies are natively vectorized; scalar
-third-party adversaries run through the generic per-column wrapper
+adversary protocol (:meth:`~repro.adversary.base.Adversary.batch_subphase_plan`,
+see :mod:`repro.adversary.base`), simulates the pre-phase crash rule per
+trial (deduplicating identical claim sets), gates injections per Lemma 16
+per trial, and meters witness traffic from ``(n, B)`` new-record counts.
+Plans arrive in dense form — ``(byz, B)`` initial colors, a
+``(T, byz, B)`` injection array (0 = none) and its ``(T, B)`` injection
+counts — and :func:`_validate_batch_plan` checks their shapes and signs
+and reads the value range that picks the state's dtype rung.  Each
+subphase the engine computes every placement group's Byzantine block
+once, as flat offsets into the ``(N, B)`` state, and applies round ``t``
+with one masked ``np.maximum`` of layer ``t - 1`` over that block;
+columns that do not relay send 0 there, or re-send the round's
+injections.  Built-in
+strategies build the dense form natively; scalar third-party adversaries
+run through the generic per-column wrapper
 (:class:`~repro.adversary.base.PerTrialAdversaryBatch` when passed as a
 factory), which keeps the flooding rounds batched while calling the scalar
-hook once per trial.  Heterogeneous configs are grouped: trials sharing a
+hook once per trial, and :func:`~repro.adversary.base.stack_subphase_plans`
+converts their plans.  Heterogeneous configs are grouped: trials sharing a
 config batch together.
 
 Per-trial placements
@@ -190,7 +200,6 @@ from ..adversary.base import (
     BatchAdaptationState,
     BatchSubphasePlan,
     BatchSubphaseState,
-    Injection,
     PerTrialAdversaryBatch,
     has_native_batch,
 )
@@ -217,11 +226,12 @@ __all__ = ["run_counting_batch", "run_counting_multinet", "run_counting_unionsta
 #: Boundaries of the int32 top rung: plans whose values fit
 #: [INT32_MIN, INT32_MAX] run the subphase in at most int32; the first plan
 #: outside widens the run to int64 for good.  (Injection values are
-#: validated positive, but initial colors are taken as-is — a negative
+#: validated non-negative, but initial colors are taken as-is — a negative
 #: value must stay negative and inert under max-flooding, exactly as the
 #: sequential int64 engine keeps it.)
 _INT32_MAX = int(np.iinfo(np.int32).max)
 _INT32_MIN = int(np.iinfo(np.int32).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: The dtype ladder below int64, narrowest first, with each rung's range.
 _LADDER: tuple[tuple[type[np.signedinteger[Any]], int, int], ...] = tuple(
@@ -452,87 +462,69 @@ def _claims_signature(claims: Any) -> tuple[Any, ...]:
     return tuple(sorted((int(v), tuple(c)) for v, c in claims.items()))
 
 
-def _normalize_batch_plan(
+def _validate_batch_plan(
     plan: BatchSubphasePlan, byz_count: int, batch: int
-) -> tuple[
-    Int64Array | None,
-    list[dict[int, list[Injection]]],
-    dict[int, Int64Array],
-    dict[int, list[tuple[IntArray, IntArray, Int64Array]]],
-    BoolArray,
-]:
-    """Validate a :class:`BatchSubphasePlan` and expand it to engine form.
+) -> tuple[Any, ...]:
+    """Check a dense :class:`BatchSubphasePlan` against its group's shape.
 
-    Returns ``(initial, inj_by_round, counts_by_round, groups_by_round,
-    relay)``:
-
-    * ``initial`` — the ``(byz, B)`` int64 matrix or None;
-    * ``inj_by_round[j]`` — round ``t`` -> trial ``j``'s injections (used
-      by the order-sensitive relay-suppression resend path);
-    * ``counts_by_round[t]`` — per-trial injection counts at round ``t``
-      (one vectorized accept/reject charge per round);
-    * ``groups_by_round[t]`` — ``(nodes, cols, vals)`` triples applying
-      every trial's round-``t`` injections as one 2-D masked maximum.
-      Injections sharing a node array across trials collapse into one
-      group; duplicate (trial, nodes) entries are max-combined up front,
-      which is exact because injection application is a running maximum;
-    * ``relay`` — ``(B,)`` bool vector.
-
-    Identical per-trial schedules may share list objects (the engine never
-    mutates them).
+    Returns ``(initial, injections, counts, off, resend, lo, hi)``: the
+    plan's arrays as int64 (``None`` where absent), ``off`` the columns
+    that do not relay (``None`` when every column relays), and
+    ``[lo, hi]`` the range of every value the plan can write
+    (``lo <= 0 <= hi``), which sets the subphase's dtype rung.  A
+    mis-shaped array, a negative injected value or a negative count
+    raises :class:`ValueError` here, before anything is applied.
     """
-    initial: Int64Array | None = None
-    if plan.initial_colors is not None:
-        initial = np.asarray(plan.initial_colors, dtype=np.int64)
+    lo = hi = 0
+    initial = plan.initial_colors
+    if initial is not None:
+        initial = np.asarray(initial, dtype=np.int64)
         if initial.shape != (byz_count, batch):
             raise ValueError(
                 f"initial_colors must have shape ({byz_count}, {batch}), "
                 f"got {initial.shape}"
             )
-    inj_by_round: list[dict[int, list[Injection]]] = [{} for _ in range(batch)]
-    counts_by_round: dict[int, Int64Array] = {}
-    raw_groups: dict[tuple[int, int], tuple[IntArray, dict[int, int], list[int]]] = {}
-    if plan.injections is not None:
-        if len(plan.injections) != batch:
+        if initial.size:
+            lo, hi = min(0, int(initial.min())), max(0, int(initial.max()))
+    injections, counts, resend = plan.injections, plan.counts, plan.resend
+    if injections is not None:
+        injections = np.asarray(injections, dtype=np.int64)
+        if injections.ndim != 3 or injections.shape[1:] != (byz_count, batch):
             raise ValueError(
-                f"got {len(plan.injections)} injection schedules for "
-                f"{batch} trials"
+                f"injections must have shape (T, {byz_count}, {batch}), "
+                f"got {injections.shape}"
             )
-        for j, injs in enumerate(plan.injections):
-            for inj in injs:
-                inj_by_round[j].setdefault(inj.t, []).append(inj)
-                counts = counts_by_round.get(inj.t)
-                if counts is None:
-                    counts = np.zeros(batch, dtype=np.int64)
-                    counts_by_round[inj.t] = counts
-                counts[j] += 1
-                key = (inj.t, id(inj.nodes))
-                group = raw_groups.get(key)
-                if group is None:
-                    raw_groups[key] = (inj.nodes, {j: 0}, [inj.value])
-                else:
-                    _, col_pos, vals = group
-                    pos = col_pos.get(j)
-                    if pos is None:
-                        col_pos[j] = len(vals)
-                        vals.append(inj.value)
-                    else:
-                        vals[pos] = max(vals[pos], inj.value)
-    groups_by_round: dict[int, list[tuple[IntArray, IntArray, Int64Array]]] = {}
-    for (t, _), (nodes, col_pos, vals) in raw_groups.items():
-        # col_pos preserves insertion order, so its keys align with vals.
-        cols = np.fromiter(col_pos.keys(), dtype=np.int64, count=len(col_pos))
-        groups_by_round.setdefault(t, []).append(
-            (nodes, cols, np.asarray(vals, dtype=np.int64))
-        )
-    relay = plan.relay
-    if isinstance(relay, np.ndarray):
-        relay = np.asarray(relay, dtype=bool)
-        if relay.shape != (batch,):
-            raise ValueError(f"relay must have shape ({batch},), got {relay.shape}")
+        rounds = injections.shape[0]
+        if counts is None or np.shape(counts) != (rounds, batch):
+            raise ValueError(
+                f"counts must have shape ({rounds}, {batch}), got "
+                f"{None if counts is None else np.shape(counts)}"
+            )
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size and int(counts.min()) < 0:
+            raise ValueError("injection counts must be non-negative")
+    if resend is not None:
+        resend = np.asarray(resend, dtype=np.int64)
+        if injections is None or resend.shape != injections.shape:
+            raise ValueError(
+                "resend must have the injections' shape, got "
+                f"{resend.shape} for {None if injections is None else injections.shape}"
+            )
+    for name, values in (("injections", injections), ("resend", resend)):
+        if values is not None and values.size:
+            # One scan: read as uint64, a negative value lies above INT64_MAX.
+            top = int(values.view(np.uint64).max())
+            if top > _INT64_MAX:
+                raise ValueError(f"{name} values must be >= 0 (0 = no injection)")
+            hi = max(hi, top)
+    relay = np.asarray(plan.relay, dtype=bool)
+    if relay.ndim == 0:
+        off = None if relay else np.arange(batch)
+    elif relay.shape != (batch,):
+        raise ValueError(f"relay must have shape ({batch},), got {relay.shape}")
     else:
-        relay = np.full(batch, bool(relay))
-    return initial, inj_by_round, counts_by_round, groups_by_round, relay
+        off = None if relay.all() else np.flatnonzero(~relay)
+    return initial, injections, counts, off, resend, lo, hi
 
 
 def run_counting_multinet(
@@ -1345,8 +1337,6 @@ def _run_config_group(
 
             # --- per-(block, placement) adversary plans ------------------
             group_plans: list[tuple[Any, ...]] = []
-            suppress_pairs: list[tuple[IntArray, IntArray]] = []
-            suppressed_resend: list[tuple[Any, ...]] = []
             plan_max = 0
             plan_min = 0
             # Adversaries see int64 colors whatever the state's rung, as in
@@ -1359,10 +1349,6 @@ def _run_config_group(
             for grp in groups:
                 if grp.byz_nodes.size == 0 or grp.sel.shape[0] == 0:
                     continue
-                sel = grp.sel
-                g_colors = functools.partial(
-                    _honest_int64, shown[grp.lo : grp.hi], sel, grp.n, grp.honest_nodes
-                )
                 state = BatchSubphaseState(
                     phase=phase,
                     subphase=sub,
@@ -1371,51 +1357,25 @@ def _run_config_group(
                     network=grp.network,
                     byz_nodes=grp.byz_nodes,
                     trials=grp.alive_local,
-                    honest_colors=g_colors,
+                    honest_colors=functools.partial(
+                        _honest_int64, shown[grp.lo : grp.hi], grp.sel, grp.n, grp.honest_nodes
+                    ),
                     decided_phase=grp.dec_cols,
                     crashed=grp.crash_cols,
                     rngs=grp.rng_cols,
                 )
-                plan = grp.adversary.batch_subphase_plan(state)
-                (
-                    initial_g,
-                    inj_rounds_g,
-                    counts_g,
-                    groups_g,
-                    relay_g,
-                ) = _normalize_batch_plan(plan, grp.byz_nodes.shape[0], sel.shape[0])
-                checked: set[int] = set()
-                for by_round in inj_rounds_g:
-                    for injs in by_round.values():
-                        for inj in injs:
-                            if id(inj.nodes) not in checked:
-                                checked.add(id(inj.nodes))
-                                inj.require_byzantine(grp.byz)
-                if initial_g is not None and initial_g.size:
-                    plan_max = max(plan_max, int(initial_g.max()))
-                    plan_min = min(plan_min, int(initial_g.min()))
-                for lst in groups_g.values():
-                    for _nodes, _cols, vals in lst:
-                        if vals.size:
-                            plan_max = max(plan_max, int(vals.max()))
-                off_local = np.flatnonzero(~relay_g)
-                if off_local.size:
-                    suppress_pairs.append((grp.byz_rows, sel[off_local]))
-                    for j_local in off_local:
-                        by_round = inj_rounds_g[int(j_local)]
-                        if by_round:
-                            # One entry per (group, column): a union column
-                            # can carry suppressed byz nodes in several
-                            # blocks at once, each with its own gate k.
-                            suppressed_resend.append(
-                                (grp, int(sel[int(j_local)]), by_round)
-                            )
-                group_plans.append((grp, initial_g, counts_g, groups_g))
+                *plan, lo, hi = _validate_batch_plan(
+                    grp.adversary.batch_subphase_plan(state),
+                    grp.byz_nodes.shape[0],
+                    grp.sel.shape[0],
+                )
+                plan_max, plan_min = max(plan_max, hi), min(plan_min, lo)
+                group_plans.append((grp, *plan))
 
             # Widen before the plan is applied: to int64 for good once a
             # value leaves int32, else up the ladder to the narrowest rung
-            # holding the plan plus its noise (suppressed re-sends carry
-            # injection values, so the injection maximum covers them).
+            # holding the plan plus its noise (re-sends carry injection
+            # values, so the injection maximum covers them).
             bound_lo = min(bound_lo, plan_min)
             bound_hi = max(bound_hi, plan_max + noise)
             if plan_max > _INT32_MAX or plan_min < _INT32_MIN:
@@ -1428,13 +1388,30 @@ def _run_config_group(
                 prev_kt = np.empty_like(cur)
                 k_last = np.empty_like(cur)
 
-            for grp, initial_g, _counts, _groups in group_plans:
-                if initial_g is not None:
-                    cur[np.ix_(grp.byz_rows, grp.sel)] = initial_g
+            # Each group's Byzantine block as flat offsets into the
+            # C-ordered (N, B_live) state, row-major over (byz_rows, sel)
+            # like a plan's (byz, B) layers.  A group's rounds past its
+            # Lemma 16 gate are rejected.
+            cur_flat = cur.reshape(-1)
+            applies: list[tuple[Any, ...]] = []
+            for grp, initial, injections, inj_counts, off, resend in group_plans:
+                block = grp.byz_rows[:, None] * b_live + grp.sel
+                if initial is not None:
+                    cur_flat[block] = initial
+                gate = grp.k - 1 if config.verification else phase
+                quiet = None
+                if off is not None:
+                    # Non-relaying columns send 0 but re-send what they
+                    # inject in an accepted round.
+                    resent = injections if resend is None else resend
+                    quiet = (block[:, off], None if resent is None else resent[:, :, off])
+                applies.append((grp, gate, block, injections, inj_counts, quiet))
+            suppressing = any(quiet is not None for *_, quiet in applies)
 
             # Only a crash or a suppressed relay makes a node send anything
             # but its running max; otherwise ``sent`` *is* ``cur``.
-            sent = sent_buf if any_crash or suppress_pairs else cur
+            sent = sent_buf if any_crash or suppressing else cur
+            sent_flat = sent.reshape(-1)
             # ``prev_kt`` shortcut.  Without a channel or a suppressed
             # relay, every transmitted value is nondecreasing over the
             # subphase's rounds: ``cur`` only grows (running maxima and
@@ -1449,7 +1426,7 @@ def _run_config_group(
             # monotonicity (a dropped message can shrink a neighbor-max),
             # and so does a suppressed relay's re-send schedule; then
             # ``prev_kt`` is an explicit running max.
-            monotone = chan is None and not suppress_pairs
+            monotone = chan is None and not suppressing
             if phase == 1 or not monotone:
                 prev_kt.fill(0)
             # Senders are counted per node when the per-node traffic is
@@ -1465,31 +1442,32 @@ def _run_config_group(
             if count_records:
                 record_rounds.fill(0)
             for t in range(1, phase + 1):
-                # --- adversary injections (per-block Lemma 16 gate) ------
-                for grp, _initial, counts_g, groups_g in group_plans:
-                    cnts = counts_g.get(t)
-                    if cnts is None:
+                # --- adversary injections (per-block Lemma 16 gate): a
+                # running max over the cells a layer marks nonzero ---------
+                for grp, gate, block, injections, inj_counts, _quiet in applies:
+                    if injections is None or t > injections.shape[0]:
                         continue
-                    if not (config.verification and t > grp.k - 1):
-                        phase_inj_acc[grp.g, grp.sel] += cnts
-                        for nodes, inj_cols, vals in groups_g[t]:
-                            ix = np.ix_(nodes + grp.lo, grp.sel[inj_cols])
-                            cur[ix] = np.maximum(cur[ix], vals[None, :])
-                    else:
-                        phase_inj_rej[grp.g, grp.sel] += cnts
+                    if t > gate:
+                        phase_inj_rej[grp.g, grp.sel] += inj_counts[t - 1]
+                        continue
+                    phase_inj_acc[grp.g, grp.sel] += inj_counts[t - 1]
+                    layer = injections[t - 1]
+                    held = cur_flat[block]
+                    np.maximum(held, layer, out=held, where=layer > 0)
+                    cur_flat[block] = held
 
                 # --- transmit --------------------------------------------
                 if sent is not cur:
                     np.copyto(sent, cur)
                     if any_crash:
                         sent[crashed_nc] = 0
-                    for rows_b, cols_b in suppress_pairs:
-                        sent[np.ix_(rows_b, cols_b)] = 0
-                    for grp, col, by_round in suppressed_resend:
-                        if config.verification and t > grp.k - 1:
-                            continue
-                        for inj in by_round.get(t, ()):
-                            sent[inj.nodes + grp.lo, col] = inj.value
+                    for _grp, gate, _block, _inj, _counts, quiet in applies:
+                        if quiet is not None:
+                            rows_off, resent = quiet
+                            if resent is None or t > min(gate, resent.shape[0]):
+                                sent_flat[rows_off] = 0
+                            else:
+                                sent_flat[rows_off] = resent[t - 1]
 
                 # --- receive: into k_last, whose last write is round
                 # phase's k_t, except for a shortcut prev_kt ---------------

@@ -8,12 +8,15 @@ mechanism by which the sphere ``Bd(v, i)`` announces its size.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .._types import AnyArray, FloatArray, Int64Array
 
 __all__ = [
     "sample_colors",
+    "sample_color_columns",
     "color_pmf",
     "color_sf",
     "max_color_cdf",
@@ -37,7 +40,26 @@ def sample_colors(rng: np.random.Generator, size: int) -> Int64Array:
         raise ValueError("size must be non-negative")
     if size == 0:
         return np.empty(0, dtype=np.int64)
-    draws = rng.random(size)
+    return _colors_from_uniform(rng.random(size))
+
+
+def sample_color_columns(rngs: Sequence[np.random.Generator], size: int) -> Int64Array:
+    """A ``(size, len(rngs))`` matrix whose column ``j`` is bit for bit
+    ``sample_colors(rngs[j], size)``, stream position included.
+
+    Each stream is read exactly as that call reads it (``size`` doubles);
+    only the color transform runs once over the whole block.
+    """
+    if size < 0:
+        raise ValueError("size must be non-negative")
+    draws = np.empty((len(rngs), size))
+    for row, rng in zip(draws, rngs):
+        rng.random(out=row)
+    return _colors_from_uniform(draws).T
+
+
+def _colors_from_uniform(draws: FloatArray) -> Int64Array:
+    """Map ``rng.random`` doubles to colors in place (see :func:`sample_colors`)."""
     np.subtract(1.0, draws, out=draws)
     colors = draws.view(np.int64)  # sign bit clear: shift reads the exponent
     np.right_shift(colors, 52, out=colors)

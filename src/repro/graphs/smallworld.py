@@ -158,7 +158,11 @@ def build_small_world(
     """Sample ``H(n, d)`` (unless given) and add the ``L`` edges.
 
     ``k`` defaults to ``ceil(d/3)``; overriding it is used by the E14
-    ablation (robustness as a function of the lattice radius).
+    ablation (robustness as a function of the lattice radius).  The result
+    is not re-checked with :meth:`SmallWorldNetwork.validate`: ``G`` is
+    assembled from an already validated ``H`` by :func:`k_balls`, whose
+    rows come out sorted, distinct and symmetric by construction (the
+    property tests in ``tests/graphs/test_kballs.py`` hold that).
     """
     if h is None:
         h = generate_hgraph(n, d, seed)
@@ -172,11 +176,9 @@ def build_small_world(
     g_indptr, g_indices, g_dist = k_balls(
         h.indptr, h.indices, np.arange(h.n, dtype=np.int64), k
     )
-    net = SmallWorldNetwork(
+    return SmallWorldNetwork(
         h=h, k=k, g_indptr=g_indptr, g_indices=g_indices, g_dist=g_dist
     )
-    net.validate()
-    return net
 
 
 #: Sources :func:`k_balls` expands together.  A fixed block bounds the

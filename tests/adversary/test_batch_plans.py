@@ -5,6 +5,8 @@ stacking, batch-state column views, the engine's lazily widened honest
 colors, native-batch detection, and the per-trial fallback wrapper.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ class TestInjectionValidation:
 class TestStackPlans:
     def test_all_none_initial_stays_none(self):
         plans = [SubphasePlan(), SubphasePlan()]
-        batch = stack_subphase_plans(plans, 3)
+        batch = stack_subphase_plans(plans, np.arange(3), 3)
         assert batch.initial_colors is None
         assert batch.injections is None
         assert batch.relay.tolist() == [True, True]
@@ -105,19 +107,20 @@ class TestStackPlans:
             SubphasePlan(initial_colors=np.array([5, 6])),
             SubphasePlan(),
         ]
-        batch = stack_subphase_plans(plans, 2)
+        batch = stack_subphase_plans(plans, np.arange(2), 2)
         assert batch.initial_colors.tolist() == [[5, 0], [6, 0]]
 
     def test_misaligned_initial_rejected(self):
         plans = [SubphasePlan(initial_colors=np.array([5]))]
         with pytest.raises(ValueError, match="align"):
-            stack_subphase_plans(plans, 2)
+            stack_subphase_plans(plans, np.arange(2), 2)
 
     def test_per_trial_injections_and_relay(self):
         inj = Injection(t=1, nodes=np.array([0]), value=7)
         plans = [SubphasePlan(injections=[inj], relay=False), SubphasePlan()]
-        batch = stack_subphase_plans(plans, 1)
-        assert batch.injections[0] == [inj] and batch.injections[1] == []
+        batch = stack_subphase_plans(plans, np.arange(1), 1)
+        assert batch.injections.tolist() == [[[7, 0]]]
+        assert batch.counts.tolist() == [[1, 0]]
         assert batch.relay.tolist() == [False, True]
 
 
@@ -261,6 +264,19 @@ class TestPerTrialWrapper:
         assert plan.relay.all()
 
 
+def _column_schedule(plan, j):
+    """Trial ``j``'s injections in a dense plan, as ``(t, value)`` records
+    in round order: one per distinct value a counted round writes."""
+    if plan.injections is None:
+        return []
+    return [
+        SimpleNamespace(t=t, value=int(value))
+        for t, layer in enumerate(plan.injections[:, :, j], start=1)
+        if plan.counts[t - 1, j]
+        for value in np.unique(layer[layer > 0])
+    ]
+
+
 class TestNativeBatchPlans:
     """Native batch plans: column j equals trial j's scalar plan."""
 
@@ -282,7 +298,7 @@ class TestNativeBatchPlans:
                 assert np.array_equal(
                     batch_plan.initial_colors[:, j], scalar.initial_colors
                 )
-            got = [] if batch_plan.injections is None else batch_plan.injections[j]
+            got = _column_schedule(batch_plan, j)
             assert [(i.t, i.value) for i in got] == [
                 (i.t, i.value) for i in scalar.injections
             ]

@@ -8,6 +8,7 @@ from repro.core.colors import (
     color_sf,
     expected_max_color,
     max_color_cdf,
+    sample_color_columns,
     sample_colors,
 )
 from repro.sim.rng import make_rng
@@ -80,6 +81,28 @@ class TestMatchesNumpyGeometric:
         got = sample_colors(Fixed(), us.size)  # type: ignore[arg-type]
         assert got.max() == 53
         np.testing.assert_array_equal(got, [search(float(u)) for u in us])
+
+
+class TestColorColumns:
+    """Column ``j`` of ``sample_color_columns`` is ``sample_colors(rngs[j])``."""
+
+    @pytest.mark.parametrize("size", [0, 1, 45, 2048])
+    def test_columns_and_stream_positions(self, size):
+        ours = [make_rng(s) for s in (3, 4, 5)]
+        ref = [make_rng(s) for s in (3, 4, 5)]
+        got = sample_color_columns(ours, size)
+        assert got.shape == (size, 3) and got.dtype == np.int64
+        for j, rng in enumerate(ref):
+            np.testing.assert_array_equal(got[:, j], sample_colors(rng, size))
+        for a, b in zip(ours, ref):
+            assert a.integers(1 << 62) == b.integers(1 << 62)
+
+    def test_no_streams(self):
+        assert sample_color_columns([], 4).shape == (4, 0)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            sample_color_columns([make_rng(0)], -1)
 
 
 class TestDistributionFunctions:

@@ -142,6 +142,21 @@ class TestSourceSubsets:
             assert np.array_equal(dists, want_dists)
 
 
+class TestBuiltNetworksValidate:
+    """``build_small_world`` does not re-validate what it assembles; its
+    output must pass ``validate`` anyway."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 400),
+        d=st.sampled_from([2, 4, 6, 8, 10]),
+        k=st.one_of(st.none(), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_build_output_passes_validate(self, n, d, k, seed):
+        build_small_world(n, d, seed=seed, k=k).validate()
+
+
 class TestValidateRejectsCorruption:
     """``validate`` catches what its per-node spot checks caught (self-loops,
     distances outside ``[1, k]``, a sampled edge missing its reverse) plus

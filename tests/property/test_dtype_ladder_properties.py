@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.adversary import (
     Adversary,
     BatchSubphasePlan,
-    Injection,
     SubphasePlan,
     random_placement,
 )
@@ -239,8 +238,11 @@ class _SecondSubphaseInjector(Adversary):
     def batch_subphase_plan(self, state):
         if state.subphase != 2:
             return BatchSubphasePlan()
-        inj = Injection(t=1, nodes=state.byz_nodes, value=200)
-        return BatchSubphasePlan(injections=[[inj] for _ in range(state.batch)])
+        shape = (1, state.byz_nodes.shape[0], state.batch)
+        return BatchSubphasePlan(
+            injections=np.full(shape, 200, dtype=np.int64),
+            counts=np.ones((1, state.batch), dtype=np.int64),
+        )
 
 
 def test_mid_phase_injection_widens_int8_to_int16():
@@ -316,8 +318,11 @@ class _Injector126(Adversary):
     """Injects 126 at every Byzantine node in round 1 of every subphase."""
 
     def batch_subphase_plan(self, state):
-        inj = Injection(t=1, nodes=state.byz_nodes, value=126)
-        return BatchSubphasePlan(injections=[[inj] for _ in range(state.batch)])
+        shape = (1, state.byz_nodes.shape[0], state.batch)
+        return BatchSubphasePlan(
+            injections=np.full(shape, 126, dtype=np.int64),
+            counts=np.ones((1, state.batch), dtype=np.int64),
+        )
 
 
 @pytest.mark.parametrize("noise_amp, itemsize", [(0, 1), (2, 2)])

@@ -185,7 +185,7 @@ class TestR002:
 
     def test_clean_guarded_widening_block(self):
         # The real lazy-widening site: int64 state is legal under the
-        # _INT32_MAX overflow guard and inside _normalize_batch_plan.
+        # _INT32_MAX overflow guard and inside _validate_batch_plan.
         findings = lint(
             """
             def _run(plan_max, plan_min, state_dtype, colors, n, b_live):
@@ -198,7 +198,7 @@ class TestR002:
                     sent = np.empty_like(cur)
 
 
-            def _normalize_batch_plan(plan, byz_count, batch):
+            def _validate_batch_plan(plan, byz_count, batch):
                 initial = np.asarray(plan.initial_colors, dtype=np.int64)
                 counts = np.zeros(batch, dtype=np.int64)
                 return initial, counts
@@ -207,6 +207,19 @@ class TestR002:
             "R002",
         )
         assert findings == []
+
+    def test_plan_validator_is_the_sanctioned_helper(self):
+        # int64 plan values bound to an engine-state name are legal only
+        # inside the plan validator; the same body elsewhere is flagged.
+        body = """
+            def {name}(plan, byz_count, batch):
+                colors = np.asarray(plan.initial_colors, dtype=np.int64)
+                return colors
+            """
+        assert lint(body.format(name="_validate_batch_plan"), BATCH, "R002") == []
+        for name in ("_normalize_batch_plan", "_apply_plan"):
+            findings = lint(body.format(name=name), BATCH, "R002")
+            assert [f.line for f in findings] == [3], name
 
     def test_clean_int32_state_and_int64_bookkeeping(self):
         findings = lint(

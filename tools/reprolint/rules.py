@@ -91,10 +91,10 @@ ENTRY_POINTS = {
 }
 
 #: Helpers sanctioned to build int64 plan state (R002 exemption): the
-#: typed plan normalizers own the adversary-value interface, and the
+#: typed plan validator owns the adversary-value interface, and the
 #: widening guards (``if plan_max > _INT32_MAX ...`` or a test of the
 #: current ``state_dtype``) own the escalation up the ladder.
-SANCTIONED_WIDENING_HELPERS = ("_normalize_batch_plan",)
+SANCTIONED_WIDENING_HELPERS = ("_validate_batch_plan",)
 WIDENING_GUARD_IDENTS = {"_INT32_MAX", "_INT32_MIN", "state_dtype"}
 
 #: Identifiers that name per-trial or per-node extents in the engines;
@@ -306,7 +306,7 @@ class DtypePolicyRule(Rule):
     Each phase's color/plan state arrays take the narrowest of int8,
     int16 and int32 that holds the phase's value bound (``state_dtype``
     from the ladder helper) and may only become int64 through the
-    sanctioned widening sites: the typed plan normalizers and blocks
+    sanctioned widening sites: the typed plan validator and blocks
     guarded by the ``_INT32_MAX`` overflow test or a ``state_dtype``
     check.  An unconditional int64 allocation moves eight times the
     bytes of the int8 state a bounded phase needs, on every round.
