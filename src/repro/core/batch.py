@@ -457,9 +457,15 @@ def _group_by_config(
     return groups
 
 
-def _claims_signature(claims: Any) -> tuple[Any, ...]:
-    """Hashable content key for one trial's pre-phase claim mapping."""
-    return tuple(sorted((int(v), tuple(c)) for v, c in claims.items()))
+def _claims_signature(claims: Any) -> frozenset[Any]:
+    """Hashable content key for one trial's pre-phase claim mapping.
+
+    A set of ``(node, claim)`` pairs: equal mappings give equal keys in
+    any insertion order, with no sort.
+    """
+    return frozenset(
+        (int(v), None if c is None else tuple(c)) for v, c in claims.items()
+    )
 
 
 def _validate_batch_plan(
@@ -1204,7 +1210,7 @@ def _run_config_group(
                     f"sets for {grp.cols.shape[0]} trials"
                 )
             by_id: dict[int, BoolArray] = {}
-            cache: dict[tuple[Any, ...], BoolArray] = {}
+            cache: dict[frozenset[Any], BoolArray] = {}
             for local, j in enumerate(grp.cols):
                 claims = claims_list[local]
                 crashed = by_id.get(id(claims))
@@ -1235,6 +1241,7 @@ def _run_config_group(
     noise_step = 0 if channel is None else int(channel.noise_amp)
     state_dtype: type[np.signedinteger[Any]] = np.int32
     wide = False  # a plan left int32: int64 state for the rest of the run
+    chan: ChannelState | None = None
 
     for phase in range(1, config.max_phase + 1):
         undecided_all = honest_uncrashed & (decided == UNDECIDED)
@@ -1292,11 +1299,12 @@ def _run_config_group(
         counter_dtype = np.min_scalar_type(phase)
         sent_rounds = np.empty((rows_n, b_live), dtype=counter_dtype)
         record_rounds = np.empty((rows_n, b_live), dtype=counter_dtype)
-        chan: ChannelState | None = None
         if channel is not None:
             # One slot per live (network, column) cell over its own block
             # segment: a dead cell stops consuming draws exactly when its
-            # own run would have stopped.
+            # own run would have stopped.  The phase runs n_sub * phase
+            # rounds, which must fit the hash counters (checked before any
+            # key is drawn); it refills the previous phase's buffers.
             chan = ChannelState(
                 channel,
                 [
@@ -1310,6 +1318,8 @@ def _run_config_group(
                     for row, col in enumerate(live)
                     if alive_live[g, row]
                 ],
+                rounds=n_sub * phase,
+                reuse=chan,
             )
         traffic_nb = (
             np.empty((rows_n, b_live), dtype=np.int64) if adaptive_groups else None

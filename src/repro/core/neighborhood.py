@@ -66,10 +66,36 @@ def truthful_claims(net: SmallWorldNetwork, nodes: IntArray | None = None) -> Ad
     ``H`` is a multigraph, so an honest claim always has exactly ``d``
     entries; a node incident to a parallel edge lists that neighbor twice.
     """
-    ids = range(net.n) if nodes is None else [int(v) for v in nodes]
-    return {
-        v: tuple(sorted(int(u) for u in net.h.neighbors(v))) for v in ids
-    }
+    rows = net.h.sorted_rows
+    if nodes is None:
+        return dict(enumerate(map(tuple, rows.tolist())))
+    ids = [int(v) for v in nodes]
+    return dict(zip(ids, map(tuple, rows[ids].tolist())))
+
+
+def _liars(net: SmallWorldNetwork, byz_claims: ByzantineClaims) -> list[int]:
+    """The Byzantine nodes whose claim differs from their true H row.
+
+    A claim of the wrong length lies outright; the rest are sorted as one
+    ``(m, d)`` block and compared with :attr:`HGraph.sorted_rows`.
+    """
+    d = net.d
+    liars: list[int] = []
+    nodes: list[int] = []
+    claims: list[tuple[int, ...]] = []
+    for b, claim in byz_claims.items():
+        if claim is None:
+            continue
+        if len(claim) != d:
+            liars.append(int(b))
+        else:
+            nodes.append(int(b))
+            claims.append(tuple(claim))
+    if nodes:
+        claimed = np.sort(np.asarray(claims), axis=1)
+        differs = (claimed != net.h.sorted_rows[nodes]).any(axis=1)
+        liars.extend(b for b, lie in zip(nodes, differs.tolist()) if lie)
+    return liars
 
 
 def _claim_set(claims: AdjacencyClaims, u: int) -> set[int] | None:
@@ -184,12 +210,7 @@ def crash_phase(
     """
     byz_mask = np.asarray(byz_mask, dtype=bool)
     crashed = np.zeros(net.n, dtype=bool)
-    liars = [
-        b
-        for b, claim in byz_claims.items()
-        if claim is not None
-        and tuple(sorted(claim)) != tuple(sorted(int(u) for u in net.h.neighbors(b)))
-    ]
+    liars = _liars(net, byz_claims)
     if not liars:
         return crashed
     suspects: set[int] = set()
@@ -197,6 +218,7 @@ def crash_phase(
         for u in net.g_neighbors(b):
             if not byz_mask[u]:
                 suspects.add(int(u))
+    rows = net.h.sorted_rows
     truth_cache: AdjacencyClaims = {}
 
     def claim_of(u: int) -> tuple[int, ...] | None:
@@ -204,7 +226,7 @@ def crash_phase(
             return byz_claims.get(u)
         got = truth_cache.get(u)
         if got is None:
-            got = tuple(sorted(int(x) for x in net.h.neighbors(u)))
+            got = tuple(rows[u].tolist())
             truth_cache[u] = got
         return got
 

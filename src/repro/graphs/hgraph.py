@@ -15,6 +15,7 @@ since the graph is exactly regular.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -67,6 +68,18 @@ class HGraph:
     def neighbors(self, v: int) -> Int64Array:
         """The ``d`` neighbors of ``v`` (with multiplicity), as a view."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    @cached_property
+    def sorted_rows(self) -> Int64Array:
+        """``(n, d)`` read-only table; row ``v`` lists ``v``'s neighbors sorted.
+
+        Built on first use and kept for the graph's lifetime: it is every
+        node's truthful pre-phase claim, so claims compare against it
+        without re-sorting adjacency per node.
+        """
+        rows = np.sort(self.indices.reshape(self.n, self.d), axis=1)
+        rows.flags.writeable = False
+        return rows
 
     def unique_neighbors(self, v: int) -> Int64Array:
         """Distinct neighbors of ``v`` (multi-edges collapsed)."""

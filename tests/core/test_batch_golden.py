@@ -118,17 +118,17 @@ def observe(name):
 
 GOLDEN = {
     "honest-lossy-union": [
-        ("f0b1407f36ad8c64", "315c41d014e45ed3", 164, 116968, 0, 0, 0, 0),
-        ("22d2e84d58c1c1e6", "dbb7718c6d2eaf1a", 115, 84432, 0, 0, 0, 0),
-        ("eeb04a986d457969", "c94d27ac3a7c7fdc", 115, 84072, 0, 0, 0, 0),
-        ("7fb2327c08cec0a2", "1df4438cec84eec5", 228, 278576, 0, 0, 0, 0),
-        ("1c13fda367ac1fc9", "b8b0bcc4c07b68fe", 228, 264800, 0, 0, 0, 0),
-        ("01bd2ed938833b1a", "e6bd765b7afe1b7b", 164, 193672, 0, 0, 0, 0),
+        ("f434c3920e096e59", "04b8a6f198c3918e", 115, 82568, 0, 0, 0, 0),
+        ("a6d06fbcf6ee0d49", "b34b1cd8866fd85a", 115, 84264, 0, 0, 0, 0),
+        ("56d9146519b9893e", "0000cbe0a7aed64d", 79, 58760, 0, 0, 0, 0),
+        ("78b227227c6559d0", "33715d6e0216bda6", 228, 279744, 0, 0, 0, 0),
+        ("a681f19ea77b1603", "fc0220ae8d6d38f2", 164, 200648, 0, 0, 0, 0),
+        ("017871aa49637ddc", "a39f49e686a35983", 228, 266440, 0, 0, 0, 0),
     ],
     "early-stop-lossy": [
-        ("0a58cf748fec7730", "8eda8ce345241294", 114146, 369638150, 331011248, 8, 0, 0),
-        ("36a36ea7c71cf8a2", "88f0c3c23d1cad93", 114146, 369820486, 331147312, 8, 0, 0),
-        ("c94e43a077505280", "3285afb257d60805", 114146, 369811318, 331268784, 8, 0, 0),
+        ("7b6abcfca0c1677d", "c7214a3818ea904f", 114146, 370220734, 331678128, 8, 0, 0),
+        ("9b199715a632d97f", "5ef4a3db62213cba", 114146, 369714222, 331144624, 8, 0, 0),
+        ("b4f1b63a134425f8", "f3dc337acfc90c96", 114146, 368610134, 330058416, 8, 0, 0),
     ],
     "mobile-lossless": [
         ("7550bad9b3911def", "833c3352f6f9f972", 239, 840374, 877616, 8, 0, 0),
@@ -136,10 +136,10 @@ GOLDEN = {
         ("20da7d3552fd8c0e", "8abdb4a2852d0b9e", 347, 1039694, 1049264, 8, 0, 0),
     ],
     "mobile-lossy-union": [
-        ("00870c1c9b818608", "78d26acf588fb10d", 686, 1920824, 1823040, 8, 0, 0),
-        ("985be93fa4f8c9d1", "2c367804b17ff374", 686, 1793784, 1704640, 8, 0, 0),
-        ("04927fd61ff243f5", "74134977d542f288", 929, 4387990, 4197552, 8, 0, 0),
-        ("6a198b6cb9de5d2a", "69430e59bd3bd347", 686, 3165542, 3078320, 8, 0, 0),
+        ("33c0b8c1879f696a", "4e3cf64601d2423f", 347, 986968, 968256, 8, 0, 0),
+        ("88f20aeb26bbdd4b", "3dab2c235363e698", 686, 1855552, 1763008, 8, 0, 0),
+        ("d1288c7ccd68ed52", "d1f3a274838a620d", 929, 4330670, 4138800, 8, 0, 0),
+        ("3df2624b6e473d30", "355783a74ad312e3", 929, 4364886, 4173360, 8, 0, 0),
     ],
     "traffic-adaptive-lossless-union": [
         ("bd4ebd8c31b80f46", "604f93f409962cdf", 164, 500104, 522176, 8, 0, 0),
@@ -148,9 +148,9 @@ GOLDEN = {
         ("f32de12e04b3f586", "493f7d41035b088f", 239, 1095558, 1172016, 8, 0, 0),
     ],
     "traffic-adaptive-lossy": [
-        ("3e461e046a9cf2bd", "e909e422a29e00f7", 494, 1876718, 1832624, 8, 0, 0),
-        ("d4f4cd2715790fa3", "2b6dccbafe16c08a", 347, 1384774, 1379888, 8, 0, 0),
-        ("bded07ade8365d53", "b485afcb5a377e22", 494, 1924542, 1872304, 8, 0, 0),
+        ("cdae3d9f09ca83f9", "58cf744122035f06", 494, 1860630, 1816368, 8, 0, 0),
+        ("268d1df111766539", "ce2ede445657e11e", 347, 1343862, 1340080, 8, 0, 0),
+        ("a7f2a201c43ef124", "3f8e4c4fe9ddae5a", 686, 2479958, 2384432, 8, 0, 0),
     ],
     "inflation-past-int8": [
         ("36dd7aed7d24cfc1", "7613bc0cd494b0f7", 239, 961742, 999088, 8, 50, 29),

@@ -41,6 +41,25 @@ class TestTruthfulClaims:
         partial = truthful_claims(net_small, np.array([3, 5]))
         assert set(partial) == {3, 5}
 
+    def test_matches_per_node_sort(self, net_small, truth):
+        # The claims come off the graph's sorted row table; each is still
+        # the node's own H adjacency, sorted, as Python ints.
+        for v in range(net_small.n):
+            want = tuple(sorted(int(u) for u in net_small.h.neighbors(v)))
+            assert truth[v] == want
+            assert all(type(u) is int for u in truth[v])
+        partial = truthful_claims(net_small, np.array([9, 2, 9]))
+        assert list(partial) == [9, 2]
+        assert partial[2] == truth[2] and partial[9] == truth[9]
+
+    def test_sorted_rows_table_built_once_and_read_only(self, net_small):
+        rows = net_small.h.sorted_rows
+        assert rows is net_small.h.sorted_rows
+        assert rows.shape == (net_small.n, net_small.d)
+        assert not rows.flags.writeable
+        for v in (0, 17, net_small.n - 1):
+            assert rows[v].tolist() == sorted(net_small.h.neighbors(v).tolist())
+
 
 class TestReconstruction:
     def test_faithful_on_clean_network(self, net_small, truth):
@@ -158,6 +177,79 @@ class TestCrashPhase:
         assert set(np.flatnonzero(crashed).tolist()) <= g_ball
 
 
+def _crash_phase_by_node_sorts(net, byz_mask, byz_claims):
+    """The crash rule with every claim and H row re-sorted per node."""
+    crashed = np.zeros(net.n, dtype=bool)
+    liars = [
+        b
+        for b, claim in byz_claims.items()
+        if claim is not None
+        and tuple(sorted(claim)) != tuple(sorted(int(u) for u in net.h.neighbors(b)))
+    ]
+    suspects = {
+        int(u) for b in liars for u in net.g_neighbors(b) if not byz_mask[u]
+    }
+    for v in sorted(suspects):
+        ports = net.g_neighbors(v)
+        local = {}
+        for u in ports.tolist():
+            if byz_mask[u]:
+                claim = byz_claims.get(u)
+            else:
+                claim = tuple(sorted(int(x) for x in net.h.neighbors(u)))
+            if claim is not None:
+                local[u] = claim
+        if find_conflicts(v, ports, local, net.k, net.d):
+            crashed[v] = True
+    return crashed
+
+
+class TestCrashPhaseAgainstPerNodeSorts:
+    """The sorted-row table changes no crash mask, bit for bit."""
+
+    def _claims(self, net, truth, byz, rng):
+        kinds = []
+        claims = {}
+        for i, b in enumerate(np.flatnonzero(byz).tolist()):
+            kind = i % 7
+            kinds.append(kind)
+            real = list(truth[b])
+            if kind == 0:
+                claims[b] = truth[b]
+            elif kind == 1:  # the truth, unsorted and as a list
+                claims[b] = list(rng.permutation(real).tolist())
+            elif kind == 2:  # one real entry swapped for a phantom
+                claims[b] = tuple(real[1:] + [net.n + i])
+            elif kind == 3:  # too short
+                claims[b] = tuple(real[:-1])
+            elif kind == 4:  # too long
+                claims[b] = tuple(real + [real[0]])
+            elif kind == 5:  # silent
+                claims[b] = None
+            else:  # a real neighbor's multiplicity changed
+                claims[b] = tuple(real[:-1] + [real[0]])
+        return claims, kinds
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masks_equal(self, net_small, truth, seed):
+        rng = np.random.default_rng(seed)
+        byz = np.zeros(net_small.n, dtype=bool)
+        byz[rng.choice(net_small.n, size=3 + seed, replace=False)] = True
+        claims, _ = self._claims(net_small, truth, byz, rng)
+        got = crash_phase(net_small, byz, claims)
+        want = _crash_phase_by_node_sorts(net_small, byz, claims)
+        assert np.array_equal(got, want)
+
+    def test_every_claim_kind_is_exercised(self, net_small, truth):
+        byz = np.zeros(net_small.n, dtype=bool)
+        byz[np.arange(0, net_small.n, 9)] = True
+        claims, kinds = self._claims(net_small, truth, byz, np.random.default_rng(1))
+        assert set(kinds) == set(range(7))
+        got = crash_phase(net_small, byz, claims)
+        assert got.any()
+        assert np.array_equal(got, _crash_phase_by_node_sorts(net_small, byz, claims))
+
+
 class TestChildRelation:
     def test_lemma3_rules(self):
         ng_v = {1, 2, 3, 4, 5}
@@ -172,3 +264,18 @@ class TestChildRelation:
 
     def test_unrelated(self):
         assert infer_child_relation({1, 2, 3}, {1, 9}, {2, 8}) == "unrelated"
+
+
+class TestClaimsSignature:
+    """The engine's crash memo key: claim content, not insertion order."""
+
+    def test_order_free_and_content_exact(self, truth):
+        from repro.core.batch import _claims_signature
+
+        forward = {5: truth[5], 40: truth[40], 7: None}
+        backward = {7: None, 40: list(truth[40]), np.int64(5): truth[5]}
+        assert _claims_signature(forward) == _claims_signature(backward)
+        assert hash(_claims_signature(forward)) == hash(_claims_signature(backward))
+        lie = {**forward, 40: truth[40][1:] + (999,)}
+        assert _claims_signature(lie) != _claims_signature(forward)
+        assert _claims_signature({5: truth[5]}) != _claims_signature(forward)

@@ -7,13 +7,14 @@ import pytest
 
 from repro.sim.channel import (
     MAX_NOISE_AMP,
+    ChannelCounterError,
     ChannelModel,
     ChannelState,
     _normalize_channel,
 )
 
-M64 = (1 << 64) - 1
-GAMMA = 0x9E3779B97F4A7C15
+M32 = (1 << 32) - 1
+G32 = 0x9E3779B9
 
 
 def state_for(model, *, cols, rows, seed=0):
@@ -24,11 +25,13 @@ def state_for(model, *, cols, rows, seed=0):
     return ChannelState(model, slots)
 
 
-def splitmix(z):
-    """splitmix64's finalizer on one Python int."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
-    return z ^ (z >> 31)
+def lowbias32(x):
+    """The lowbias32 integer hash on one Python int."""
+    x ^= x >> 16
+    x = (x * 0x7FEB352D) & M32
+    x ^= x >> 15
+    x = (x * 0x846CA68B) & M32
+    return x ^ (x >> 16)
 
 
 def reference_round(model, cells, values, t):
@@ -40,17 +43,17 @@ def reference_round(model, cells, values, t):
     out = values.copy()
     limit = int(np.iinfo(values.dtype).max)
     amp = int(model.noise_amp)
-    drop = int(Fraction(model.loss_p) * 2**64)
-    width = int(Fraction(model.noise_p) * (2**64 - drop)) if amp else 0
+    drop = int(Fraction(model.loss_p) * 2**32)
+    width = int(Fraction(model.noise_p) * (2**32 - drop)) if amp else 0
     for col, lo, hi, key in cells:
         for r in range(lo, hi):
-            h = splitmix((key + ((t << 32) + r - lo) * GAMMA) & M64)
+            counter = (r - lo) + t * (hi - lo)
+            h = lowbias32(((key & M32) + counter * G32) & M32)
             v = int(values[r, col])
             if h < drop:
                 out[r, col] = 0
             elif h < drop + width and v > 0:
-                o = splitmix((h + GAMMA) & M64)
-                offset = ((o >> 32) * (2 * amp + 1) >> 32) - amp
+                offset = (h - drop) * (2 * amp + 1) // width - amp
                 out[r, col] = min(max(v + offset, 1), limit)
     return out
 
@@ -219,9 +222,13 @@ class TestChannelStateCorrupt:
         assert np.any(out[::2] == 1)
         assert np.any(out[1::2] == limit)
 
-    def test_matches_percell_reference(self):
-        # Slots at different columns and row offsets, two dtypes' worth of
-        # magnitudes, several rounds: bit for bit the Python-int contract.
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+    def test_matches_percell_reference(self, dtype):
+        # Slots at different columns and row offsets, and two segments of
+        # unequal length in one column (the union layout, whose segments
+        # advance their counters by different per-round steps), several
+        # rounds, one cell at the dtype max: bit for bit the Python-int
+        # contract.
         model = ChannelModel(loss_p=0.3, noise_p=0.4, noise_amp=3)
         spec = [(0, 0, 10, 21), (1, 0, 10, 22), (0, 10, 24, 23), (2, 10, 24, 24)]
         keys = [
@@ -234,11 +241,138 @@ class TestChannelStateCorrupt:
         )
         cells = [(col, lo, hi, key) for (col, lo, hi, _), key in zip(spec, keys)]
         rng = np.random.default_rng(3)
+        limit = np.iinfo(dtype).max
         for t in range(5):
-            values = rng.integers(0, 6, size=(24, 3)).astype(np.int32)
-            values[0, 0] = np.iinfo(np.int32).max
+            values = rng.integers(0, 6, size=(24, 3)).astype(dtype)
+            values[0, 0] = values[12, 2] = limit
             got = state.corrupt(values)
             assert np.array_equal(got, reference_round(model, cells, values, t))
+
+    @pytest.mark.parametrize("rows", [1, 3, 1024, 3072, 2**31 + 1])
+    def test_counters_distinct_up_to_the_bound(self, rows):
+        # Within rounds * rows <= 2**32, (round, row) -> counter is
+        # one-to-one and never wraps, and counter -> hashed word is
+        # one-to-one (G32 is odd, so it has an inverse mod 2**32).  One
+        # round more makes the last row's counter wrap onto round 0's.
+        bound = 2**32 // rows
+        g_inv = pow(G32, -1, 2**32)
+        key = 0x1234_5678_9ABC_DEF0
+        picks = np.random.default_rng(rows).integers(0, [bound, rows], size=(64, 2))
+        corners = [(0, 0), (0, rows - 1), (bound - 1, 0), (bound - 1, rows - 1)]
+        for t, r in corners + [tuple(map(int, p)) for p in picks]:
+            counter = r + t * rows
+            assert counter < 2**32
+            assert divmod(counter, rows) == (t, r)
+            word = ((key & M32) + counter * G32) & M32
+            assert ((word - (key & M32)) * g_inv) & M32 == counter
+        wrapped = (rows - 1) + bound * rows
+        assert wrapped >= 2**32
+        assert wrapped % 2**32 < rows  # a round-0 counter again
+
+    def test_state_hashes_no_counter_twice(self):
+        # A 5-row cell over 40 rounds hashes 200 distinct words, and the
+        # cell's drop pattern reproduces the reference's counter order.
+        rng = np.random.default_rng(4)
+        key = int(np.random.default_rng(4).integers(2**64, dtype=np.uint64))
+        state = ChannelState(ChannelModel(loss_p=0.5), [(0, 0, 5, rng)])
+        words = [
+            ((key & M32) + (r + t * 5) * G32) & M32 for t in range(40) for r in range(5)
+        ]
+        assert len(set(words)) == 200
+        values = np.ones((5, 1), dtype=np.int32)
+        for t in range(40):
+            want = [lowbias32(words[t * 5 + r]) >= 2**31 for r in range(5)]
+            assert state.corrupt(values)[:, 0].tolist() == [int(w) for w in want]
+
+    @pytest.mark.parametrize("rows", [1, 2**12, 3 * 2**10, 2**32])
+    def test_counter_bound_is_enforced_before_any_draw(self, rows):
+        # rounds * rows <= 2**32 is the last phase whose counters stay
+        # distinct; one more round raises before the key is drawn.
+        bound = 2**32 // rows
+        rng = np.random.default_rng(6)
+        twin = np.random.default_rng(6)
+        model = ChannelModel(loss_p=0.2)
+        ChannelState(model, [(0, 0, rows, np.random.default_rng(6))], rounds=bound)
+        with pytest.raises(ChannelCounterError, match="2\\*\\*32"):
+            ChannelState(model, [(0, 0, rows, rng)], rounds=bound + 1)
+        assert rng.random() == twin.random()  # the generator was not read
+        assert issubclass(ChannelCounterError, ValueError)
+
+    def test_corrupt_past_the_bound_raises_and_draws_nothing(self):
+        # Without ``rounds=``, the state itself refuses the call that would
+        # repeat a counter, before touching its buffers.
+        state = ChannelState(
+            ChannelModel(loss_p=0.5), [(0, 0, 2**31, np.random.default_rng(1))]
+        )
+        values = np.ones((4, 1), dtype=np.int32)  # never reaches the layout
+        state._round = 2
+        with pytest.raises(ChannelCounterError, match="round 2"):
+            state.corrupt(values)
+        assert state._bufs is None
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_overlapping_segments_match_reference_in_any_slot_order(self, order):
+        # A short segment inside rows that longer segments of other
+        # columns cover: each cell keeps its own segment's counters.
+        model = ChannelModel(loss_p=0.3, noise_p=0.4, noise_amp=2)
+        spec = [(1, 5, 29, 41), (0, 0, 40, 42), (2, 0, 40, 43), (1, 29, 33, 44)]
+        spec = spec[::order]
+        keys = [
+            int(np.random.default_rng(seed).integers(2**64, dtype=np.uint64))
+            for *_, seed in spec
+        ]
+        state = ChannelState(
+            model,
+            [(col, lo, hi, np.random.default_rng(seed)) for col, lo, hi, seed in spec],
+        )
+        cells = [(col, lo, hi, key) for (col, lo, hi, _), key in zip(spec, keys)]
+        rng = np.random.default_rng(9)
+        for t in range(4):
+            values = rng.integers(0, 6, size=(40, 3)).astype(np.int32)
+            got = state.corrupt(values)
+            assert np.array_equal(got, reference_round(model, cells, values, t))
+
+    def test_shape_change_mid_phase_keeps_every_stream(self):
+        # Widening the block by a slot-less column re-lays the buffers out
+        # after two rounds; the counters carry on from round 2.
+        model = ChannelModel(loss_p=0.3, noise_p=0.4, noise_amp=2)
+        spec = [(0, 0, 9, 31), (1, 0, 9, 32), (0, 9, 14, 33)]
+        keys = [
+            int(np.random.default_rng(seed).integers(2**64, dtype=np.uint64))
+            for *_, seed in spec
+        ]
+        state = ChannelState(
+            model,
+            [(col, lo, hi, np.random.default_rng(seed)) for col, lo, hi, seed in spec],
+        )
+        cells = [(col, lo, hi, key) for (col, lo, hi, _), key in zip(spec, keys)]
+        rng = np.random.default_rng(8)
+        for t in range(5):
+            width = 2 if t < 2 else 3
+            values = rng.integers(0, 6, size=(14, width)).astype(np.int16)
+            got = state.corrupt(values)
+            assert np.array_equal(got, reference_round(model, cells, values, t))
+
+    def test_reuse_hands_over_buffers_and_changes_no_draw(self):
+        model = ChannelModel(loss_p=0.25, noise_p=0.5, noise_amp=3)
+        values = np.random.default_rng(2).integers(0, 9, size=(40, 3)).astype(np.int8)
+
+        def slots(seed, rows):
+            return [(c, 0, rows, np.random.default_rng([seed, c])) for c in range(3)]
+
+        first = ChannelState(model, slots(1, 40))
+        twin = ChannelState(model, slots(1, 40))
+        first.corrupt(values)
+        twin.corrupt(values)
+        # The next phase takes over the buffers: its draws equal a fresh
+        # state's, on a smaller block (a shrunken live set) too.
+        small = values[:24]
+        heir = ChannelState(model, slots(2, 24), reuse=first)
+        fresh = ChannelState(model, slots(2, 24))
+        for _ in range(3):
+            assert np.array_equal(heir.corrupt(small), fresh.corrupt(small))
+        # The old state lays out anew if it is ever called again.
+        assert np.array_equal(first.corrupt(values), twin.corrupt(values))
 
     def test_one_key_per_slot_is_the_only_generator_read(self):
         # The slot generator is read once, when the state is built; the

@@ -25,9 +25,10 @@ of a two-sided binomial region):
   ``ALPHA``).  This is what a hash that leaked its counter lattice would
   fail.
 
-The model's probabilities hold up to the channel's quantization (``2**-64``
-on the thresholds, ``2**-32`` per offset), far below what ``10**6`` draws
-can resolve.  The asymptotic chi-square level is accurate here: every
+The model's probabilities hold up to the channel's ``2**-32``
+quantization (of the thresholds on its 32-bit hash, and of each offset's
+share of the corruption window), far below what ``10**6`` draws can
+resolve.  The asymptotic chi-square level is accurate here: every
 expected cell count exceeds ``10**5``.
 """
 
