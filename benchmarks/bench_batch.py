@@ -27,10 +27,10 @@ one network, in four workloads:
 * **union_stack** — the same size sweep through the rectangular entry
   point (:func:`repro.core.batch.run_counting_unionstack`, all sizes as
   row blocks of one (sum n, B) state), gated against the per-size
-  batched loop.  A secondary ungated entry (``union_stack-vs-padded``,
-  name kept for the trajectory) times it against the ``multi_net``
-  call over the same grid: both are entry points into one engine, so
-  that ratio only measures the per-trial wrapper's regrouping;
+  batched loop.  A secondary ungated entry (``multinet-vs-unionstack``)
+  times it against the ``multi_net`` call over the same grid: both are
+  entry points into one engine, so that ratio only measures the
+  per-trial wrapper's regrouping;
 * **lossy** — the scenario-pack channel axis: ``B`` trials under a lossy
   and noisy :class:`repro.sim.channel.ChannelModel` as ONE batched call vs
   the per-seed loop of single-trial batches (the scalar runner has no
@@ -76,6 +76,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import time
 
 import numpy as np
@@ -527,6 +529,31 @@ def _time_best(fn, *args, repeats: int = 3, fresh=None) -> tuple[float, object]:
     return best, result
 
 
+def _host_info() -> dict:
+    """The hardware and numpy build the trajectory was measured on."""
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "cores": (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()
+        ),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=DEFAULT_N)
@@ -778,11 +805,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(f"{'union_stack':<28}{t_loop * 1e3:>8.1f}ms{t_uni * 1e3:>8.1f}ms{sp:>9.2f}x")
     # Secondary, ungated: the rectangular entry point vs the per-trial
-    # one on the same grid (the workload name predates the single engine;
-    # the padded path it once timed is gone).
+    # one on the same grid.
     trajectory.append(
         {
-            "workload": "union_stack-vs-padded",
+            "workload": "multinet-vs-unionstack",
             "mode": "informational",
             "multinet_s": t_multi,
             "union_s": t_uni,
@@ -791,7 +817,7 @@ def main(argv: list[str] | None = None) -> int:
         }
     )
     print(
-        f"{'union_stack-vs-padded':<28}{t_multi * 1e3:>8.1f}ms"
+        f"{'multinet-vs-unionstack':<28}{t_multi * 1e3:>8.1f}ms"
         f"{t_uni * 1e3:>8.1f}ms{t_multi / t_uni:>9.2f}x"
     )
 
@@ -886,6 +912,7 @@ def main(argv: list[str] | None = None) -> int:
             "repeats": args.repeats,
             "jobs": args.jobs,
             "equivalence_checked": True,
+            "host": _host_info(),
             "trajectory": trajectory,
         }
         with open(args.json, "w") as fh:

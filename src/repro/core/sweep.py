@@ -18,7 +18,9 @@ Network axis
 The paper's claims are *scaling* statements, so the sweeps that matter
 most iterate over network sizes.  :func:`run_multi_sweep` (equivalently,
 passing a list of networks to :func:`run_sweep`) extends the fusion across
-the network axis on the block-diagonal **union stack**: networks stack on
+the network axis; a single-network :func:`run_sweep` is the one-network
+case of the same planner, ``run_multi_sweep([network], ...).sweep(0)``.
+Sweeps run on the block-diagonal **union stack**: networks stack on
 the *row* axis and each column is one (placement, config, seed) cell, so
 each flooding round is a single row-gather over the concatenated CSR with
 no padding rows (see :mod:`repro.core.batch`).  A rectangular grid (one
@@ -53,10 +55,15 @@ order (network-major, then strategy, placement, config, seed) wrapped in a
 Sharding
 --------
 ``jobs=N`` fans the grid out over worker processes through
-:func:`repro.experiments.common.parallel_map` with every network placed in
-one shared-memory segment (workers attach zero-copy; multi-network sweeps
-pin all graphs in a single segment, and rectangular sweeps additionally
-ship the pre-stacked union CSR through it so workers skip re-stacking).
+:func:`repro.experiments.common.parallel_map`, and every sweep ships its
+whole network axis, one network or many, as one
+:class:`~repro.graphs.shared.SharedNetworkPack` (workers attach its one
+shared-memory segment zero-copy).  Rectangular sweeps over two or more
+networks also ship the pre-stacked union CSR through it, so workers skip
+re-stacking; one network needs none.  The kernel backend rides the pack's
+container (``NetworkTuple.kernel_backend``) and the channel model rides
+the task tuples.
+
 Shard boundaries are **cost weighted**: each cell's expected cost is
 modeled as ``n x round_complexity_bound(n, eps, d) x strategy factor``
 (early-stop attacks end runs after a few phases, inflation floods every
@@ -64,13 +71,13 @@ phase — see :data:`STRATEGY_COST_FACTORS`), and boundaries are placed so
 shards carry roughly equal *cost* rather than equal cell counts, which
 balances the pool when sizes or strategies are skewed.  Rectangular
 shards cut on *column* boundaries of the union stack (a column spans every
-network, so its cost is the per-column sum over the network axis); ragged
-shards cut on cell boundaries.  Chunks never drop below
-:data:`MIN_SHARD_CELLS` cells/columns, never straddle a strategy boundary,
-and can be forced back to fixed-size slicing with ``shard_cells``.  For
-``jobs > 1`` every strategy spec must be picklable — a name from
-:data:`~repro.core.estimator.ADVERSARIES`, a module-level factory, or a
-plain adversary instance.
+network, so its cost is the per-column sum over the network axis; on one
+network a column is one cell); ragged shards cut on cell boundaries.
+Chunks never drop below :data:`MIN_SHARD_CELLS` cells/columns, never
+straddle a strategy boundary, and can be forced back to fixed-size
+slicing with ``shard_cells``.  For ``jobs > 1`` every strategy spec must
+be picklable — a name from :data:`~repro.core.estimator.ADVERSARIES`, a
+module-level factory, or a plain adversary instance.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ import numpy as np
 from .._types import BoolArray, SeedLike
 from ..adversary.base import Adversary
 from ..sim.channel import ChannelModel, _normalize_channel
-from .batch import run_counting_batch, run_counting_multinet, run_counting_unionstack
+from .batch import run_counting_multinet, run_counting_unionstack
 from .config import CountingConfig
 from .results import BatchCountingResult, CountingResult
 
@@ -137,7 +144,7 @@ _HONEST_COST_FACTOR = 0.5
 
 
 def _strategy_factory(spec: StrategySpec) -> Adversary | Callable[[], Adversary] | None:
-    """Resolve a strategy spec to what ``run_counting_batch`` expects.
+    """Resolve a strategy spec to what the batched engine expects.
 
     A spec is ``None`` (honest Algorithm 1), a registered adversary name,
     an :class:`Adversary` instance, or a zero-argument factory.
@@ -217,6 +224,30 @@ def _shard_bounds(
     return bounds
 
 
+def _plan_shards(
+    strategy_axis: list[StrategySpec],
+    costs: list[float],
+    jobs: int | None,
+    shard_cells: int | None,
+) -> list[tuple[int, StrategySpec, int, int]]:
+    """``(strategy index, spec, lo, hi)`` shards over the sweep's items.
+
+    ``costs`` is one strategy block's modeled item costs, in grid order
+    (every strategy block has the same items).  With ``jobs > 1`` each
+    shard aims at ``1/jobs`` of the whole grid's cost, the strategy's
+    cost factor scaling its items; otherwise each block is one shard.
+    """
+    target_cost: float | None = None
+    if jobs and jobs > 1:
+        factors = sum(_strategy_cost_factor(spec) for spec in strategy_axis)
+        target_cost = sum(costs) * factors / jobs
+    plan: list[tuple[int, StrategySpec, int, int]] = []
+    for s, spec in enumerate(strategy_axis):
+        block_target = None if target_cost is None else target_cost / _strategy_cost_factor(spec)
+        plan.extend((s, spec, lo, hi) for lo, hi in _shard_bounds(costs, block_target, shard_cells))
+    return plan
+
+
 def _validate_seeds(seeds: Any) -> list[SeedLike]:
     """Materialize and validate the sweep's seed axis, eagerly and typed.
 
@@ -224,7 +255,7 @@ def _validate_seeds(seeds: Any) -> list[SeedLike]:
     ``numpy.random.Generator`` where a *sequence* of per-trial seeds is
     required, a one-shot iterator/generator (the seed axis is replayed
     once per strategy block, so it must be re-iterable), an empty axis,
-    and duplicate entries (a duplicated seed silently duplicates every
+    nested sequences as entries, and duplicate entries (a duplicated seed silently duplicates every
     grid cell that uses it — and a duplicated ``Generator`` object would
     share one stream across trials, breaking per-trial reproducibility).
     """
@@ -250,6 +281,14 @@ def _validate_seeds(seeds: Any) -> list[SeedLike]:
             # ``None`` means a fresh-entropy rng per trial (make_rng), so
             # repeated Nones are distinct trials, never duplicates.
             continue
+        if isinstance(s, (list, tuple)) or np.ndim(s) > 0:
+            # A nested axis is never one seed; on a single network it
+            # would otherwise read as that network's own seed axis.
+            raise TypeError(
+                f"seed entries must be scalar seeds (int, Generator or None), "
+                f"got {type(s).__name__}; pass per-network axes only with a "
+                "list of networks"
+            )
         try:
             key = ("v", s)
             hash(s)
@@ -289,38 +328,6 @@ def _split_seed_axes(
             )
         return None, axes
     return _validate_seeds(seeds), None
-
-
-def _run_shard(network: SmallWorldNetwork, task: tuple[Any, ...]) -> list[CountingResult]:
-    """Module-level worker: one fused (strategy, cells-chunk) batch.
-
-    ``task`` is ``(spec, seeds, configs, masks, backend, channel)`` with
-    ``masks`` a ``(B, n)`` stack or None; runs on the (possibly
-    shared-memory attached) network inside a worker process.  The kernel
-    backend and the channel model ride in the task tuple because a bare
-    ``SmallWorldNetwork`` has no container to carry them (multi-network
-    shards ship them on the
-    :class:`~repro.graphs.shared.NetworkTuple` instead).
-    """
-    spec, seeds, configs, masks, backend, channel = task
-    factory = _strategy_factory(spec)
-    if factory is None:
-        return list(
-            run_counting_batch(
-                network, seeds, config=configs, backend=backend, channel=channel
-            )
-        )
-    return list(
-        run_counting_batch(
-            network,
-            seeds,
-            config=configs,
-            adversary_factory=factory,
-            byz_mask=masks,
-            backend=backend,
-            channel=channel,
-        )
-    )
 
 
 def _run_multi_shard(
@@ -366,8 +373,9 @@ def _run_union_shard(
     """Module-level worker: one fused union-stack (strategy, columns) batch.
 
     ``networks`` is the shared :class:`~repro.graphs.shared.NetworkTuple`
-    (attached from one shared-memory segment inside workers, pre-stacked
-    union CSR included, so the engine adopts it without re-stacking);
+    (attached from one shared-memory segment inside workers; with two or
+    more networks the pre-stacked union CSR is included, so the engine
+    adopts it without re-stacking);
     ``task`` carries the shard's seed columns, per-column configs, and
     per-network per-column masks.
     """
@@ -645,15 +653,16 @@ def run_sweep(
     ----------
     network:
         The shared :class:`~repro.graphs.smallworld.SmallWorldNetwork`
-        every cell runs on.  A *list or tuple of networks* adds the
-        network axis and delegates to :func:`run_multi_sweep` (placements
-        then follow that function's per-network conventions, and a
+        every cell runs on; the sweep runs as the one-network
+        :func:`run_multi_sweep` and returns its only block.  A *list or
+        tuple of networks* adds the network axis (placements then follow
+        :func:`run_multi_sweep`'s per-network conventions, and a
         :class:`MultiSweepResult` is returned).
     seeds:
         Seed axis; a materialized sequence whose entries are anything
         :func:`repro.sim.rng.make_rng` accepts.  Empty axes, duplicate
-        entries, one-shot iterators, and a bare ``numpy`` ``Generator``
-        are rejected eagerly with typed errors.
+        or nested entries, one-shot iterators, and a bare ``numpy``
+        ``Generator`` are rejected eagerly with typed errors.
     configs:
         Config axis; a single :class:`CountingConfig` (the default config
         when None) or a sequence.
@@ -674,23 +683,22 @@ def run_sweep(
         shared memory.
     shard_cells:
         Override the cost-weighted shard splitter with fixed-size chunks.
-        The unit is one shard *item*: a grid cell on single-network and
-        ragged multi-network sweeps, but a union-stack **column** — i.e.
-        ``len(networks)`` cells — on rectangular multi-network sweeps
-        (those shards can only cut on column boundaries).
+        The unit is one union-stack **column** — ``len(networks)``
+        cells, so one cell on a single network — on rectangular sweeps
+        (those shards can only cut on column boundaries), and one cell
+        on ragged multi-network sweeps.
     backend:
         Flood-kernel compute backend (``"numpy"``, ``"numba"``,
         ``"auto"``) or ``None`` for the default resolution — the
         ``REPRO_KERNEL_BACKEND`` env override, then auto.  Applied to
-        every cell and shipped to sharded workers (on the task for
-        single-network sweeps, on the shared network container for
-        multi-network ones); bit-for-bit neutral (see
-        :mod:`repro.sim.backends`).
+        every cell and shipped to sharded workers on the shared network
+        container (``NetworkTuple.kernel_backend``); bit-for-bit neutral
+        (see :mod:`repro.sim.backends`).
     channel:
         Optional :class:`~repro.sim.channel.ChannelModel` applied to every
         cell — the lossy/noisy message channel sweep axis.  Rides the
-        shard task tuples like ``backend`` does (plain frozen data, so it
-        pickles to workers); a null channel is normalized to ``None`` and
+        shard task tuples (plain frozen data, so it pickles to workers);
+        a null channel is normalized to ``None`` and
         the sweep is then bit-for-bit identical to a channel-free run.
     policy:
         :class:`repro.exec.RetryPolicy` for the sharded dispatch —
@@ -712,91 +720,24 @@ def run_sweep(
         Grid-shaped results, each cell bit-for-bit equal to its scalar
         sequential run (see the module docstring).
     """
-    if isinstance(network, (list, tuple)):
-        return run_multi_sweep(
-            network,
-            seeds=seeds,
-            configs=configs,
-            placements=placements,
-            strategies=strategies,
-            jobs=jobs,
-            shard_cells=shard_cells,
-            backend=backend,
-            channel=channel,
-            policy=policy,
-            report=report,
-            checkpoint=checkpoint,
-        )
-    n = network.n
-    channel = _normalize_channel(channel)
-    seeds = _validate_seeds(seeds)
-    config_axis = _normalize_axis(configs, CountingConfig(), CountingConfig)
-    strategy_axis = _normalize_strategy_axis(strategies)
-    norm_placements = _normalize_placement_axis(placements, n)
-
-    any_byz = any(m is not None and m.any() for m in norm_placements)
-    if any_byz and any(spec is None for spec in strategy_axis):
-        raise ValueError(
-            "a None strategy (honest Algorithm 1) cannot run non-empty "
-            "placements; give those cells an adversary strategy"
-        )
-
-    empty_mask = np.zeros(n, dtype=bool)
-    cells_per_strategy = len(norm_placements) * len(config_axis) * len(seeds)
-
-    # One strategy block's (placement, config, seed) axes in grid order;
-    # identical for every strategy, so built once and shard-sliced below.
-    trial_seeds: list[SeedLike] = []
-    trial_configs: list[CountingConfig] = []
-    trial_masks: list[BoolArray] = []
-    for mask in norm_placements:
-        for cfg in config_axis:
-            for seed in seeds:
-                trial_seeds.append(seed)
-                trial_configs.append(cfg)
-                trial_masks.append(mask if mask is not None else empty_mask)
-
-    cost_cache: dict[tuple[int, CountingConfig], float] = {}
-    base_costs = [_cell_cost(n, network.d, cfg, cost_cache) for cfg in trial_configs]
-    target_cost: float | None = None
-    if jobs and jobs > 1:
-        total_cost = sum(
-            sum(base_costs) * _strategy_cost_factor(spec) for spec in strategy_axis
-        )
-        target_cost = total_cost / jobs
-
-    tasks: list[tuple[Any, ...]] = []
-    for spec in strategy_axis:
-        factor = _strategy_cost_factor(spec)
-        block_target = None if target_cost is None else target_cost / factor
-        for lo, hi in _shard_bounds(base_costs, block_target, shard_cells):
-            masks: BoolArray | None = None
-            if spec is not None:
-                masks = np.array(trial_masks[lo:hi], dtype=bool).reshape(hi - lo, n)
-            tasks.append(
-                (spec, trial_seeds[lo:hi], trial_configs[lo:hi], masks, backend, channel)
-            )
-
-    from ..experiments.common import parallel_map
-
-    shard_results = parallel_map(
-        _run_shard,
-        tasks,
+    kwargs: dict[str, Any] = dict(
+        configs=configs,
+        strategies=strategies,
         jobs=jobs,
-        network=network,
+        shard_cells=shard_cells,
+        backend=backend,
+        channel=channel,
         policy=policy,
         report=report,
         checkpoint=checkpoint,
     )
-    results = [res for shard in shard_results for res in shard]
-    assert len(results) == cells_per_strategy * len(strategy_axis)
-    return SweepResult(
-        seeds=seeds,
-        configs=config_axis,
-        placements=norm_placements,
-        strategies=strategy_axis,
-        results=results,
-    )
+    if isinstance(network, (list, tuple)):
+        return run_multi_sweep(network, seeds=seeds, placements=placements, **kwargs)
+    # Typed seed-axis errors surface here, before any grid is planned.
+    seeds = _validate_seeds(seeds)
+    return run_multi_sweep(
+        [network], seeds=seeds, placements=[placements], **kwargs
+    ).sweep(0)
 
 
 def run_multi_sweep(
@@ -821,8 +762,9 @@ def run_multi_sweep(
     one union-stack batch: :func:`repro.core.batch.run_counting_unionstack`
     for rectangular grids, :func:`repro.core.batch.run_counting_multinet`
     for ragged ones; all networks must share the degree ``d``.  Every cell
-    is bit-for-bit equal to the per-network :func:`run_sweep` call it
-    replaces (same network, config, strategy, placement, seed).
+    is bit-for-bit equal to the scalar run it replaces (same network,
+    config, strategy, placement, seed; see the module docstring).  A
+    single-network :func:`run_sweep` is this function on one network.
 
     Parameters
     ----------
@@ -839,7 +781,7 @@ def run_multi_sweep(
         As in :func:`run_sweep` (configs/strategies are shared grid
         axes).  Note ``shard_cells`` counts union-stack *columns* — each
         ``len(networks)`` cells — on rectangular grids; ragged sweeps
-        keep the per-cell unit.
+        count cells.
     placements:
         Per-network placement axes, because a ``(n,)`` mask only fits one
         network: ``None`` (no Byzantine nodes anywhere), a *callable*
@@ -848,9 +790,7 @@ def run_multi_sweep(
         one placement-axis spec per network.  The resulting axis length
         must agree across networks (it is a grid axis).
     backend:
-        As in :func:`run_sweep`; rides on the shared network container
-        (``NetworkTuple.kernel_backend``), so it survives shared-memory
-        reconstruction inside sharded workers.
+        As in :func:`run_sweep`.
     channel:
         As in :func:`run_sweep`; the channel model rides the shard task
         tuples (and, when the caller hands in a ready
@@ -931,10 +871,13 @@ def run_multi_sweep(
             "placements; give those cells an adversary strategy"
         )
 
-    from ..experiments.common import parallel_map
-
     n_g, n_s, n_c = len(networks), len(strategy_axis), len(config_axis)
     cost_cache: dict[tuple[int, CountingConfig], float] = {}
+    # Every shard is one task plus the flat grid index of each result it
+    # returns; the grid is network-major (network, strategy, placement,
+    # config, seed).
+    tasks: list[tuple[Any, ...]] = []
+    task_flats: list[list[int]] = []
 
     if shared_seeds is not None:
         # ---- rectangular grid: one shared seed axis ---------------------
@@ -942,154 +885,88 @@ def run_multi_sweep(
         # triples in intra-network flat order; every column spans the
         # whole network axis, so shard boundaries cut on column
         # boundaries and a column's modeled cost sums over the networks.
-        assert shared_seeds is not None
         n_b = len(shared_seeds)
-        block = n_s * n_p * n_c * n_b  # cells per network (network-major)
-        col_specs: list[tuple[int, int, int]] = []
-        col_costs: list[float] = []
-        for p in range(n_p):
-            for c, cfg in enumerate(config_axis):
-                col_cost = sum(
-                    _cell_cost(int(net.n), d, cfg, cost_cache) for net in networks
-                )
-                for b in range(n_b):
-                    col_specs.append((p, c, b))
-                    col_costs.append(col_cost)
-
-        target_cost: float | None = None
-        if jobs and jobs > 1:
-            total_cost = sum(col_costs) * sum(
-                _strategy_cost_factor(spec) for spec in strategy_axis
-            )
-            target_cost = total_cost / jobs
-
-        tasks: list[tuple[Any, ...]] = []
-        task_cols: list[list[int]] = []
-        for s, spec in enumerate(strategy_axis):
-            factor = _strategy_cost_factor(spec)
-            block_target = None if target_cost is None else target_cost / factor
-            for lo, hi in _shard_bounds(col_costs, block_target, shard_cells):
-                chunk = col_specs[lo:hi]
-                masks: list[list[BoolArray | None]] | None = None
-                if spec is not None:
-                    masks = [
-                        [per_net_placements[g][p] for p, _c, _b in chunk]
-                        for g in range(n_g)
-                    ]
-                tasks.append(
-                    (
-                        spec,
-                        [shared_seeds[b] for _p, _c, b in chunk],
-                        [config_axis[c] for _p, c, _b in chunk],
-                        masks,
-                        channel,
-                    )
-                )
-                task_cols.append(
-                    [((s * n_p + p) * n_c + c) * n_b + b for p, c, b in chunk]
-                )
-
-        shard_results = parallel_map(
-            _run_union_shard,
-            tasks,
-            jobs=jobs,
-            network=networks_payload if networks_payload is not None else networks,
-            union_csr=True,
-            kernel_backend=backend,
-            policy=policy,
-            report=report,
-            checkpoint=checkpoint,
-        )
-        results: list[CountingResult | None] = [None] * (n_g * block)
-        for offs, shard in zip(task_cols, shard_results, strict=True):
-            n_cols = len(offs)
-            for g in range(n_g):
-                for j, off in enumerate(offs):
-                    results[g * block + off] = shard[g * n_cols + j]
-        assert all(res is not None for res in results)
-        return MultiSweepResult(
-            networks=networks,
-            seeds=shared_seeds,
-            configs=config_axis,
-            placements=per_net_placements,
-            strategies=strategy_axis,
-            results=results,  # type: ignore[arg-type]
-        )
-
-    # ---- ragged grid: one seed axis per network, sharded by cell ---------
-    assert seed_axes is not None
-    axes = seed_axes
-    net_off = [0]
-    for ax in axes:
-        net_off.append(net_off[-1] + n_s * n_p * n_c * len(ax))
-    total_cells = net_off[-1]
-
-    # Per-strategy cell lists spanning all networks, in network-major
-    # (network, placement, config, seed) order — the trials the engine
-    # regroups into union blocks.
-    per_strategy: list[list[tuple[int, SeedLike, CountingConfig, int, BoolArray | None]]] = [
-        [] for _ in strategy_axis
-    ]
-    per_strategy_costs: list[list[float]] = [[] for _ in strategy_axis]
-    for s, _spec in enumerate(strategy_axis):
-        for g, net in enumerate(networks):
-            axis_g = axes[g]
-            nb_g = len(axis_g)
-            for p in range(n_p):
-                mask = per_net_placements[g][p]
-                for c, cfg in enumerate(config_axis):
-                    cost = _cell_cost(int(net.n), d, cfg, cost_cache)
-                    for b, seed in enumerate(axis_g):
-                        flat = net_off[g] + (((s * n_p) + p) * n_c + c) * nb_g + b
-                        per_strategy[s].append((flat, seed, cfg, g, mask))
-                        per_strategy_costs[s].append(cost)
-
-    target_cost = None
-    if jobs and jobs > 1:
-        total_cost = sum(
-            sum(per_strategy_costs[s]) * _strategy_cost_factor(spec)
-            for s, spec in enumerate(strategy_axis)
-        )
-        target_cost = total_cost / jobs
-
-    cell_tasks: list[tuple[Any, ...]] = []
-    task_flats: list[list[int]] = []
-    for s, spec in enumerate(strategy_axis):
-        factor = _strategy_cost_factor(spec)
-        block_target = None if target_cost is None else target_cost / factor
-        for lo, hi in _shard_bounds(per_strategy_costs[s], block_target, shard_cells):
-            cells = per_strategy[s][lo:hi]
-            task_flats.append([cell[0] for cell in cells])
-            cell_masks: list[BoolArray] | None = None
+        block = n_s * n_p * n_c * n_b  # cells per network
+        cols = [(p, c, b) for p in range(n_p) for c in range(n_c) for b in range(n_b)]
+        col_costs = [
+            sum(_cell_cost(int(net.n), d, config_axis[c], cost_cache) for net in networks)
+            for _p, c, _b in cols
+        ]
+        for s, spec, lo, hi in _plan_shards(strategy_axis, col_costs, jobs, shard_cells):
+            chunk = cols[lo:hi]
+            masks: list[list[BoolArray | None]] | None = None
             if spec is not None:
-                cell_masks = [
-                    cell[4]
-                    if cell[4] is not None
-                    else np.zeros(int(networks[cell[3]].n), dtype=bool)
-                    for cell in cells
-                ]
-            cell_tasks.append(
+                masks = [[per_net_placements[g][p] for p, _c, _b in chunk] for g in range(n_g)]
+            tasks.append(
                 (
                     spec,
-                    [cell[1] for cell in cells],
-                    [cell[2] for cell in cells],
-                    [cell[3] for cell in cells],
+                    [shared_seeds[b] for _p, _c, b in chunk],
+                    [config_axis[c] for _p, c, _b in chunk],
+                    masks,
+                    channel,
+                )
+            )
+            offs = [((s * n_p + p) * n_c + c) * n_b + b for p, c, b in chunk]
+            task_flats.append([g * block + off for g in range(n_g) for off in offs])
+        worker: Callable[[Any, tuple[Any, ...]], list[CountingResult]] = _run_union_shard
+    else:
+        # ---- ragged grid: one seed axis per network, sharded by cell -----
+        assert seed_axes is not None
+        net_off = [0]
+        for ax in seed_axes:
+            net_off.append(net_off[-1] + n_s * n_p * n_c * len(ax))
+        # One strategy block's cells across all networks, in network-major
+        # (network, placement, config, seed) order — the trials the engine
+        # regroups into union blocks.
+        cells = [
+            (g, p, c, b)
+            for g, ax in enumerate(seed_axes)
+            for p in range(n_p)
+            for c in range(n_c)
+            for b in range(len(ax))
+        ]
+        cell_costs = [
+            _cell_cost(int(networks[g].n), d, config_axis[c], cost_cache)
+            for g, _p, c, _b in cells
+        ]
+        for s, spec, lo, hi in _plan_shards(strategy_axis, cell_costs, jobs, shard_cells):
+            chunk = cells[lo:hi]
+            cell_masks: list[BoolArray | None] | None = None
+            if spec is not None:
+                cell_masks = [per_net_placements[g][p] for g, p, _c, _b in chunk]
+            tasks.append(
+                (
+                    spec,
+                    [seed_axes[g][b] for g, _p, _c, b in chunk],
+                    [config_axis[c] for _g, _p, c, _b in chunk],
+                    [g for g, _p, _c, _b in chunk],
                     cell_masks,
                     channel,
                 )
             )
+            task_flats.append(
+                [
+                    net_off[g] + ((s * n_p + p) * n_c + c) * len(seed_axes[g]) + b
+                    for g, p, c, b in chunk
+                ]
+            )
+        worker = _run_multi_shard
+
+    from ..experiments.common import parallel_map
 
     shard_results = parallel_map(
-        _run_multi_shard,
-        cell_tasks,
+        worker,
+        tasks,
         jobs=jobs,
         network=networks_payload if networks_payload is not None else networks,
+        # One network needs no stacking: the engine runs its own H CSR.
+        union_csr=shared_seeds is not None and n_g > 1,
         kernel_backend=backend,
         policy=policy,
         report=report,
         checkpoint=checkpoint,
     )
-    results = [None] * total_cells
+    results: list[CountingResult | None] = [None] * sum(len(f) for f in task_flats)
     for flats, shard in zip(task_flats, shard_results, strict=True):
         for flat, res in zip(flats, shard, strict=True):
             results[flat] = res

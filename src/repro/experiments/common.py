@@ -11,9 +11,10 @@ Three layers of shared machinery:
 * **process sharding** — :func:`parallel_map` optionally fans a multi-config
   sweep out over a ``ProcessPoolExecutor`` (each worker re-imports the
   library, so mapped functions must be module-level picklables).  Sweeps
-  over one network pass it via ``network=``: the graph is placed in shared
-  memory once (:class:`repro.graphs.shared.SharedNetwork`) and workers
-  attach zero-copy instead of unpickling a full CSR copy per task.
+  pass their network axis, one network or several, via ``network=``: the
+  graphs are placed in one shared-memory segment
+  (:class:`repro.graphs.shared.SharedNetworkPack`) and workers attach
+  zero-copy instead of unpickling a full CSR copy per task.
 """
 
 from __future__ import annotations
@@ -128,9 +129,10 @@ def byzantine_counting_trials(
 class _SharedNetworkCall:
     """Picklable shim calling ``fn(shared-payload, item)`` inside a worker.
 
-    The payload is the attached network (:class:`SharedNetwork` handles)
-    or the attached tuple of networks (:class:`SharedNetworkPack`).  The
-    handle re-attaches the shared segment at most once per worker process
+    The payload is the tuple of networks attached from a
+    :class:`~repro.graphs.shared.SharedNetworkPack`, or its only network
+    when the map was given a lone one (``multi=False``).  The handle
+    re-attaches the shared segment at most once per worker process
     (module-level cache in :mod:`repro.graphs.shared`), so every task
     after the first reuses the already-reconstructed graphs.  Because
     attachment is lazy and per-process, a rebuilt worker pool (crash or
@@ -144,8 +146,8 @@ class _SharedNetworkCall:
         self.multi = multi
 
     def __call__(self, item):
-        payload = self.shared.nets if self.multi else self.shared.net
-        return self.fn(payload, item)
+        nets = self.shared.nets
+        return self.fn(nets if self.multi else nets[0], item)
 
 
 class _PayloadCall:
@@ -234,13 +236,13 @@ def parallel_map(
 
     When ``network`` is given, ``fn`` is called as ``fn(network, item)``
     and the graph is shared with workers through one POSIX shared-memory
-    segment (:class:`repro.graphs.shared.SharedNetwork`) instead of being
-    re-pickled into every task — workers attach zero-copy, once per
-    process.  A *list or tuple of networks* pins the whole set in a single
-    segment (:class:`repro.graphs.shared.SharedNetworkPack`) and calls
-    ``fn(networks_tuple, item)`` — this is how multi-network sweeps ship
-    their entire network axis to workers in one handle.  With
-    ``union_csr=True`` (multi-network only) the payload is a
+    segment (:class:`repro.graphs.shared.SharedNetworkPack`, here of one
+    network) instead of being re-pickled into every task — workers attach
+    zero-copy, once per process.  A *list or tuple of networks* pins the
+    whole set in one such segment and calls
+    ``fn(networks_tuple, item)`` — this is how sweeps ship their entire
+    network axis to workers in one handle.  With ``union_csr=True``
+    (multi-network only) the payload is a
     :class:`repro.graphs.shared.NetworkTuple` carrying the pre-stacked
     block-diagonal union CSR — stacked once here, shipped through the same
     segment — so union-stack engine calls in workers skip re-stacking.
@@ -294,14 +296,13 @@ def parallel_map(
                     _PayloadCall(fn, payload), items, None, policy, report, checkpoint
                 )
             return [fn(payload, item) for item in items]
-        from ..graphs.shared import SharedNetwork, SharedNetworkPack
+        from ..graphs.shared import SharedNetworkPack
 
-        shared = (
-            SharedNetworkPack.create(
-                list(network), union=union_csr, backend=kernel_backend, channel=channel
-            )
-            if multi
-            else SharedNetwork.create(network)
+        shared = SharedNetworkPack.create(
+            list(network) if multi else [network],
+            union=union_csr,
+            backend=kernel_backend,
+            channel=channel,
         )
         with shared:
             call = _SharedNetworkCall(fn, shared, multi)

@@ -45,7 +45,7 @@ from .properties import (
     ramanujan_bound,
     spectral_report,
 )
-from .shared import SharedNetwork, SharedNetworkPack, cleanup_orphans
+from .shared import SharedNetworkPack, cleanup_orphans
 from .smallworld import (
     SmallWorldNetwork,
     ball_chunk,
@@ -62,7 +62,6 @@ __all__ = [
     "generate_hgraph",
     "hgraph_from_cycles",
     "SmallWorldNetwork",
-    "SharedNetwork",
     "SharedNetworkPack",
     "cleanup_orphans",
     "build_small_world",

@@ -1,31 +1,26 @@
 """Zero-copy cross-process sharing of sampled networks.
 
-Sharded sweeps (``parallel_map(..., jobs=N)``) used to re-pickle the whole
-:class:`~repro.graphs.smallworld.SmallWorldNetwork` into every worker task
-— at ``n = 65536, d = 8`` that is tens of megabytes of CSR arrays per task.
-:class:`SharedNetwork` instead places all six immutable adjacency arrays
-(``H`` CSR + cycles, ``G`` CSR + distance tags) into one
-``multiprocessing.shared_memory`` segment; the handle pickles as a few
-hundred bytes of metadata, and each worker process attaches the segment
-once and reconstructs the network around read-only array views — no copy,
-no repeated deserialization.
+Sharded sweeps (``parallel_map(..., jobs=N)``) would otherwise re-pickle
+every :class:`~repro.graphs.smallworld.SmallWorldNetwork` into every
+worker task — at ``n = 65536, d = 8`` that is tens of megabytes of CSR
+arrays per task.  :class:`SharedNetworkPack` instead places the six
+immutable adjacency arrays of each network (``H`` CSR + cycles, ``G`` CSR
++ distance tags) back to back in one ``multiprocessing.shared_memory``
+segment; the handle pickles as a few hundred bytes of metadata, and each
+worker process attaches the segment once and reconstructs the whole tuple
+of networks around read-only array views — no copy, no repeated
+deserialization.  A single network is a one-network pack.
 
 Usage (the ``network=`` parameter of
 :func:`repro.experiments.common.parallel_map` does this internally)::
 
-    with SharedNetwork.create(net) as shared:
-        results = pool.map(worker, [(shared, item) for item in items])
-        # inside worker: shared.net  -> attached SmallWorldNetwork
+    with SharedNetworkPack.create([net]) as pack:
+        results = pool.map(worker, [(pack, item) for item in items])
+        # inside worker: pack.nets[0]  -> attached SmallWorldNetwork
 
-Multi-network sweeps (:func:`repro.core.sweep.run_multi_sweep`) pin
-*several* graphs at once: :class:`SharedNetworkPack` lays every network's
-CSR arrays out in one segment, so a single ``parallel_map`` call ships the
-whole network axis as one handle — workers attach the segment once and
-reconstruct the full tuple of networks (``pack.nets``), instead of
-unpickling one graph per (task, network) pair.
-
-Union-stack sweeps additionally need the *block-diagonal concatenation*
-of the networks' H adjacencies (:func:`repro.sim.flood.stack_union_csr`).
+Union-stack sweeps over two or more networks additionally need the
+*block-diagonal concatenation* of the networks' H adjacencies
+(:func:`repro.sim.flood.stack_union_csr`).
 ``SharedNetworkPack.create(nets, union=True)`` stacks it once in the
 owner and lays the two concatenated arrays into the same segment;
 ``pack.nets`` then returns a :class:`NetworkTuple` whose ``union_csr``
@@ -38,8 +33,8 @@ The creating process owns the segment and unlinks it on ``close()`` /
 context exit; attached workers hold it alive until they drop their
 references (POSIX shm semantics).  On Python < 3.13 attaching registers
 the segment with the worker's ``resource_tracker``, which would unlink it
-when the *worker* exits — :func:`_untrack` undoes that registration so the
-owner stays in charge of the lifetime.
+when the *worker* exits — :func:`_attach_untracked` suppresses that
+registration so the owner stays in charge of the lifetime.
 
 Crash safety: segments are named ``repro-<owner pid>-<hex>`` so they are
 recognizable in ``/dev/shm`` even after their owner dies.  The owning
@@ -72,7 +67,6 @@ from .smallworld import SmallWorldNetwork
 
 __all__ = [
     "NetworkTuple",
-    "SharedNetwork",
     "SharedNetworkPack",
     "UnionCSR",
     "cleanup_orphans",
@@ -140,7 +134,7 @@ _FIELDS: tuple[tuple[str, Callable[[SmallWorldNetwork], AnyArray]], ...] = (
     ("g_dist", lambda net: net.g_dist),
 )
 
-#: Per-process cache of attached segments: shm name -> (shm, network).
+#: Per-process cache of attached segments: shm name -> (shm, networks).
 #: Workers receive one handle pickle per task; caching by segment name
 #: makes the attach + reconstruct cost once-per-process, not per-task.
 _ATTACHED: dict[str, tuple[Any, Any]] = {}
@@ -346,154 +340,15 @@ def _reconstruct_network(
     )
 
 
-def _release_segment(shm_name: str, owned_shm: Any) -> None:
-    """Shared ``close()`` semantics for both handle classes.
-
-    If the segment was ever attached/reconstructed in this process, the
-    handed-out numpy views may outlive the handle; their backing buffer
-    then stays mapped for the rest of the process (see ``_KEEPALIVE``) so
-    stale reads raise nothing worse than stale data — never a segfault.
-    The owner additionally unlinks the segment: no new process can attach,
-    and the memory is freed once the last holder exits.
-    """
-    cached = _ATTACHED.pop(shm_name, None)
-    if cached is not None:
-        # Views were handed out: keep the mapping alive, never munmap.
-        _KEEPALIVE.append(cached[0])
-    if owned_shm is not None:
-        _OWNED.pop(shm_name, None)
-        if cached is None or cached[0] is not owned_shm:
-            owned_shm.close()
-        owned_shm.unlink()
-
-
-class SharedNetwork:
-    """Picklable handle to a :class:`SmallWorldNetwork` in shared memory.
-
-    Create with :meth:`create` in the owning process; pass the handle to
-    worker tasks and read :attr:`net` there.  The handle is also usable in
-    the owner (``net`` returns a view-backed reconstruction, or use the
-    original network directly).
-    """
-
-    def __init__(
-        self, shm_name: str, specs: tuple[_ArraySpec, ...], n: int, d: int, k: int
-    ) -> None:
-        self._shm_name = shm_name
-        self._specs = specs
-        self._n = n
-        self._d = d
-        self._k = k
-        self._owned_shm: Any = None  # set only in the creating process
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def create(cls, net: SmallWorldNetwork) -> "SharedNetwork":
-        """Copy ``net``'s arrays into a fresh shared-memory segment.
-
-        The segment is named ``repro-<pid>-<hex>`` and registered with
-        the owner-side cleanup guard; if populating it fails partway the
-        segment is unlinked before the exception propagates — a failed
-        ``create`` never leaks.
-        """
-        arrays = [(name, np.ascontiguousarray(get(net))) for name, get in _FIELDS]
-        specs: list[_ArraySpec] = []
-        offset = 0
-        for name, arr in arrays:
-            # 8-byte alignment keeps int64 views legal at every offset.
-            offset = (offset + 7) & ~7
-            specs.append(
-                _ArraySpec(name=name, dtype=arr.dtype.str, shape=arr.shape, offset=offset)
-            )
-            offset += arr.nbytes
-        shm = _create_segment(offset)
-        try:
-            for spec, (_, arr) in zip(specs, arrays):
-                dst = np.ndarray(
-                    spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf, offset=spec.offset
-                )
-                dst[...] = arr
-        except BaseException:
-            _OWNED.pop(shm.name, None)
-            shm.close()
-            shm.unlink()
-            raise
-        handle = cls(shm.name, tuple(specs), net.n, net.d, net.k)
-        handle._owned_shm = shm
-        return handle
-
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """The shared-memory segment name."""
-        return self._shm_name
-
-    @property
-    def net(self) -> SmallWorldNetwork:
-        """The network, backed by the shared segment (attached lazily)."""
-        cached = _ATTACHED.get(self._shm_name)
-        if cached is not None:
-            return cached[1]
-        if self._owned_shm is not None:
-            shm = self._owned_shm
-        else:
-            shm = _attach_untracked(self._shm_name)
-        net = _reconstruct_network(shm, self._specs, self._n, self._d, self._k)
-        _ATTACHED[self._shm_name] = (shm, net)
-        return net
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Owner: unlink the segment.  Worker handles: drop the attachment.
-
-        See :func:`_release_segment` for the keepalive semantics.
-        """
-        shm = self._owned_shm
-        self._owned_shm = None
-        _release_segment(self._shm_name, shm)
-
-    def __enter__(self) -> "SharedNetwork":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, Any]:
-        # The owning SharedMemory object never crosses process boundaries;
-        # workers re-attach by name.
-        return {
-            "shm_name": self._shm_name,
-            "specs": self._specs,
-            "n": self._n,
-            "d": self._d,
-            "k": self._k,
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self._shm_name = state["shm_name"]
-        self._specs = state["specs"]
-        self._n = state["n"]
-        self._d = state["d"]
-        self._k = state["k"]
-        self._owned_shm = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SharedNetwork(name={self._shm_name!r}, n={self._n}, d={self._d}, "
-            f"k={self._k}, owner={self._owned_shm is not None})"
-        )
-
-
 class SharedNetworkPack:
-    """Picklable handle to *several* networks in one shared-memory segment.
+    """Picklable handle to one or more networks in one shared-memory segment.
 
-    The multi-network analogue of :class:`SharedNetwork`: every graph's
-    six adjacency arrays are laid out back to back in a single segment, so
-    a sharded multi-network sweep ships its entire network axis as one
-    few-hundred-byte handle and each worker attaches / reconstructs the
-    whole tuple exactly once per process.  Create with :meth:`create` in
-    the owning process; read :attr:`nets` anywhere.
+    Every graph's six adjacency arrays are laid out back to back in a
+    single segment, so a sharded sweep ships its entire network axis as
+    one few-hundred-byte handle and each worker attaches / reconstructs
+    the whole tuple exactly once per process.  Create with :meth:`create`
+    in the owning process; read :attr:`nets` anywhere (in the owner it is
+    a view-backed reconstruction; the original networks work too).
     """
 
     def __init__(
@@ -643,10 +498,27 @@ class SharedNetworkPack:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Owner: unlink the segment.  Worker handles: drop the attachment."""
-        shm = self._owned_shm
+        """Owner: unlink the segment.  Worker handles: drop the attachment.
+
+        If the segment was ever attached/reconstructed in this process,
+        the handed-out numpy views may outlive the handle; their backing
+        buffer then stays mapped for the rest of the process (see
+        ``_KEEPALIVE``) so stale reads raise nothing worse than stale
+        data — never a segfault.  The owner additionally unlinks the
+        segment: no new process can attach, and the memory is freed once
+        the last holder exits.
+        """
+        owned_shm = self._owned_shm
         self._owned_shm = None
-        _release_segment(self._shm_name, shm)
+        cached = _ATTACHED.pop(self._shm_name, None)
+        if cached is not None:
+            # Views were handed out: keep the mapping alive, never munmap.
+            _KEEPALIVE.append(cached[0])
+        if owned_shm is not None:
+            _OWNED.pop(self._shm_name, None)
+            if cached is None or cached[0] is not owned_shm:
+                owned_shm.close()
+            owned_shm.unlink()
 
     def __enter__(self) -> "SharedNetworkPack":
         return self

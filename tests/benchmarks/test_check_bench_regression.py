@@ -65,7 +65,7 @@ class TestWorkloadSetDrift:
     def test_union_stack_first_appearance_is_warning_not_keyerror(self):
         # The union_stack workload lands in a branch before BENCH_batch.json
         # is regenerated: its first appearance (the gated entry plus its
-        # informational vs-padded partner) must compare as
+        # informational multinet-vs-unionstack partner) must compare as
         # fresh-but-uncommitted — warnings, never a KeyError, and the
         # committed workloads still gate normally.
         baseline = artifact(entry("honest", 3.0), entry("multi_net", 3.5))
@@ -74,7 +74,7 @@ class TestWorkloadSetDrift:
             entry("multi_net", 3.5),
             entry("union_stack", 1.2),
             {
-                "workload": "union_stack-vs-padded",
+                "workload": "multinet-vs-unionstack",
                 "mode": "informational",
                 "speedup": 1.3,
             },
@@ -87,7 +87,7 @@ class TestWorkloadSetDrift:
         )
         # The informational partner warns too, but without gating advice.
         assert any(
-            "union_stack-vs-padded" in w and "never gated" in w for w in warnings
+            "multinet-vs-unionstack" in w and "never gated" in w for w in warnings
         )
 
     def test_optional_backend_workload_missing_is_warning(self):

@@ -30,6 +30,7 @@ from repro.core import (
 )
 from repro.core.sweep import MIN_SHARD_CELLS, _shard_bounds
 from repro.experiments.common import byzantine_counting_trials
+from repro.sim.channel import ChannelModel
 
 INT32_MAX = int(np.iinfo(np.int32).max)
 
@@ -502,6 +503,14 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="sequence"):
             run_sweep(net_small, seeds="123")
 
+    def test_nested_seed_entries_rejected(self, net_small):
+        # A one-network sweep's seed axis is one axis: a nested entry is
+        # rejected eagerly, never read as a per-network seed axis.
+        with pytest.raises(TypeError, match="scalar seeds"):
+            run_sweep(net_small, seeds=[[1, 2]])
+        with pytest.raises(TypeError, match="scalar seeds"):
+            run_sweep(net_small, seeds=[1, np.array([2, 3])])
+
     def test_array_seeds_accepted(self, net_small):
         cfg = CountingConfig(verification=False, max_phase=10)
         sweep = run_sweep(net_small, seeds=np.array([4, 5]), configs=cfg)
@@ -773,3 +782,86 @@ class TestLayoutSelector:
         multi = run_multi_sweep(nets, seeds=[[1, 2], [3]], configs=cfg)
         with pytest.raises(ValueError, match="ragged"):
             multi.shape
+
+
+class TestShardedCarriesChannelAndBackend:
+    """Sharded sweeps run every cell under the sweep's channel and backend.
+
+    The channel rides the shard task tuples; the backend rides the shared
+    network container (``NetworkTuple.kernel_backend``), for one network
+    as for several.  Each sharded sweep must equal its serial run bit for
+    bit, and the serial lossy run must differ from a lossless one, so a
+    channel dropped on the way to the workers cannot pass.
+    """
+
+    CFG = CountingConfig(max_phase=10)
+    CHANNEL = ChannelModel(0.15, 0.05, 2)
+
+    def _nets(self):
+        from repro.graphs import build_small_world
+
+        return [build_small_world(n, 8, seed=50 + n) for n in (96, 128)]
+
+    def _check(self, sweep, **kwargs):
+        serial = sweep(**kwargs, channel=self.CHANNEL, backend="numpy")
+        sharded = sweep(
+            **kwargs, channel=self.CHANNEL, backend="numpy", jobs=2, shard_cells=2
+        )
+        lossless = sweep(**kwargs)
+        assert len(serial.results) == len(sharded.results) == len(lossless.results)
+        for a, b in zip(serial.results, sharded.results):
+            assert_trial_equal(a, b)
+        assert any(
+            not np.array_equal(a.decided_phase, c.decided_phase)
+            or a.meter.as_dict() != c.meter.as_dict()
+            for a, c in zip(serial.results, lossless.results)
+        )
+
+    def test_single_network_sweep(self, net_small):
+        self._check(
+            lambda **kw: run_sweep(net_small, **kw),
+            seeds=[20, 21, 22],
+            configs=self.CFG,
+            placements=[None, placement_for_delta(net_small, 0.5, rng=3)],
+            strategies="early-stop",
+        )
+
+    def test_rectangular_multi_sweep(self):
+        nets = self._nets()
+        self._check(
+            lambda **kw: run_multi_sweep(nets, **kw),
+            seeds=[30, 31, 32],
+            configs=self.CFG,
+            placements=lambda net: [placement_for_delta(net, 0.5, rng=3)],
+            strategies="inflation",
+        )
+
+    def test_ragged_multi_sweep(self):
+        nets = self._nets()
+        self._check(
+            lambda **kw: run_multi_sweep(nets, **kw),
+            seeds=[[40, 41, 42], [43, 44]],
+            configs=self.CFG,
+            placements=lambda net: [placement_for_delta(net, 0.5, rng=3)],
+            strategies="early-stop",
+        )
+
+    @pytest.mark.parametrize("shape", ["single", "rectangular", "ragged"])
+    def test_backend_reaches_workers(self, net_small, shape):
+        # An unknown backend name fails only where a kernel is built: in
+        # the worker.  A backend lost on the way would run and pass.
+        from repro.exec import RetryPolicy
+
+        kwargs = dict(
+            configs=CountingConfig(verification=False, max_phase=6),
+            jobs=2,
+            shard_cells=1,
+            backend="no-such-backend",
+            policy=RetryPolicy(max_retries=0),
+        )
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            if shape == "single":
+                run_sweep(net_small, seeds=[1, 2], **kwargs)
+            else:
+                seeds = [1, 2] if shape == "rectangular" else [[1, 2], [3]]
+                run_multi_sweep(self._nets(), seeds=seeds, **kwargs)

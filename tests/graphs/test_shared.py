@@ -13,8 +13,9 @@ import pytest
 
 from repro.core import CountingConfig, run_counting
 from repro.experiments.common import parallel_map
-from repro.graphs import SharedNetwork
+from repro.graphs import SharedNetworkPack, build_small_world
 from repro.graphs.shared import _ATTACHED
+from repro.graphs.smallworld import SmallWorldNetwork
 
 CFG = CountingConfig(verification=False, max_phase=10)
 
@@ -25,72 +26,89 @@ def _run_sum(network, seed):
     return int(run_counting(network, CFG, seed=seed).decided_phase.sum())
 
 
-class TestSharedNetwork:
-    def test_roundtrip_arrays_equal(self, net_small):
-        with SharedNetwork.create(net_small) as shared:
-            net2 = shared.net
-            assert np.array_equal(net2.h.indptr, net_small.h.indptr)
-            assert np.array_equal(net2.h.indices, net_small.h.indices)
-            assert np.array_equal(net2.h.cycles, net_small.h.cycles)
-            assert np.array_equal(net2.g_indptr, net_small.g_indptr)
-            assert np.array_equal(net2.g_indices, net_small.g_indices)
-            assert np.array_equal(net2.g_dist, net_small.g_dist)
-            assert (net2.n, net2.d, net2.k) == (
-                net_small.n,
-                net_small.d,
-                net_small.k,
-            )
-            net2.validate()
+def _two_nets():
+    return [build_small_world(n, 4, seed=n) for n in (24, 32)]
 
-    def test_views_read_only(self, net_small):
-        with SharedNetwork.create(net_small) as shared:
-            with pytest.raises(ValueError):
-                shared.net.h.indices[0] = 0
+
+@pytest.fixture(params=["one", "two"])
+def nets(request, net_small):
+    """A one-network pack's input (a lone network) and a two-network one."""
+    return [net_small] if request.param == "one" else _two_nets()
+
+
+class TestSharedNetworkPack:
+    def test_roundtrip_arrays_equal(self, nets):
+        with SharedNetworkPack.create(nets) as pack:
+            assert len(pack) == len(nets)
+            for net, net2 in zip(nets, pack.nets, strict=True):
+                assert np.array_equal(net2.h.indptr, net.h.indptr)
+                assert np.array_equal(net2.h.indices, net.h.indices)
+                assert np.array_equal(net2.h.cycles, net.h.cycles)
+                assert np.array_equal(net2.g_indptr, net.g_indptr)
+                assert np.array_equal(net2.g_indices, net.g_indices)
+                assert np.array_equal(net2.g_dist, net.g_dist)
+                assert (net2.n, net2.d, net2.k) == (net.n, net.d, net.k)
+                net2.validate()
+
+    def test_views_read_only(self, nets):
+        with SharedNetworkPack.create(nets) as pack:
+            for net2 in pack.nets:
+                with pytest.raises(ValueError):
+                    net2.h.indices[0] = 0
+                with pytest.raises(ValueError):
+                    net2.g_indices[0] = 0
 
     def test_protocol_run_identical(self, net_small):
-        with SharedNetwork.create(net_small) as shared:
+        with SharedNetworkPack.create([net_small]) as pack:
             a = run_counting(net_small, CFG, seed=5)
-            b = run_counting(shared.net, CFG, seed=5)
+            b = run_counting(pack.nets[0], CFG, seed=5)
             assert np.array_equal(a.decided_phase, b.decided_phase)
             assert a.meter.as_dict() == b.meter.as_dict()
 
-    def test_handle_pickles_without_segment(self, net_small):
+    def test_handle_pickles_without_segment(self, nets):
         import pickle
 
-        with SharedNetwork.create(net_small) as shared:
-            blob = pickle.dumps(shared)
+        with SharedNetworkPack.create(nets) as pack:
+            blob = pickle.dumps(pack)
             assert len(blob) < 4096  # metadata only, no arrays
             clone = pickle.loads(blob)
-            assert clone.name == shared.name
+            assert clone.name == pack.name
             # Attaching in the same process reuses POSIX shm by name.
-            assert np.array_equal(clone.net.h.indices, net_small.h.indices)
+            for net, net2 in zip(nets, clone.nets, strict=True):
+                assert np.array_equal(net2.h.indices, net.h.indices)
             clone.close()
 
-    def test_close_unlinks_and_clears_cache(self, net_small):
-        shared = SharedNetwork.create(net_small)
-        name = shared.name
-        shared.net  # populate the attachment cache
+    def test_close_unlinks_and_clears_cache(self, nets):
+        pack = SharedNetworkPack.create(nets)
+        name = pack.name
+        pack.nets  # populate the attachment cache
         assert name in _ATTACHED
-        shared.close()
+        pack.close()
         assert name not in _ATTACHED
         assert not glob.glob(f"/dev/shm/{name.lstrip('/')}")
 
-    def test_views_survive_close(self, net_small):
+    def test_views_survive_close(self, nets):
         # Arrays handed out before close() must stay readable (the mapping
         # is kept alive even though the segment is unlinked) — a stale read
         # must never segfault the interpreter.
-        shared = SharedNetwork.create(net_small)
-        net2 = shared.net
-        shared.close()
-        assert int(net2.h.indptr[0]) == 0
-        assert np.array_equal(net2.h.indices, net_small.h.indices)
+        pack = SharedNetworkPack.create(nets)
+        attached = pack.nets
+        pack.close()
+        for net, net2 in zip(nets, attached, strict=True):
+            assert int(net2.h.indptr[0]) == 0
+            assert np.array_equal(net2.h.indices, net.h.indices)
 
-    def test_close_without_views_releases_everything(self, net_small):
-        shared = SharedNetwork.create(net_small)
-        name = shared.name
-        shared.close()  # .net never read: full close + unlink
+    def test_close_without_views_releases_everything(self, nets):
+        pack = SharedNetworkPack.create(nets)
+        name = pack.name
+        pack.close()  # .nets never read: full close + unlink
         assert name not in _ATTACHED
         assert not glob.glob(f"/dev/shm/{name.lstrip('/')}")
+
+
+def _payload_kind(network, item):
+    """Worker probe: what ``fn`` receives as its network payload."""
+    return type(network).__name__, int(network.n), item
 
 
 class TestParallelMapSharedNetwork:
@@ -102,6 +120,14 @@ class TestParallelMapSharedNetwork:
         serial = parallel_map(_run_sum, [1, 2, 3, 4], network=net_small)
         sharded = parallel_map(_run_sum, [1, 2, 3, 4], jobs=2, network=net_small)
         assert serial == sharded
+
+    def test_lone_network_reaches_fn_unwrapped(self, net_small):
+        # A lone network ships as a one-network pack, and fn receives the
+        # attached network itself, never the one-element tuple.
+        serial = parallel_map(_payload_kind, [1, 2], network=net_small)
+        sharded = parallel_map(_payload_kind, [1, 2], jobs=2, network=net_small)
+        kind = SmallWorldNetwork.__name__
+        assert serial == sharded == [(kind, net_small.n, 1), (kind, net_small.n, 2)]
 
     def test_segment_cleaned_up_after_map(self, net_small):
         before = set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/repro-*"))
@@ -119,16 +145,11 @@ def _union_probe(networks, item):
 class TestSharedNetworkPackUnion:
     """The pack optionally ships the pre-concatenated union CSR."""
 
-    def _nets(self):
-        from repro.graphs import build_small_world
-
-        return [build_small_world(n, 4, seed=n) for n in (24, 32)]
-
     def test_pack_ships_union_csr_views(self):
-        from repro.graphs.shared import NetworkTuple, SharedNetworkPack
+        from repro.graphs.shared import NetworkTuple
         from repro.sim.flood import stack_union_csr
 
-        nets = self._nets()
+        nets = _two_nets()
         ref_sizes, ref_indptr, ref_indices = stack_union_csr(nets)
         with SharedNetworkPack.create(nets, union=True) as pack:
             attached = pack.nets
@@ -141,16 +162,13 @@ class TestSharedNetworkPackUnion:
             assert not indices.flags.writeable
 
     def test_pack_without_union_has_no_csr(self):
-        from repro.graphs.shared import SharedNetworkPack
-
-        with SharedNetworkPack.create(self._nets()) as pack:
+        with SharedNetworkPack.create(_two_nets()) as pack:
             assert pack.nets.union_csr is None
 
     def test_engine_adopts_shipped_csr(self):
         from repro.core.batch import run_counting_batch, run_counting_unionstack
-        from repro.graphs.shared import SharedNetworkPack
 
-        nets = self._nets()
+        nets = _two_nets()
         with SharedNetworkPack.create(nets, union=True) as pack:
             out = run_counting_unionstack(pack.nets, [3, 4], config=CFG)
         for g, net in enumerate(nets):
@@ -163,7 +181,7 @@ class TestSharedNetworkPackUnion:
     def test_parallel_map_union_payload_reaches_workers(self):
         from repro.sim.flood import stack_union_csr
 
-        nets = self._nets()
+        nets = _two_nets()
         sizes, indptr, indices = stack_union_csr(nets)
         expected = (tuple(sizes), int(indptr[-1]), int(indices.shape[0]))
         serial = parallel_map(_union_probe, [1, 2], network=nets, union_csr=True)
@@ -198,7 +216,8 @@ class TestWorkerFailureUnlinksSegment:
     re-raise, and KeyboardInterrupt aborts.
     """
 
-    def test_raising_worker_unlinks_segment(self, net_small):
+    @pytest.mark.parametrize("lone", [True, False], ids=["lone", "list"])
+    def test_raising_worker_unlinks_segment(self, net_small, lone):
         from repro.exec import RetryPolicy
 
         before = _repro_segments()
@@ -207,23 +226,7 @@ class TestWorkerFailureUnlinksSegment:
                 _raise_boom,
                 [1, 2, 3, 4],
                 jobs=2,
-                network=net_small,
-                policy=RetryPolicy(max_retries=0),
-            )
-        assert _repro_segments() <= before
-
-    def test_raising_worker_unlinks_pack_segment(self):
-        from repro.exec import RetryPolicy
-        from repro.graphs import build_small_world
-
-        nets = [build_small_world(n, 4, seed=n) for n in (24, 32)]
-        before = _repro_segments()
-        with pytest.raises(_BoomError):
-            parallel_map(
-                _raise_boom,
-                [1, 2, 3, 4],
-                jobs=2,
-                network=nets,
+                network=net_small if lone else _two_nets(),
                 policy=RetryPolicy(max_retries=0),
             )
         assert _repro_segments() <= before
@@ -246,22 +249,18 @@ class TestWorkerFailureUnlinksSegment:
 class TestCrashSafeSegments:
     """PR 8: recognizable names, owner guards, and the orphan sweeper."""
 
-    def test_segment_name_carries_owner_pid(self, net_small):
-        with SharedNetwork.create(net_small) as shared:
-            assert shared.name.startswith(f"repro-{os.getpid()}-")
+    def test_segment_name_carries_owner_pid(self, nets):
+        with SharedNetworkPack.create(nets) as pack:
+            assert pack.name.startswith(f"repro-{os.getpid()}-")
 
-    def test_create_failure_unlinks_partial_segment(self, net_small, monkeypatch):
-        import numpy as np
-
-        import repro.graphs.shared as shared_mod
-
+    def test_create_failure_unlinks_partial_segment(self, nets, monkeypatch):
         def explode(*args, **kwargs):
             raise MemoryError("simulated copy failure")
 
         before = _repro_segments()
         monkeypatch.setattr(np, "ndarray", explode)
         with pytest.raises(MemoryError):
-            shared_mod.SharedNetwork.create(net_small)
+            SharedNetworkPack.create(nets)
         monkeypatch.undo()
         assert _repro_segments() <= before
 
@@ -287,10 +286,10 @@ class TestCrashSafeSegments:
     def test_cleanup_orphans_spares_live_owner(self, net_small):
         from repro.graphs import cleanup_orphans
 
-        with SharedNetwork.create(net_small) as shared:
+        with SharedNetworkPack.create([net_small]) as pack:
             removed = cleanup_orphans()
-            assert shared.name not in removed
-            assert os.path.exists(f"/dev/shm/{shared.name}")
+            assert pack.name not in removed
+            assert os.path.exists(f"/dev/shm/{pack.name}")
 
     def test_sigterm_guard_unlinks_owned_segments(self, tmp_path):
         # A real owner process killed with SIGTERM must leave no
@@ -299,10 +298,10 @@ class TestCrashSafeSegments:
         code = (
             "import sys, time\n"
             f"sys.path.insert(0, {str(_SRC)!r})\n"
-            "from repro.graphs import SharedNetwork\n"
+            "from repro.graphs import SharedNetworkPack\n"
             "from repro.graphs.smallworld import build_small_world\n"
             "net = build_small_world(32, 4, seed=3)\n"
-            "sh = SharedNetwork.create(net)\n"
+            "sh = SharedNetworkPack.create([net])\n"
             "print(sh.name, flush=True)\n"
             "time.sleep(60)\n"
         )
@@ -328,8 +327,8 @@ class TestCrashSafeSegments:
         # fork, and the pid check must keep their exit hooks from
         # unlinking the owner's live segment.  Exercised by mapping over
         # a live segment and checking it survives the pool's exit.
-        with SharedNetwork.create(net_small) as shared:
+        with SharedNetworkPack.create([net_small]) as pack:
             out = parallel_map(_run_sum, [1, 2], jobs=2, network=net_small)
             assert len(out) == 2
-            assert os.path.exists(f"/dev/shm/{shared.name}")
+            assert os.path.exists(f"/dev/shm/{pack.name}")
 
