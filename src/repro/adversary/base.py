@@ -71,7 +71,7 @@ instance per trial exactly as the old sequential fallback did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generic, Sequence, TypeVar, overload
 
 import numpy as np
 
@@ -196,33 +196,47 @@ class SubphasePlan:
     relay: bool = True
 
 
-class _LazyHonestColors:
-    """``honest_colors`` given as an array or as a zero-argument callable
+_Arr = TypeVar("_Arr", bound="np.ndarray[Any, Any]")
+
+
+class _LazyArray(Generic[_Arr]):
+    """An array attribute given as an array or as a zero-argument callable
     returning one: the callable runs on the first read, and its result is
     kept."""
 
-    _honest_colors: IntArray | Callable[[], IntArray]
+    def __set_name__(self, owner: type[Any], name: str) -> None:
+        self.slot = "_" + name
 
-    @property
-    def honest_colors(self) -> IntArray:
-        colors = self._honest_colors
-        if callable(colors):
-            colors = self._honest_colors = colors()
-        return colors
+    @overload
+    def __get__(self, obj: None, owner: type[Any] | None = None) -> _LazyArray[_Arr]: ...
 
-    @honest_colors.setter
-    def honest_colors(self, value: IntArray | Callable[[], IntArray]) -> None:
-        self._honest_colors = value
+    @overload
+    def __get__(self, obj: object, owner: type[Any] | None = None) -> _Arr: ...
+
+    def __get__(
+        self, obj: object, owner: type[Any] | None = None
+    ) -> _LazyArray[_Arr] | _Arr:
+        if obj is None:
+            return self
+        value: _Arr | Callable[[], _Arr] = getattr(obj, self.slot)
+        if callable(value):
+            value = value()
+            setattr(obj, self.slot, value)
+        return value
+
+    def __set__(self, obj: object, value: _Arr | Callable[[], _Arr]) -> None:
+        setattr(obj, self.slot, value)
 
 
 @dataclass(init=False)
-class SubphaseState(_LazyHonestColors):
+class SubphaseState:
     """Full-information snapshot handed to the adversary each subphase.
 
     ``honest_colors`` may be given as an array or as a zero-argument
     callable returning one, built on the first read.
     """
 
+    honest_colors = _LazyArray[IntArray]()
     phase: int
     subphase: int
     rounds: int
@@ -299,7 +313,7 @@ class BatchSubphasePlan:
 
 
 @dataclass(init=False)
-class BatchSubphaseState(_LazyHonestColors):
+class BatchSubphaseState:
     """The ``B``-trial analogue of :class:`SubphaseState`.
 
     All per-node state is trials-as-columns: ``honest_colors`` is
@@ -319,6 +333,7 @@ class BatchSubphaseState(_LazyHonestColors):
     read it) and, once built, kept.
     """
 
+    honest_colors = _LazyArray[IntArray]()
     phase: int
     subphase: int
     rounds: int
@@ -390,7 +405,7 @@ class BatchSubphaseState(_LazyHonestColors):
         )
 
 
-@dataclass
+@dataclass(init=False)
 class BatchAdaptationState:
     """Observed-traffic snapshot handed to :meth:`Adversary.batch_adapt`.
 
@@ -400,18 +415,40 @@ class BatchAdaptationState:
     ``(n, B_live)`` int64 matrix counting, per node and live trial, the
     rounds in which that node *attempted* a transmission (sent a nonzero
     value, before any channel loss) since the previous adaptation point.
-    ``trials`` indexes the adversary's bound trial list exactly like
-    :attr:`BatchSubphaseState.trials`, and ``rngs`` carries the same
-    per-trial private streams in the same order.
+    Like :attr:`BatchSubphaseState.honest_colors` it may be given as an
+    array or as a zero-argument callable returning one; the engine passes
+    a callable over its own narrow copy of the subphase's counters, so the
+    int64 matrix is built on the first read (the mobile adversary never
+    reads it) and, once built, kept.  ``trials`` indexes the adversary's
+    bound trial list exactly like :attr:`BatchSubphaseState.trials`, and
+    ``rngs`` carries the same per-trial private streams in the same order.
     """
 
+    traffic = _LazyArray[Int64Array]()
     phase: int
     subphase: int
     network: "SmallWorldNetwork"
     byz_nodes: IntArray
     trials: IntArray
-    traffic: Int64Array
     rngs: tuple[np.random.Generator, ...]
+
+    def __init__(
+        self,
+        phase: int,
+        subphase: int,
+        network: "SmallWorldNetwork",
+        byz_nodes: IntArray,
+        trials: IntArray,
+        traffic: Int64Array | Callable[[], Int64Array],
+        rngs: tuple[np.random.Generator, ...],
+    ) -> None:
+        self.phase = phase
+        self.subphase = subphase
+        self.network = network
+        self.byz_nodes = byz_nodes
+        self.trials = trials
+        self.traffic = traffic
+        self.rngs = rngs
 
     @property
     def n(self) -> int:

@@ -103,11 +103,16 @@ sit on the *column* axis, so every flooding round is a single
 :class:`~repro.sim.flood.UnionFloodKernel` row-gather over the
 concatenated CSR — zero padding rows, no per-segment scratch copies, no
 masked zeroing.  Per-network row segments (the kernel's ``offsets``)
-drive decided counting, saturation/message accounting, crash masks, the
+drive decided counting, message accounting, crash masks, the
 per-block Lemma 16 gate (each block's own ``k_g``), and witness metering
-via segment-wise reductions; per-trial liveness is a ``(G, C)`` matrix,
-so a finished (network, column) cell stops drawing colors and accruing
-meter charges exactly when a run of its own would have stopped.  The
+via segment-wise reductions.  Senders are counted one way: per-node
+counters of the rounds in which a node sent a nonzero value, summed per
+block once per subphase (the same counters are the traffic an adaptive
+adversary observes), and injections are charged once per subphase from
+their per-round counts split at the gate.  Per-trial liveness is a
+``(G, C)`` matrix, so a finished (network, column) cell stops drawing
+colors and accruing meter charges exactly when a run of its own would
+have stopped.  The
 phase/subphase/round *schedule* depends only on ``(phase, eps, d)``,
 which is why one batch requires a homogeneous degree ``d`` (validated
 eagerly).  Byzantine cells sub-group by (network block, placement): each
@@ -1036,7 +1041,11 @@ class _UnionPlacementGroup:
     union-global rows (what the fused state indexes).  ``alive_local``
     (the group-local indices of the group's trials still running — what
     the adversary protocol calls ``trials``), ``sel`` (their columns in
-    the live state) and the column views are refreshed each phase.
+    the live state), ``block`` (the Byzantine cells as flat offsets into
+    the C-ordered ``(N, B_live)`` state, row-major over ``(byz_rows,
+    sel)`` like a plan's ``(byz, B)`` layers) and the column views are
+    refreshed each phase (``block`` also when :meth:`place` re-points the
+    placement).
     """
 
     __slots__ = (
@@ -1050,10 +1059,10 @@ class _UnionPlacementGroup:
         "byz",
         "byz_nodes",
         "byz_rows",
-        "honest_nodes",
         "adversary",
         "alive_local",
         "sel",
+        "block",
         "dec_cols",
         "crash_cols",
         "rng_cols",
@@ -1076,17 +1085,21 @@ class _UnionPlacementGroup:
         self.n = hi - lo
         self.k = int(network.k)
         self.cols = cols
-        self.byz = byz
-        self.byz_nodes = np.flatnonzero(byz)
-        self.byz_rows = self.byz_nodes + lo
-        self.honest_nodes = np.flatnonzero(~byz)
         self.adversary = adversary
         # Phase-refreshed slots (assigned before every use each phase).
         self.alive_local: Any = None
         self.sel: Any = None
+        self.block: Any = None
         self.dec_cols: Any = None
         self.crash_cols: Any = None
         self.rng_cols: tuple[np.random.Generator, ...] = ()
+        self.place(byz)
+
+    def place(self, byz: BoolArray) -> None:
+        """Bind the group to the block-local placement mask ``byz``."""
+        self.byz = byz
+        self.byz_nodes = np.flatnonzero(byz)
+        self.byz_rows = self.byz_nodes + self.lo
 
 
 def _union_placement_groups(
@@ -1130,10 +1143,15 @@ def _union_placement_groups(
 
 
 def _honest_int64(
-    rows: AnyArray, sel: IntArray, n_rows: int, honest_nodes: IntArray
+    rows: AnyArray, sel: IntArray, n_rows: int, byz: BoolArray
 ) -> Int64Array:
-    """A placement group's honest colors, ``rows[honest_nodes, sel]`` in int64."""
-    return _col_block(rows, sel, n_rows)[honest_nodes].astype(np.int64)
+    """A placement group's honest colors, ``rows[~byz][:, sel]`` in int64."""
+    return _col_block(rows, sel, n_rows)[~byz].astype(np.int64)
+
+
+def _traffic_int64(rows: AnyArray, sel: IntArray, n_rows: int) -> Int64Array:
+    """A placement group's per-node send counts, ``rows[:, sel]`` in int64."""
+    return _col_block(rows, sel, n_rows).astype(np.int64)
 
 
 def _col_block(mat: AnyArray, sel: IntArray, n_rows: int) -> AnyArray:
@@ -1178,7 +1196,6 @@ def _run_config_group(
     blocks, cols = present.shape
     rows_n = ukernel.n
     offsets = ukernel.offsets
-    n_act = np.asarray(ukernel.sizes, dtype=np.int64)  # (G,)
     witness_cap = np.asarray(
         [min(ball_size_bound(d, int(net.k), 1), int(net.n), 64) for net in nets],
         dtype=np.int64,
@@ -1231,7 +1248,6 @@ def _run_config_group(
             meters.add_messages(cell_ids, ports[cell_ids // cols], ids_each=d)
 
     decided, alive = _fresh_state(present, offsets)
-    honest_uncrashed = ~byz_cn & ~crashed_cn
     inj_acc = np.zeros((blocks, cols), dtype=np.int64)
     inj_rej = np.zeros((blocks, cols), dtype=np.int64)
     round_cost = 1 + (config.verification_round_cost if verify else 0)
@@ -1244,7 +1260,9 @@ def _run_config_group(
     chan: ChannelState | None = None
 
     for phase in range(1, config.max_phase + 1):
-        undecided_all = honest_uncrashed & (decided == UNDECIDED)
+        # Relocations re-point byz_cn mid-phase; honest nodes join the
+        # undecided set from the next phase boundary.
+        undecided_all = ~byz_cn & ~crashed_cn & (decided == UNDECIDED)
         active = np.add.reduceat(undecided_all, offsets[:-1], axis=1, dtype=np.int64).T
         if config.stop_when_all_decided:
             alive &= active > 0
@@ -1262,9 +1280,6 @@ def _run_config_group(
         counts = active[:, live]
         alive_live = alive[:, live]
         live_ids = np.flatnonzero(alive)  # flat ids, network-major
-        # Per-round sender count of a block that transmits in full (0 for
-        # dead cells, which hold no color all phase).
-        full_senders = n_act[:, None] * alive_live
 
         draws, draw_index, draw_max = _draw_phase_colors(
             color_rngs, live, und, counts, n_sub
@@ -1275,6 +1290,9 @@ def _run_config_group(
         bound_lo, bound_hi = 0, draw_max + noise
         if not wide:
             state_dtype = _ladder_dtype(bound_lo, bound_hi)
+        # Draws are held in the state's dtype, so every subphase's color
+        # store is a same-dtype scatter (re-cast below if a plan widens).
+        draws = draws.astype(state_dtype, copy=False)
 
         crashed_nc = np.ascontiguousarray(crashed_cn[live].T)
         any_crash = bool(crashed_nc.any())
@@ -1286,6 +1304,7 @@ def _run_config_group(
         prev_kt = np.empty_like(cur)
         k_last = np.empty_like(cur)
         flag_continue = np.zeros((rows_n, b_live), dtype=bool)
+        above_thr = np.empty((rows_n, b_live), dtype=bool)
         phase_inj_acc = np.zeros((blocks, b_live), dtype=np.int64)
         phase_inj_rej = np.zeros((blocks, b_live), dtype=np.int64)
         msg_senders = np.zeros((blocks, b_live), dtype=np.int64)
@@ -1321,9 +1340,6 @@ def _run_config_group(
                 rounds=n_sub * phase,
                 reuse=chan,
             )
-        traffic_nb = (
-            np.empty((rows_n, b_live), dtype=np.int64) if adaptive_groups else None
-        )
         if groups:
             live_pos = np.full(cols, -1, dtype=np.int64)
             live_pos[live] = np.arange(b_live)
@@ -1333,6 +1349,7 @@ def _run_config_group(
                 grp.alive_local = np.flatnonzero(keep)
                 kept = grp.cols[keep]
                 grp.sel = live_pos[kept]
+                grp.block = grp.byz_rows[:, None] * b_live + grp.sel
                 grp.rng_cols = tuple(adv_rngs[grp.g][int(j)] for j in kept)
                 grp.dec_cols = _col_block(decided_nc[grp.lo : grp.hi], grp.sel, grp.n)
                 grp.crash_cols = _col_block(crashed_nc[grp.lo : grp.hi], grp.sel, grp.n)
@@ -1368,7 +1385,7 @@ def _run_config_group(
                     byz_nodes=grp.byz_nodes,
                     trials=grp.alive_local,
                     honest_colors=functools.partial(
-                        _honest_int64, shown[grp.lo : grp.hi], grp.sel, grp.n, grp.honest_nodes
+                        _honest_int64, shown[grp.lo : grp.hi], grp.sel, grp.n, grp.byz
                     ),
                     decided_phase=grp.dec_cols,
                     crashed=grp.crash_cols,
@@ -1394,33 +1411,42 @@ def _run_config_group(
             if np.dtype(need).itemsize > np.dtype(state_dtype).itemsize:
                 state_dtype = need
                 cur = cur.astype(state_dtype)
+                draws = draws.astype(state_dtype)
                 sent_buf = np.empty_like(cur)
                 prev_kt = np.empty_like(cur)
                 k_last = np.empty_like(cur)
 
-            # Each group's Byzantine block as flat offsets into the
-            # C-ordered (N, B_live) state, row-major over (byz_rows, sel)
-            # like a plan's (byz, B) layers.  A group's rounds past its
-            # Lemma 16 gate are rejected.
+            # Apply the plans: initial colors now; injections are charged
+            # here for every round the subphase runs (accepted up to the
+            # group's Lemma 16 gate, rejected past it) and applied in the
+            # round loop; non-relaying columns send 0 there, or re-send
+            # what they inject in an accepted round.
             cur_flat = cur.reshape(-1)
-            applies: list[tuple[Any, ...]] = []
+            injecting: list[tuple[Any, ...]] = []
+            silenced: list[tuple[Any, ...]] = []
             for grp, initial, injections, inj_counts, off, resend in group_plans:
-                block = grp.byz_rows[:, None] * b_live + grp.sel
                 if initial is not None:
-                    cur_flat[block] = initial
+                    cur_flat[grp.block] = initial
                 gate = grp.k - 1 if config.verification else phase
-                quiet = None
+                if injections is not None:
+                    ran = min(injections.shape[0], phase)
+                    accepted = min(ran, gate)
+                    if accepted > 0:
+                        phase_inj_acc[grp.g, grp.sel] += inj_counts[:accepted].sum(axis=0)
+                        injecting.append((grp.block, injections, accepted))
+                    if ran > accepted:
+                        phase_inj_rej[grp.g, grp.sel] += inj_counts[accepted:ran].sum(axis=0)
                 if off is not None:
-                    # Non-relaying columns send 0 but re-send what they
-                    # inject in an accepted round.
                     resent = injections if resend is None else resend
-                    quiet = (block[:, off], None if resent is None else resent[:, :, off])
-                applies.append((grp, gate, block, injections, inj_counts, quiet))
-            suppressing = any(quiet is not None for *_, quiet in applies)
+                    if resent is None:
+                        silenced.append((grp.block[:, off], None, 0))
+                    else:
+                        last = min(gate, resent.shape[0])
+                        silenced.append((grp.block[:, off], resent[:, :, off], last))
 
             # Only a crash or a suppressed relay makes a node send anything
             # but its running max; otherwise ``sent`` *is* ``cur``.
-            sent = sent_buf if any_crash or suppressing else cur
+            sent = sent_buf if any_crash or silenced else cur
             sent_flat = sent.reshape(-1)
             # ``prev_kt`` shortcut.  Without a channel or a suppressed
             # relay, every transmitted value is nondecreasing over the
@@ -1436,48 +1462,30 @@ def _run_config_group(
             # monotonicity (a dropped message can shrink a neighbor-max),
             # and so does a suppressed relay's re-send schedule; then
             # ``prev_kt`` is an explicit running max.
-            monotone = chan is None and not suppressing
+            monotone = chan is None and not silenced
             if phase == 1 or not monotone:
                 prev_kt.fill(0)
-            # Senders are counted per node when the per-node traffic is
-            # needed (adaptation) or the nonzero set of ``sent`` may shrink
-            # between rounds (a silenced sender, a negative value); else
-            # per block and round, until every live block sends in full.
-            per_node = count_sent and (
-                sent is not cur or bool(adaptive_groups) or bound_lo < 0
-            )
-            saturated = False
-            if per_node:
+            if count_sent:
                 sent_rounds.fill(0)
             if count_records:
                 record_rounds.fill(0)
             for t in range(1, phase + 1):
-                # --- adversary injections (per-block Lemma 16 gate): a
-                # running max over the cells a layer marks nonzero ---------
-                for grp, gate, block, injections, inj_counts, _quiet in applies:
-                    if injections is None or t > injections.shape[0]:
-                        continue
-                    if t > gate:
-                        phase_inj_rej[grp.g, grp.sel] += inj_counts[t - 1]
-                        continue
-                    phase_inj_acc[grp.g, grp.sel] += inj_counts[t - 1]
-                    layer = injections[t - 1]
-                    held = cur_flat[block]
-                    np.maximum(held, layer, out=held, where=layer > 0)
-                    cur_flat[block] = held
+                # --- accepted injections: a running max over the cells a
+                # layer marks nonzero -------------------------------------
+                for block, injections, accepted in injecting:
+                    if t <= accepted:
+                        layer = injections[t - 1]
+                        held = cur_flat[block]
+                        np.maximum(held, layer, out=held, where=layer > 0)
+                        cur_flat[block] = held
 
                 # --- transmit --------------------------------------------
                 if sent is not cur:
                     np.copyto(sent, cur)
                     if any_crash:
                         sent[crashed_nc] = 0
-                    for _grp, gate, _block, _inj, _counts, quiet in applies:
-                        if quiet is not None:
-                            rows_off, resent = quiet
-                            if resent is None or t > min(gate, resent.shape[0]):
-                                sent_flat[rows_off] = 0
-                            else:
-                                sent_flat[rows_off] = resent[t - 1]
+                    for rows_off, resent, last in silenced:
+                        sent_flat[rows_off] = resent[t - 1] if t <= last else 0
 
                 # --- receive: into k_last, whose last write is round
                 # phase's k_t, except for a shortcut prev_kt ---------------
@@ -1487,19 +1495,11 @@ def _run_config_group(
                     got[crashed_nc] = 0
 
                 # --- accounting (before the running-max update eats the
-                # new-record evidence) ------------------------------------
-                if per_node:
+                # new-record evidence): per-node rounds with a send / a
+                # new record, reduced per block once per subphase ---------
+                if count_sent:
                     np.not_equal(sent, 0, out=round_mask)
                     np.add(sent_rounds, round_bytes, out=sent_rounds)
-                elif count_sent:
-                    if saturated:
-                        msg_senders += full_senders
-                    else:
-                        nz = ukernel.segment_count_nonzero(sent)
-                        msg_senders += nz
-                        # The nonzero set only grows here, so the trip is
-                        # final once every live block sends in full.
-                        saturated = bool((nz >= full_senders).all())
                 if count_records:
                     np.greater(got, cur, out=round_mask)
                     np.add(record_rounds, round_bytes, out=record_rounds)
@@ -1512,22 +1512,21 @@ def _run_config_group(
                     if any_crash:
                         cur[crashed_nc] = 0
 
-            np.logical_or(
-                flag_continue,
-                (k_last > prev_kt) & (k_last > thr_floor),
-                out=flag_continue,
-            )
-            if per_node and config.count_messages:
+            np.greater(k_last, prev_kt, out=round_mask)
+            np.greater(k_last, thr_floor, out=above_thr)
+            np.logical_and(round_mask, above_thr, out=round_mask)
+            np.logical_or(flag_continue, round_mask, out=flag_continue)
+            if config.count_messages:
                 msg_senders += ukernel.segment_sum(sent_rounds, dtype=np.int64)
             if count_records:
                 msg_records += ukernel.segment_sum(record_rounds, dtype=np.int64)
 
             # --- between-subphase adaptation (mobility, re-planning) -----
-            if traffic_nb is not None:
+            if adaptive_groups:
                 # Traffic since the last adaptation point is this
-                # subphase's per-node count of rounds with a send.
-                np.copyto(traffic_nb, sent_rounds)
-                relocated = False
+                # subphase's per-node count of rounds with a send, kept
+                # narrow and widened to int64 only if a hook reads it.
+                traffic = sent_rounds.copy()
                 for grp in adaptive_groups:
                     if grp.sel.shape[0] == 0:
                         continue
@@ -1538,22 +1537,16 @@ def _run_config_group(
                             network=grp.network,
                             byz_nodes=grp.byz_nodes,
                             trials=grp.alive_local,
-                            traffic=_col_block(
-                                traffic_nb[grp.lo : grp.hi], grp.sel, grp.n
+                            traffic=functools.partial(
+                                _traffic_int64, traffic[grp.lo : grp.hi], grp.sel, grp.n
                             ),
                             rngs=grp.rng_cols,
                         )
                     )
                     if mask is not None:
-                        new_byz = _adapted_mask(mask, grp.n)
-                        grp.byz = new_byz
-                        grp.byz_nodes = np.flatnonzero(new_byz)
-                        grp.byz_rows = grp.byz_nodes + grp.lo
-                        grp.honest_nodes = np.flatnonzero(~new_byz)
-                        byz_cn[grp.cols, grp.lo : grp.hi] = new_byz
-                        relocated = True
-                if relocated:
-                    honest_uncrashed = ~byz_cn & ~crashed_cn
+                        grp.place(_adapted_mask(mask, grp.n))
+                        grp.block = grp.byz_rows[:, None] * b_live + grp.sel
+                        byz_cn[grp.cols, grp.lo : grp.hi] = grp.byz
 
         if config.count_messages:
             meters.add_messages(live_ids, (msg_senders * d)[alive_live])
@@ -1588,10 +1581,6 @@ def _run_config_group(
                             injections_rejected=int(phase_inj_rej[g, row]),
                         )
                     )
-        if config.stop_when_all_decided and not (
-            honest_uncrashed & (decided == UNDECIDED)
-        ).any():
-            break
 
     return _cell_results(
         nets, present, offsets, decided, crashed_cn, byz_cn, meters, traces, inj_acc, inj_rej

@@ -75,9 +75,11 @@ network, so its cost is the per-column sum over the network axis; on one
 network a column is one cell); ragged shards cut on cell boundaries.
 Chunks never drop below :data:`MIN_SHARD_CELLS` cells/columns, never
 straddle a strategy boundary, and can be forced back to fixed-size
-slicing with ``shard_cells``.  For ``jobs > 1`` every strategy spec must
-be picklable — a name from :data:`~repro.core.estimator.ADVERSARIES`, a
-module-level factory, or a plain adversary instance.
+slicing with ``shard_cells``.  Only that cost-targeted plan (``jobs > 1``,
+no ``shard_cells``) evaluates the cost model.  For ``jobs > 1`` every
+strategy spec must be picklable — a name from
+:data:`~repro.core.estimator.ADVERSARIES`, a module-level factory, or a
+plain adversary instance.
 """
 
 from __future__ import annotations
@@ -226,19 +228,24 @@ def _shard_bounds(
 
 def _plan_shards(
     strategy_axis: list[StrategySpec],
-    costs: list[float],
+    n_items: int,
+    item_costs: Callable[[], list[float]],
     jobs: int | None,
     shard_cells: int | None,
 ) -> list[tuple[int, StrategySpec, int, int]]:
     """``(strategy index, spec, lo, hi)`` shards over the sweep's items.
 
-    ``costs`` is one strategy block's modeled item costs, in grid order
-    (every strategy block has the same items).  With ``jobs > 1`` each
-    shard aims at ``1/jobs`` of the whole grid's cost, the strategy's
-    cost factor scaling its items; otherwise each block is one shard.
+    ``item_costs()`` returns one strategy block's ``n_items`` modeled item
+    costs, in grid order (every strategy block has the same items).  With
+    ``jobs > 1`` and no ``shard_cells`` each shard aims at ``1/jobs`` of
+    the whole grid's cost, the strategy's cost factor scaling its items;
+    otherwise each block is one shard or is cut into ``shard_cells``
+    slices, and the cost model is never evaluated.
     """
     target_cost: float | None = None
-    if jobs and jobs > 1:
+    costs = [0.0] * n_items
+    if jobs and jobs > 1 and shard_cells is None:
+        costs = item_costs()
         factors = sum(_strategy_cost_factor(spec) for spec in strategy_axis)
         target_cost = sum(costs) * factors / jobs
     plan: list[tuple[int, StrategySpec, int, int]] = []
@@ -888,11 +895,16 @@ def run_multi_sweep(
         n_b = len(shared_seeds)
         block = n_s * n_p * n_c * n_b  # cells per network
         cols = [(p, c, b) for p in range(n_p) for c in range(n_c) for b in range(n_b)]
-        col_costs = [
-            sum(_cell_cost(int(net.n), d, config_axis[c], cost_cache) for net in networks)
-            for _p, c, _b in cols
-        ]
-        for s, spec, lo, hi in _plan_shards(strategy_axis, col_costs, jobs, shard_cells):
+
+        def col_costs() -> list[float]:
+            return [
+                sum(_cell_cost(int(net.n), d, config_axis[c], cost_cache) for net in networks)
+                for _p, c, _b in cols
+            ]
+
+        for s, spec, lo, hi in _plan_shards(
+            strategy_axis, len(cols), col_costs, jobs, shard_cells
+        ):
             chunk = cols[lo:hi]
             masks: list[list[BoolArray | None]] | None = None
             if spec is not None:
@@ -925,11 +937,16 @@ def run_multi_sweep(
             for c in range(n_c)
             for b in range(len(ax))
         ]
-        cell_costs = [
-            _cell_cost(int(networks[g].n), d, config_axis[c], cost_cache)
-            for g, _p, c, _b in cells
-        ]
-        for s, spec, lo, hi in _plan_shards(strategy_axis, cell_costs, jobs, shard_cells):
+
+        def cell_costs() -> list[float]:
+            return [
+                _cell_cost(int(networks[g].n), d, config_axis[c], cost_cache)
+                for g, _p, c, _b in cells
+            ]
+
+        for s, spec, lo, hi in _plan_shards(
+            strategy_axis, len(cells), cell_costs, jobs, shard_cells
+        ):
             chunk = cells[lo:hi]
             cell_masks: list[BoolArray | None] | None = None
             if spec is not None:

@@ -86,11 +86,14 @@ class NumpyBackend:
             # ``out`` is written, so ``out`` may alias ``values``; "clip"
             # skips the bounds pass (and the staging copy of ``out``) that
             # the default "raise" mode costs — the columns are valid rows.
+            # The method and ufunc forms skip the wrappers' dispatch.
             flat, scratch = kernel._take_plan(values.dtype, values.shape[1])
-            np.take(values, flat, axis=0, out=scratch, mode="clip")
+            values.take(flat, axis=0, out=scratch, mode="clip")
             if out is None:
                 out = np.empty(values.shape, dtype=values.dtype)
-            np.max(scratch.reshape(degree, kernel.n, values.shape[1]), axis=0, out=out)
+            np.maximum.reduce(
+                scratch.reshape(degree, kernel.n, values.shape[1]), axis=0, out=out
+            )
             return out
         cols = kernel._cols()
         if degree == 1:

@@ -111,7 +111,6 @@ ChannelSlot = tuple[int, int, int, np.random.Generator]
 MAX_NOISE_AMP = 2**31 - 1
 
 _TWO32 = 1 << 32
-_TWO64 = 1 << 64
 #: The counter's Weyl increment (odd, so ``c -> key + c * G32`` is a
 #: bijection mod 2**32) and lowbias32's multipliers.
 _G32 = 0x9E3779B9
@@ -284,9 +283,9 @@ class ChannelState:
             )
         self._model = model
         self._slots = slots
-        self._keys = [
-            int(rng.integers(_TWO64, dtype=np.uint64)) for *_, rng in slots
-        ]
+        # One raw 64-bit word per slot: the same bits, and the same stream
+        # position, as ``rng.integers(2**64, dtype=np.uint64)``.
+        self._keys = [rng.bit_generator.random_raw() for *_, rng in slots]
         # Integer thresholds on the 32-bit hash: drop when h < drop_below,
         # corrupt when drop_below <= h < hit_below.  Both are exact floors
         # of the real-valued bounds (Fraction is exact on a float), so

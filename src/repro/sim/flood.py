@@ -28,7 +28,7 @@ scratch copies, and no masked zeroing — the union of d-regular blocks is
 itself d-regular, so the fast uniform-degree row-gather path applies to
 the whole stack.  Blocks share no edges, so values can never cross a block
 boundary; the per-network row segments (``offsets``) drive the engine's
-segment-wise bookkeeping (decided counting, saturation, witness
+segment-wise bookkeeping (decided counting, message and witness
 metering).  A plain :class:`FloodKernel` is the one-block case of the
 same interface (``sizes == (n,)``), which is how one engine serves both.
 
@@ -120,15 +120,6 @@ class FloodKernel:
         """
         self.sizes: tuple[int, ...] = (self.n,)
         self.offsets: Int64Array = np.array([0, self.n], dtype=np.int64)
-
-    def segment_count_nonzero(self, values: AnyArray) -> Int64Array:
-        """Per-(block, column) nonzero counts of an ``(N, B)`` matrix.
-
-        One segmented ``reduceat`` over ``values != 0``, mirroring
-        :meth:`segment_sum` — the per-block Python loop this replaces cost
-        a kernel dispatch per block per round.
-        """
-        return np.add.reduceat(values != 0, self.offsets[:-1], axis=0, dtype=np.int64)
 
     def segment_sum(self, values: AnyArray, dtype: Any = None) -> AnyArray:
         """Per-(block, column) sums of an ``(N, B)`` numeric matrix.
@@ -349,9 +340,9 @@ class UnionFloodKernel(FloodKernel):
     is one ordinary :meth:`FloodKernel.neighbor_max_stacked` call — when
     every block is d-regular the union is d-regular too and the
     uniform-degree row-gather fast path covers the whole stack.
-    ``offsets[g]`` is block ``g``'s first row; :meth:`segment_count_nonzero`
-    and :meth:`segment_sum` reduce an ``(N, B)`` matrix to per-(block,
-    column) values for the engine's decided/saturation/witness bookkeeping.
+    ``offsets[g]`` is block ``g``'s first row; :meth:`segment_sum` reduces
+    an ``(N, B)`` matrix to per-(block, column) values for the engine's
+    message and witness bookkeeping.
 
     Blocks share no edges by construction, so no value can cross a block
     boundary (enforced by ``tests/property/test_unionstack_properties.py``).

@@ -2,7 +2,8 @@
 
 Covers :class:`Injection` validation (the satellite hardening), plan
 stacking, batch-state column views, the engine's lazily widened honest
-colors, native-batch detection, and the per-trial fallback wrapper.
+colors and adaptation traffic, native-batch detection, and the per-trial
+fallback wrapper.
 """
 
 from types import SimpleNamespace
@@ -28,7 +29,7 @@ from repro.adversary.strategies import (
     SuppressionAdversary,
 )
 from repro.core import CountingConfig, make_adversary, run_counting
-from repro.core.batch import _honest_int64, run_counting_batch
+from repro.core.batch import _honest_int64, _traffic_int64, run_counting_batch
 from repro.sim.rng import stream
 
 
@@ -217,6 +218,66 @@ class TestLazyHonestColors:
         assert not calls
         self._run(net_small, eager=True)
         assert calls
+
+
+class _KeepTraffic(Adversary):
+    """Keeps every adaptation state it is shown and never relocates;
+    copies ``traffic`` at adaptation time only when ``eager``.  Its nodes
+    relay only in even subphases, so one phase's subphases differ in
+    traffic."""
+
+    eager = False
+    kept: list = []
+
+    def batch_subphase_plan(self, state):
+        return BatchSubphasePlan(relay=state.subphase % 2 == 0)
+
+    def batch_adapt(self, state):
+        snap = state.traffic.copy() if _KeepTraffic.eager else None
+        _KeepTraffic.kept.append((state, snap))
+        return None
+
+
+class TestLazyTraffic:
+    def _run(self, net, eager):
+        _KeepTraffic.eager, _KeepTraffic.kept = eager, []
+        a, b = random_placement(net.n, 4, rng=5), random_placement(net.n, 4, rng=6)
+        res = run_counting_batch(
+            net, seeds=[3, 4, 5], adversary_factory=_KeepTraffic, byz_mask=[a, b, a]
+        )
+        return res, _KeepTraffic.kept
+
+    def test_late_read_equals_adaptation_time_copy(self, net_small):
+        eager_res, eager = self._run(net_small, eager=True)
+        late_res, late = self._run(net_small, eager=False)
+        assert np.array_equal(eager_res.decided_matrix(), late_res.decided_matrix())
+        assert len(late) == len(eager) > 1
+        assert any(
+            a.phase == b.phase and not np.array_equal(snap_a, snap_b)
+            for (a, snap_a), (b, snap_b) in zip(eager, eager[1:])
+        )
+        for (_, snap), (state, _) in zip(eager, late):
+            # Read only now, after the engine has counted later
+            # subphases' sends into its own counters.
+            assert state.traffic.dtype == np.int64
+            assert np.array_equal(state.traffic, snap)
+
+    @pytest.mark.parametrize("strategy, widened", [("mobile", False), ("traffic-adaptive", True)])
+    def test_only_a_traffic_read_widens(self, net_small, monkeypatch, strategy, widened):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _traffic_int64(*args)
+
+        monkeypatch.setattr("repro.core.batch._traffic_int64", counted)
+        run_counting_batch(
+            net_small,
+            seeds=[3, 4],
+            adversary_factory=make_adversary(strategy),
+            byz_mask=random_placement(net_small.n, 4, rng=5),
+        )
+        assert bool(calls) is widened
 
 
 class TestNativeBatchDetection:

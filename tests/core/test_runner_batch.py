@@ -150,6 +150,31 @@ class _PulseAdversary(Adversary):
         return SubphasePlan(initial_colors=None, injections=[inj], relay=False)
 
 
+class _StraddleAdversary(Adversary):
+    """Injects on both sides of the Lemma 16 gate and past the subphase.
+
+    Round 1 carries two injections (accepted), round ``k`` one (rejected:
+    the gate is ``k - 1``) once the subphase runs that long, and round
+    ``rounds + 1`` one that no round ever reaches, so it is charged
+    neither way.  ``relay`` is a class flag (the engine builds one instance
+    per placement group).
+    """
+
+    name = "straddle"
+    relay = True
+
+    def subphase_plan(self, state):
+        first, second = state.byz_nodes[:1], state.byz_nodes[1:2]
+        injections = [
+            Injection(t=1, nodes=first, value=30),
+            Injection(t=1, nodes=second, value=31),
+            Injection(t=state.rounds + 1, nodes=first, value=33),
+        ]
+        if state.k <= state.rounds:
+            injections.append(Injection(t=state.k, nodes=second, value=32))
+        return SubphasePlan(injections=injections, relay=type(self).relay)
+
+
 class TestByzantineBatchedEquivalence:
     """The Byzantine fast path must be bit-for-bit too, per strategy."""
 
@@ -328,6 +353,25 @@ class TestByzantineBatchedEquivalence:
         )
         for a, b in zip(seq, bat):
             assert_trial_equal(a, b)
+
+    @pytest.mark.parametrize("relay", [True, False])
+    def test_injections_straddling_the_gate_charge_as_sequential(
+        self, net_small, monkeypatch, relay
+    ):
+        monkeypatch.setattr(_StraddleAdversary, "relay", relay)
+        cfg = CountingConfig(max_phase=8)
+        byz = random_placement(net_small.n, 3, rng=6)
+        seeds = [30, 31, 32]
+        seq = [
+            run_counting(net_small, cfg, seed=s, adversary=_StraddleAdversary(), byz_mask=byz)
+            for s in seeds
+        ]
+        bat = run_counting_batch(
+            net_small, seeds, config=cfg, adversary_factory=_StraddleAdversary, byz_mask=byz
+        )
+        for a, b in zip(seq, bat):
+            assert_trial_equal(a, b)
+        assert all(r.injections_accepted > 0 and r.injections_rejected > 0 for r in seq)
 
     def test_empty_byz_mask_with_adversary(self, net_small):
         # Verification costs still apply (pre-phase rounds) even with an

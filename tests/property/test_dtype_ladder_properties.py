@@ -8,10 +8,10 @@ when a plan value leaves int32 (see :mod:`repro.core.batch`).  These
 tests pin the ladder end-to-end by spying on every flood-kernel
 max-reduction (the only place color state crosses the wire): honest runs
 hand the kernel one-byte state, built-in strategies never exceed int32,
-and each forced widening (a large draw, a mid-phase injection, an
-injection that only the channel's noise pushes past int8, a negative
-initial color, a huge noise amplitude, an out-of-int32 plan) shows up at
-the kernel.  Every narrow run is also compared bit for bit with the same
+and each forced widening (a large draw, a mid-phase injection into int16
+or int32, an injection that only the channel's noise pushes past int8, a
+negative initial color, a huge noise amplitude, an out-of-int32 plan)
+shows up at the kernel.  Every narrow run is also compared bit for bit with the same
 run forced to int32 through the ladder helper, which is the historical
 state dtype.
 """
@@ -164,6 +164,35 @@ def test_forced_draw_of_127_stays_int8():
     with _forced_first_draw(127):
         seen = _ladder_and_int32(lambda: run_counting_batch(net, seeds=[7, 8]))
     assert seen and set(seen) == {1}
+
+
+class _SecondSubphaseHuge(Adversary):
+    """Injects ``HUGE_COLOR`` at every Byzantine node in each phase's
+    second subphase, which moves an int8 phase to int32 mid-phase."""
+
+    def batch_subphase_plan(self, state):
+        if state.subphase != 2:
+            return BatchSubphasePlan()
+        shape = (1, state.byz_nodes.shape[0], state.batch)
+        return BatchSubphasePlan(
+            injections=np.full(shape, HUGE_COLOR, dtype=np.int64),
+            counts=np.ones((1, state.batch), dtype=np.int64),
+        )
+
+
+def test_forced_mid_phase_widen_int8_to_int32():
+    # The phase's int8 draws (one of them the rung's maximum) feed an
+    # int32 state from the second subphase on.
+    net = build_small_world(96, 8, seed=6)
+    byz = random_placement(96, 3, rng=1)
+    with _forced_first_draw(127):
+        seen = _ladder_and_int32(
+            lambda: run_counting_batch(
+                net, seeds=[11, 12], adversary_factory=_SecondSubphaseHuge, byz_mask=byz
+            )
+        )
+    assert set(seen) == {1, 4}
+    assert 1 in seen[: seen.index(4)]
 
 
 @settings(max_examples=10, deadline=None)

@@ -122,7 +122,7 @@ class TestKernelSegments:
         uk = UnionFloodKernel.from_networks(nets)
         rng = np.random.default_rng(value_seed)
         values = rng.integers(0, 3, (uk.n, batch)).astype(np.int64)
-        nz = uk.segment_count_nonzero(values)
+        nz = uk.segment_sum(values != 0)
         sums = uk.segment_sum(values)
         for g in range(len(nets)):
             lo, hi = int(uk.offsets[g]), int(uk.offsets[g + 1])

@@ -387,6 +387,18 @@ class TestChannelStateCorrupt:
             state.corrupt(np.ones((16, 1), dtype=np.int32))
         assert rng.random() == twin.random()
 
+    def test_slot_keys_equal_full_range_integer_draws(self):
+        # A slot key is one raw 64-bit word of its generator: the value a
+        # full-range uint64 ``integers`` draw returns, leaving the stream
+        # at the same position.
+        model = ChannelModel(loss_p=0.5, noise_p=0.5, noise_amp=2)
+        for seed in range(200):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            state = ChannelState(model, [(c, 0, 16, rng) for c in range(5)])
+            want = [int(twin.integers(2**64, dtype=np.uint64)) for _ in range(5)]
+            assert state._keys == want
+            assert rng.random() == twin.random()
+
     @pytest.mark.parametrize(
         "col, lo, rows, width",
         [(0, 0, 40, 1), (3, 0, 40, 4), (1, 17, 80, 2), (5, 40, 64, 8)],
