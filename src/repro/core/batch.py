@@ -86,14 +86,35 @@ same noise term; a negative initial color lowers its floor), and the
 phase loop widens to the narrowest rung that holds it before the plan is
 applied.  Above the ladder is the historical rule: state stays at most
 int32, and the first plan value outside int32 itself widens the run to
-int64 for good.  Built-in strategies inject at most
-``HUGE_COLOR = 2**20``, so their cells run int32 or narrower.
-Adversaries always see int64 honest colors.
+int64 for good.  Adversaries always see int64 honest colors.
 
-No rung changes a result: integer max-flooding is exact in any dtype that
-holds its values, and the channel's clamp at the state dtype's maximum
-is never reached below int32 because the bound keeps every noisy value
-inside the rung.  Every result is bit for bit the int32/int64 run's.
+Before a plan raises the bound, :func:`_shift_plans` moves its
+out-of-band values down.  The protocol only compares colors (neighbor
+maxima, the ``> threshold`` test, new-record tests), so a planted
+``2**20`` says no more than "above every honest color and the
+threshold".  With ``noise = noise_amp x phase`` (0 with no channel), the
+most a value can drift within one subphase, ``cut = max(largest draw,
+floor(threshold)) + 2 x noise`` and ``a`` the subphase's smallest plan
+value above ``cut`` (over every group's initial colors, injections and
+re-sends), every plan value above ``cut`` moves down by
+``a - (cut + 1 + 2 x noise)``.  The move is made only when
+``a > cut + 2 x noise``, the plan stays at or below ``INT32_MAX - noise``
+and the moved maximum picks a narrower rung.  Built-in strategies plant
+values from ``HUGE_COLOR = 2**20`` up but inside int32, so their cells
+run int32 or narrower, and early-stop, inflation and combo flood in int8.
+
+No rung and no move changes a result.  Integer max-flooding is exact in
+any dtype that holds its values.  Every subphase starts from fresh
+colors, so within one an unmoved value stays at or below ``cut + noise``
+and a moved one, before or after the move, at or above
+``cut + 1 + noise``: every comparison across the two sides, with 0 and
+with the threshold comes out as before, and moved values keep their
+order and spacing among themselves.  The channel's clamps never touch a
+moved value: its floor of 1 lies below ``cut``, and its ceiling at the
+state dtype's maximum is out of reach below int32 because the bound keeps
+every noisy value inside the rung, and in the unmoved int32 run because
+of the ``INT32_MAX - noise`` condition.  Every result is bit for bit the
+int32/int64 run's.
 
 One engine, three entry points
 ------------------------------
@@ -212,7 +233,7 @@ from ..analysis.bounds import ball_size_bound
 from ..sim.channel import ChannelModel, ChannelState, _normalize_channel
 from ..sim.flood import FloodKernel, UnionFloodKernel
 from ..sim.metrics import MeterBatch, PhaseRecord, PhaseTrace
-from ..sim.rng import make_rng, spawn
+from ..sim.rng import spawn_seed
 from .colors import sample_colors
 from .config import CountingConfig
 from .neighborhood import crash_phase
@@ -536,6 +557,56 @@ def _validate_batch_plan(
     else:
         off = None if relay.all() else np.flatnonzero(~relay)
     return initial, injections, counts, off, resend, lo, hi
+
+
+def _shift_plans(
+    group_plans: list[tuple[Any, ...]],
+    cut: int,
+    noise: int,
+    lo: int,
+    hi: int,
+    plan_max: int,
+) -> tuple[list[tuple[Any, ...]], int]:
+    """Move the plans' values above ``cut`` down when that narrows the rung.
+
+    ``cut`` lies ``2 x noise`` above every honest color and the threshold,
+    ``noise`` is the most a value can drift over one subphase's rounds and
+    ``[lo, hi]`` the phase's value bound so far.  With ``a`` the smallest
+    plan value above ``cut``, every such value moves down by
+    ``a - (cut + 1 + 2 x noise)`` into new arrays (an adversary may own
+    its plan's); values at or below ``cut`` keep theirs.  Nothing moves
+    unless ``a > cut + 2 x noise`` and the moved maximum picks a narrower
+    rung than ``plan_max`` does.  Returns the plans and their maximum.
+    """
+    need = np.dtype(_ladder_dtype(lo, max(hi, plan_max + noise))).itemsize
+    least = cut + 1 + 2 * noise  # where ``a`` lands
+    if np.dtype(_ladder_dtype(lo, max(hi, least + noise))).itemsize >= need:
+        return group_plans, plan_max
+    floor = plan_max
+    mixed: set[int] = set()  # arrays holding a value at or below ``cut``
+    for _, initial, injections, _, _, resend in group_plans:
+        for values in (initial, injections, resend):
+            if values is not None and values.size:
+                low = int(values.min())
+                if low <= cut:
+                    mixed.add(id(values))
+                    above = values[values > cut]
+                    low = int(above.min()) if above.size else plan_max
+                floor = min(floor, low)
+    shift = floor - least
+    top = plan_max - shift
+    if shift <= 0 or np.dtype(_ladder_dtype(lo, max(hi, top + noise))).itemsize >= need:
+        return group_plans, plan_max
+
+    def down(values: Int64Array | None) -> Int64Array | None:
+        if values is None or id(values) not in mixed:
+            return None if values is None else values - shift
+        return np.where(values > cut, values - shift, values)
+
+    return [
+        (grp, down(initial), down(injections), counts, off, down(resend))
+        for grp, initial, injections, counts, off, resend in group_plans
+    ], top
 
 
 def run_counting_multinet(
@@ -899,22 +970,23 @@ def _cell_streams(
 ) -> tuple[list[list[Any]], list[list[Any]], list[list[Any]]]:
     """Per-cell ``(color, adversary, channel)`` streams, ``None`` if absent.
 
-    Each present cell splits ``make_rng(seed)`` exactly as
-    :func:`repro.core.runner.run_counting` does; the channel stream is
-    child 2 of the same root, spawned only when a channel is active, which
-    leaves the color/adversary streams bit-for-bit unchanged (``spawn``
-    advances a child counter, not the stream).  Cells are visited
-    block-major in column order.
+    Each present cell gets the children of ``make_rng(seed)`` that
+    :func:`repro.core.runner.run_counting` splits off, spawned straight
+    from the seed (:func:`~repro.sim.rng.spawn_seed`); the channel stream
+    is child 2, spawned only when a channel is active, which leaves the
+    color/adversary streams bit-for-bit unchanged (spawning advances a
+    child counter, not the stream).  Cells are visited block-major in
+    column order.
     """
     blocks, cols = present.shape
     colors: list[list[Any]] = [[None] * cols for _ in range(blocks)]
     advs: list[list[Any]] = [[None] * cols for _ in range(blocks)]
     chans: list[list[Any]] = [[None] * cols for _ in range(blocks)]
+    n_streams = 2 if channel is None else 3
     for g, j in np.argwhere(present).tolist():
-        root = make_rng(seeds[g][j])
-        colors[g][j], advs[g][j] = spawn(root, 2)
-        if channel is not None:
-            chans[g][j] = spawn(root, 1)[0]
+        colors[g][j], advs[g][j], *rest = spawn_seed(seeds[g][j], n_streams)
+        if rest:
+            chans[g][j] = rest[0]
     return colors, advs, chans
 
 
@@ -1188,9 +1260,9 @@ def _run_config_group(
     crash masks apply as one ``(N, B)`` mask, relay suppression per
     column, and witness metering reduces segment-wise.  Each phase's
     color state starts on the narrowest ladder rung its draws allow and
-    widens when a plan leaves it (see the module docstring's dtype
-    policy).  Returns results as a ``G x C`` nested list, ``None`` at
-    absent cells.
+    widens when a plan leaves it, once out-of-band plan values have moved
+    down (see the module docstring's dtype policy).  Returns results as
+    a ``G x C`` nested list, ``None`` at absent cells.
     """
     d = nets[0].d
     blocks, cols = present.shape
@@ -1288,6 +1360,10 @@ def _run_config_group(
         # plus the channel's noise; plans below may only widen it.
         noise = noise_step * phase
         bound_lo, bound_hi = 0, draw_max + noise
+        # Plan values above ``cut`` only ever compare as "above every
+        # honest color and the threshold", noise included, so they may
+        # move down (see _shift_plans).
+        cut = max(draw_max, thr_floor) + 2 * noise
         if not wide:
             state_dtype = _ladder_dtype(bound_lo, bound_hi)
         # Draws are held in the state's dtype, so every subphase's color
@@ -1402,11 +1478,18 @@ def _run_config_group(
             # Widen before the plan is applied: to int64 for good once a
             # value leaves int32, else up the ladder to the narrowest rung
             # holding the plan plus its noise (re-sends carry injection
-            # values, so the injection maximum covers them).
+            # values, so the injection maximum covers them), after moving
+            # out-of-band values down where that needs a narrower rung.
+            # The int32 run would clamp a value past INT32_MAX - noise,
+            # so such a plan stays as it is.
             bound_lo = min(bound_lo, plan_min)
-            bound_hi = max(bound_hi, plan_max + noise)
             if plan_max > _INT32_MAX or plan_min < _INT32_MIN:
                 wide = True
+            elif not wide and plan_max > cut and plan_max + noise <= _INT32_MAX:
+                group_plans, plan_max = _shift_plans(
+                    group_plans, cut, noise, bound_lo, bound_hi, plan_max
+                )
+            bound_hi = max(bound_hi, plan_max + noise)
             need = np.int64 if wide else _ladder_dtype(bound_lo, bound_hi)
             if np.dtype(need).itemsize > np.dtype(state_dtype).itemsize:
                 state_dtype = need

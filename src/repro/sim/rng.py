@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn", "stream", "derive_seed"]
+__all__ = ["make_rng", "spawn", "spawn_seed", "stream", "derive_seed"]
 
 #: Fixed application-level salt so repro streams are distinct from any other
 #: library that also spawns from the raw user seed.
@@ -37,6 +37,24 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     if n < 0:
         raise ValueError(f"cannot spawn {n} generators")
     return rng.spawn(n)
+
+
+def spawn_seed(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
+    """``spawn(make_rng(seed), n)`` without building the root generator.
+
+    An integer seed's children come straight from its salted
+    :class:`~numpy.random.SeedSequence`, which is what ``Generator.spawn``
+    spawns from, so the streams are bit for bit the same while the root's
+    PCG64 state is never set up.  A ``Generator`` or ``None`` seed goes
+    through :func:`make_rng` and :func:`spawn` unchanged (a ``Generator``
+    seed's child counter advances exactly as before).
+    """
+    if isinstance(seed, np.random.Generator) or seed is None:
+        return spawn(make_rng(seed), n)
+    if n < 0:
+        raise ValueError(f"cannot spawn {n} generators")
+    children = np.random.SeedSequence([_APP_SALT, int(seed)]).spawn(n)
+    return [np.random.Generator(np.random.PCG64(child)) for child in children]
 
 
 def stream(seed: int, *key: int | str) -> np.random.Generator:

@@ -24,7 +24,9 @@ from repro.core.estimator import make_adversary
 from repro.core.runner import run_counting
 from repro.core.sweep import run_multi_sweep
 from repro.graphs import build_small_world
+from repro.sim.channel import ChannelModel
 from repro.sim.flood import UnionFloodKernel
+from repro.sim.rng import make_rng, spawn
 
 CFG = CountingConfig(max_phase=10)
 HONEST = CFG.with_(verification=False)
@@ -108,6 +110,51 @@ class TestRaggedCells:
         )
         for net, seed, mask, res in zip(trial_nets, seeds, masks, out):
             assert_trial_equal(scalar(net, CFG, seed, strategy, mask), res)
+
+
+class TestCellStreams:
+    """The engine spawns each cell's streams straight from its seed; they
+    must be ``spawn(make_rng(seed), ...)``'s, bit for bit."""
+
+    @staticmethod
+    def _assert_same_stream(a, b):
+        # mobile's walk stream is a child spawned off the adversary stream.
+        for x, y in ((a, b), (spawn(a, 1)[0], spawn(b, 1)[0])):
+            assert np.array_equal(
+                x.integers(0, 2**63, size=16), y.integers(0, 2**63, size=16)
+            )
+
+    @pytest.mark.parametrize("channel", [None, ChannelModel(loss_p=0.1)])
+    def test_int_seeds_match_make_rng_spawn(self, channel):
+        seeds = [[0, 5, 2**40], [3, np.int64(9), 11]]
+        present = np.array([[True, True, True], [True, False, True]])
+        colors, advs, chans = batch._cell_streams(seeds, present, channel)
+        for g, j in np.argwhere(present).tolist():
+            root = make_rng(seeds[g][j])
+            want = spawn(root, 2) + ([] if channel is None else spawn(root, 1))
+            got = [colors[g][j], advs[g][j]]
+            if channel is None:
+                assert chans[g][j] is None
+            else:
+                got.append(chans[g][j])
+            for a, b in zip(got, want, strict=True):
+                self._assert_same_stream(a, b)
+        assert colors[1][1] is advs[1][1] is chans[1][1] is None
+
+    @pytest.mark.parametrize("channel", [None, ChannelModel(loss_p=0.1)])
+    def test_generator_seed_spawns_from_itself(self, channel):
+        seed, twin = make_rng(4), make_rng(4)
+        colors, advs, chans = batch._cell_streams(
+            [[seed]], np.ones((1, 1), dtype=bool), channel
+        )
+        want = spawn(twin, 2) + ([] if channel is None else spawn(twin, 1))
+        got = [colors[0][0], advs[0][0]] + ([] if channel is None else [chans[0][0]])
+        for a, b in zip(got, want, strict=True):
+            self._assert_same_stream(a, b)
+        assert (
+            seed.bit_generator.seed_seq.n_children_spawned
+            == twin.bit_generator.seed_seq.n_children_spawned
+        )
 
 
 class TestGeneratorSeeds:

@@ -3,17 +3,19 @@
 Each phase of the batched engines keeps its color state in the narrowest
 of int8, int16 and int32 that holds a provable bound on the phase's
 values — the largest color drawn, plus ``noise_amp x phase`` under an
-active channel, plus any adversary plan value — and widens to int64 only
+active channel, plus any adversary plan value once values far above the
+honest band have moved down to just above it — and widens to int64 only
 when a plan value leaves int32 (see :mod:`repro.core.batch`).  These
 tests pin the ladder end-to-end by spying on every flood-kernel
 max-reduction (the only place color state crosses the wire): honest runs
-hand the kernel one-byte state, built-in strategies never exceed int32,
-and each forced widening (a large draw, a mid-phase injection into int16
-or int32, an injection that only the channel's noise pushes past int8, a
+and the early-stop, inflation and combo strategies hand the kernel
+one-byte state, built-in strategies never exceed int32, and each forced
+widening (a large draw, a mid-phase injection window too wide for int8
+or int16, a window that only the channel's noise pushes past int8, a
 negative initial color, a huge noise amplitude, an out-of-int32 plan)
-shows up at the kernel.  Every narrow run is also compared bit for bit with the same
-run forced to int32 through the ladder helper, which is the historical
-state dtype.
+shows up at the kernel.  Every narrow run is also compared bit for bit
+with the same run forced to int32 through the ladder helper, which is
+the historical state dtype and moves no plan value.
 """
 
 import contextlib
@@ -166,18 +168,31 @@ def test_forced_draw_of_127_stays_int8():
     assert seen and set(seen) == {1}
 
 
+def _window_plan(state, low, width):
+    """Round-1 injections of ``low`` at the first Byzantine node and
+    ``low + width`` at the others.
+
+    The engine moves plan values above the honest band down to just above
+    it (see :func:`repro.core.batch._shift_plans`), keeping their order
+    and spacing, so such a plan needs a rung at least ``width`` wide
+    however large ``low`` is.
+    """
+    injections = np.full((1, state.byz_nodes.shape[0], state.batch), low, dtype=np.int64)
+    injections[0, 1:] += width
+    return BatchSubphasePlan(
+        injections=injections, counts=np.ones((1, state.batch), dtype=np.int64)
+    )
+
+
 class _SecondSubphaseHuge(Adversary):
-    """Injects ``HUGE_COLOR`` at every Byzantine node in each phase's
-    second subphase, which moves an int8 phase to int32 mid-phase."""
+    """Injects ``HUGE_COLOR`` and ``HUGE_COLOR + 2**16`` in each phase's
+    second subphase, a window no rung below int32 holds, which moves an
+    int8 phase to int32 mid-phase."""
 
     def batch_subphase_plan(self, state):
         if state.subphase != 2:
             return BatchSubphasePlan()
-        shape = (1, state.byz_nodes.shape[0], state.batch)
-        return BatchSubphasePlan(
-            injections=np.full(shape, HUGE_COLOR, dtype=np.int64),
-            counts=np.ones((1, state.batch), dtype=np.int64),
-        )
+        return _window_plan(state, HUGE_COLOR, 2**16)
 
 
 def test_forced_mid_phase_widen_int8_to_int32():
@@ -262,16 +277,14 @@ def test_out_of_range_plan_widens_to_int64():
 
 
 class _SecondSubphaseInjector(Adversary):
-    """Injects 200 at every Byzantine node in each phase's second subphase."""
+    """Injects ``2**20`` and ``2**20 + 200`` in each phase's second
+    subphase: moved down to just above the honest band, the window still
+    needs int16."""
 
     def batch_subphase_plan(self, state):
         if state.subphase != 2:
             return BatchSubphasePlan()
-        shape = (1, state.byz_nodes.shape[0], state.batch)
-        return BatchSubphasePlan(
-            injections=np.full(shape, 200, dtype=np.int64),
-            counts=np.ones((1, state.batch), dtype=np.int64),
-        )
+        return _window_plan(state, 2**20, 200)
 
 
 def test_mid_phase_injection_widens_int8_to_int16():
@@ -343,32 +356,59 @@ def test_adversaries_see_int64_colors_in_an_int8_phase():
             assert np.all(next_color == 128)
 
 
-class _Injector126(Adversary):
-    """Injects 126 at every Byzantine node in round 1 of every subphase."""
+class _WindowInjector(Adversary):
+    """Injects ``2**20`` and ``2**20 + 60`` in round 1 of every subphase."""
 
     def batch_subphase_plan(self, state):
-        shape = (1, state.byz_nodes.shape[0], state.batch)
-        return BatchSubphasePlan(
-            injections=np.full(shape, 126, dtype=np.int64),
-            counts=np.ones((1, state.batch), dtype=np.int64),
-        )
+        return _window_plan(state, 2**20, 60)
 
 
 @pytest.mark.parametrize("noise_amp, itemsize", [(0, 1), (2, 2)])
 def test_lossy_byzantine_injection_widens_through_noise(noise_amp, itemsize):
-    # 126 fits int8, but a channel adds up to noise_amp per round, so the
-    # plan bound plus noise (126 + 2 * phase) must move the state to int16;
-    # with the same channel minus its noise the state stays int8.
+    # Every phase's largest draw is a forced 60, above each threshold the
+    # run reaches.  Without noise the window moves down to 61..121, which
+    # fits int8.  With noise_amp = 2 (noise = 2 * phase per subphase) the
+    # window lands 4 * noise above the largest draw and the bound adds
+    # noise once more, so the plan bound 121 + 10 * phase needs int16,
+    # while the draws alone (60 + 2 * phase) open every phase on int8.
     net = build_small_world(96, 8, seed=10)
     byz = random_placement(96, 3, rng=4)
     channel = ChannelModel(loss_p=0.1, noise_p=0.2, noise_amp=noise_amp)
-    seen = _ladder_and_int32(
-        lambda: run_counting_batch(
-            net,
-            seeds=[15, 16],
-            adversary_factory=_Injector126,
-            byz_mask=byz,
-            channel=channel,
+    with _forced_first_draw(60):
+        seen = _ladder_and_int32(
+            lambda: run_counting_batch(
+                net,
+                seeds=[15, 16],
+                adversary_factory=_WindowInjector,
+                byz_mask=byz,
+                channel=channel,
+            )
         )
-    )
     assert seen and set(seen) == {itemsize}
+
+
+@pytest.mark.parametrize("strategy", ["early-stop", "inflation", "combo"])
+@pytest.mark.parametrize("entry", ["batch", "unionstack", "multinet"])
+def test_out_of_band_strategies_run_int8(strategy, entry):
+    # These strategies plant or inject values near HUGE_COLOR, which only
+    # ever compare as "above every honest color": moved down to just
+    # above the honest band, they flood in one-byte state.
+    nets = [build_small_world(64, 8, seed=1), build_small_world(96, 8, seed=2)]
+    masks = [random_placement(net.n, 3, rng=5) for net in nets]
+    factory = ADVERSARIES[strategy]
+    runs = {
+        "batch": lambda: run_counting_batch(
+            nets[1], seeds=[3, 4], adversary_factory=factory, byz_mask=masks[1]
+        ),
+        "unionstack": lambda: run_counting_unionstack(
+            nets, seeds=[3, 4], adversary_factory=factory, byz_mask=masks
+        ),
+        "multinet": lambda: run_counting_multinet(
+            [nets[0], nets[1], nets[0]],
+            seeds=[3, 4, 5],
+            adversary_factory=factory,
+            byz_mask=[masks[0], masks[1], masks[0]],
+        ),
+    }
+    seen = _ladder_and_int32(runs[entry])
+    assert seen and set(seen) == {1}
