@@ -96,7 +96,7 @@ from repro.core.runner import run_counting
 from repro.experiments.common import parallel_map
 from repro.graphs import build_small_world, hgraph_from_cycles
 from repro.service import ChurnDelta, ResidentEngine
-from repro.sim.backends import backend_available
+from repro.sim.backends import available_backends
 from repro.sim.channel import ChannelModel
 from repro.sim.rng import derive_seed, make_rng
 
@@ -648,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
     # fabricated on numpy-only boxes; the regression gate treats the
     # committed entry as informational there (``requires`` key).
     t_np_honest = t_bat
-    if backend_available("numba"):
+    if "numba" in available_backends():
         run_batched(net, seeds[: min(4, len(seeds))], backend="numba")  # JIT warm
         t_nb, nb = _time_best(
             run_batched, net, seeds, CFG, "numba", repeats=args.repeats
@@ -824,7 +824,7 @@ def main(argv: list[str] | None = None) -> int:
     # Compiled-backend variant of the union stack: the fused CSR-walk
     # kernel vs the numpy row-gather on the same concatenated layout.
     # Same gating as honest-numba: recorded only when numba can run.
-    if backend_available("numba"):
+    if "numba" in available_backends():
         run_multinet_union(  # JIT warm on the union layout
             multi_nets, multi_seeds[: min(4, len(multi_seeds))], backend="numba"
         )

@@ -647,10 +647,7 @@ def run_counting_multinet(
         or ``None`` for an empty placement.  A shared ``(n,)`` mask is
         meaningless across sizes and therefore not accepted here.
     backend:
-        As in :func:`run_counting_batch`.  ``None`` additionally adopts a
-        ``kernel_backend`` attribute shipped on the ``networks`` container
-        (:class:`repro.graphs.shared.NetworkTuple`), so sharded workers
-        inherit the sweep-level choice.
+        As in :func:`run_counting_batch`.
     kernel:
         A pre-built kernel whose row blocks are the *distinct* networks of
         this batch in first-appearance order: a
@@ -659,13 +656,8 @@ def run_counting_multinet(
         network.  Reused across calls by the resident churn engine;
         mutually exclusive with ``backend``; validated eagerly.
     channel:
-        As in :func:`run_counting_batch`.  ``None`` additionally adopts a
-        ``channel`` attribute shipped on the ``networks`` container
-        (:class:`repro.graphs.shared.NetworkTuple`), so sharded workers
-        inherit the sweep-level channel the way they inherit the backend.
+        As in :func:`run_counting_batch`.
     """
-    if channel is None:
-        channel = getattr(networks, "channel", None)
     container = networks
     networks = list(networks)
     seeds = list(seeds)
@@ -789,8 +781,7 @@ def run_counting_unionstack(
         every column, a ``(C, n_g)`` stack, or a length-``C`` sequence of
         per-column masks / Nones.
     backend:
-        As in :func:`run_counting_multinet` (``None`` adopts the
-        container's ``kernel_backend`` attribute when present).
+        As in :func:`run_counting_batch`.
     kernel:
         A pre-built :class:`~repro.sim.flood.UnionFloodKernel` whose
         block ``g`` is ``networks[g]``'s ``H`` adjacency (a plain
@@ -798,10 +789,9 @@ def run_counting_unionstack(
         across calls.  Mutually exclusive with ``backend``; block sizes
         are validated eagerly.
     channel:
-        As in :func:`run_counting_multinet` (``None`` adopts the
-        container's ``channel`` attribute when present).  Channel draws
-        are per (network, seed) trial, so lossy union runs stay
-        bit-for-bit equal to per-network runs.
+        As in :func:`run_counting_batch`.  Channel draws are per
+        (network, seed) trial, so lossy union runs stay bit-for-bit equal
+        to per-network runs.
 
     Returns
     -------
@@ -810,8 +800,6 @@ def run_counting_unionstack(
         ``(g, j)`` is element ``g * C + j`` — the order of the equivalent
         ``run_counting_multinet([net_g for g .. for j ..], ...)`` call.
     """
-    if channel is None:
-        channel = getattr(networks, "channel", None)
     nets = list(networks)
     if not nets:
         raise ValueError("run_counting_unionstack needs at least one network")
@@ -949,12 +937,7 @@ def _resolve_union_kernel(
     :class:`repro.graphs.shared.NetworkTuple`, shipped through shared
     memory by ``SharedNetworkPack``) is adopted when its block sizes
     match, so sharded workers skip re-stacking.
-    A ``kernel_backend`` attribute on the same container supplies the
-    backend when no explicit one is given, so the sweep-level choice
-    survives worker-side reconstruction.
     """
-    if backend is None:
-        backend = getattr(networks_input, "kernel_backend", None)
     if len(nets) == 1:
         return FloodKernel(nets[0].h.indptr, nets[0].h.indices, backend=backend)
     shipped = getattr(networks_input, "union_csr", None)

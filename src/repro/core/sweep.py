@@ -60,9 +60,11 @@ whole network axis, one network or many, as one
 :class:`~repro.graphs.shared.SharedNetworkPack` (workers attach its one
 shared-memory segment zero-copy).  Rectangular sweeps over two or more
 networks also ship the pre-stacked union CSR through it, so workers skip
-re-stacking; one network needs none.  The kernel backend rides the pack's
-container (``NetworkTuple.kernel_backend``) and the channel model rides
-the task tuples.
+re-stacking; one network needs none.  The pack carries network data
+only: the kernel backend and the channel model ride every shard task, as
+given, and the worker passes them to the engine as arguments.  Being part
+of the tasks, they are part of the checkpoint plan key too, so a changed
+backend or channel starts a fresh journal.
 
 Shard boundaries are **cost weighted**: each cell's expected cost is
 modeled as ``n x round_complexity_bound(n, eps, d) x strategy factor``
@@ -347,13 +349,8 @@ def _run_multi_shard(
     indices into it plus per-trial masks over each trial's own network —
     the ragged grid's cells, which the engine regroups into union blocks.
     """
-    spec, seeds, configs, net_ids, masks, channel = task
+    spec, seeds, configs, net_ids, masks, backend, channel = task
     factory = _strategy_factory(spec)
-    # Indexing into the shared tuple yields a plain list, which would drop
-    # the container-level backend/channel attributes — forward explicitly.
-    backend = getattr(networks, "kernel_backend", None)
-    if channel is None:
-        channel = getattr(networks, "channel", None)
     trial_nets = [networks[i] for i in net_ids]
     if factory is None:
         return list(
@@ -386,12 +383,16 @@ def _run_union_shard(
     ``task`` carries the shard's seed columns, per-column configs, and
     per-network per-column masks.
     """
-    spec, col_seeds, col_configs, masks, channel = task
+    spec, col_seeds, col_configs, masks, backend, channel = task
     factory = _strategy_factory(spec)
     if factory is None:
         return list(
             run_counting_unionstack(
-                networks, col_seeds, config=col_configs, channel=channel
+                networks,
+                col_seeds,
+                config=col_configs,
+                backend=backend,
+                channel=channel,
             )
         )
     return list(
@@ -401,6 +402,7 @@ def _run_union_shard(
             config=col_configs,
             adversary_factory=factory,
             byz_mask=masks,
+            backend=backend,
             channel=channel,
         )
     )
@@ -698,15 +700,16 @@ def run_sweep(
         Flood-kernel compute backend (``"numpy"``, ``"numba"``,
         ``"auto"``) or ``None`` for the default resolution — the
         ``REPRO_KERNEL_BACKEND`` env override, then auto.  Applied to
-        every cell and shipped to sharded workers on the shared network
-        container (``NetworkTuple.kernel_backend``); bit-for-bit neutral
-        (see :mod:`repro.sim.backends`).
+        every cell: it rides every shard task as given and each worker
+        passes it to the engine, so a worker resolves ``None`` against
+        its own environment.  Bit-for-bit neutral (see
+        :mod:`repro.sim.backends`).
     channel:
         Optional :class:`~repro.sim.channel.ChannelModel` applied to every
         cell — the lossy/noisy message channel sweep axis.  Rides the
-        shard task tuples (plain frozen data, so it pickles to workers);
-        a null channel is normalized to ``None`` and
-        the sweep is then bit-for-bit identical to a channel-free run.
+        shard tasks next to ``backend`` (plain frozen data, so it pickles
+        to workers); a null channel is normalized to ``None`` and the
+        sweep is then bit-for-bit identical to a channel-free run.
     policy:
         :class:`repro.exec.RetryPolicy` for the sharded dispatch —
         per-shard timeout, retry budget, backoff, degradation threshold.
@@ -718,8 +721,9 @@ def run_sweep(
     checkpoint:
         Path to an on-disk journal: every completed shard's results are
         spilled durably, and a re-run of the *identical* sweep (same
-        grid, same ``jobs``/``shard_cells`` — the shard plan is keyed)
-        resumes from the journal instead of recomputing finished shards.
+        grid, backend and channel, same ``jobs``/``shard_cells`` — the
+        shard plan is keyed) resumes from the journal instead of
+        recomputing finished shards.
 
     Returns
     -------
@@ -796,13 +800,9 @@ def run_multi_sweep(
         net: placement_for_delta(net, 0.5, rng=7)``), or a sequence with
         one placement-axis spec per network.  The resulting axis length
         must agree across networks (it is a grid axis).
-    backend:
-        As in :func:`run_sweep`.
-    channel:
-        As in :func:`run_sweep`; the channel model rides the shard task
-        tuples (and, when the caller hands in a ready
-        :class:`~repro.graphs.shared.NetworkTuple` with a ``channel``
-        attribute, the engines adopt that container default too).
+    backend, channel:
+        As in :func:`run_sweep`: both ride the shard tasks and reach the
+        engines as arguments, never through the network container.
     policy, report, checkpoint:
         Resilient-dispatch knobs, as in :func:`run_sweep` — retry/timeout
         policy, per-shard fault accounting, and the checkpoint/resume
@@ -915,6 +915,7 @@ def run_multi_sweep(
                     [shared_seeds[b] for _p, _c, b in chunk],
                     [config_axis[c] for _p, c, _b in chunk],
                     masks,
+                    backend,
                     channel,
                 )
             )
@@ -958,6 +959,7 @@ def run_multi_sweep(
                     [config_axis[c] for _g, _p, c, _b in chunk],
                     [g for g, _p, _c, _b in chunk],
                     cell_masks,
+                    backend,
                     channel,
                 )
             )
@@ -978,7 +980,6 @@ def run_multi_sweep(
         network=networks_payload if networks_payload is not None else networks,
         # One network needs no stacking: the engine runs its own H CSR.
         union_csr=shared_seeds is not None and n_g > 1,
-        kernel_backend=backend,
         policy=policy,
         report=report,
         checkpoint=checkpoint,

@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     import os
 
     from ..exec import ExecutionReport, RetryPolicy
-    from ..sim.channel import ChannelModel
 
 from ..adversary.base import Adversary
 from ..core.batch import run_counting_batch
@@ -206,8 +205,6 @@ def parallel_map(
     *,
     network: SmallWorldNetwork | Sequence[SmallWorldNetwork] | None = None,
     union_csr: bool = False,
-    kernel_backend: str | None = None,
-    channel: "ChannelModel | None" = None,
     policy: RetryPolicy | None = None,
     report: ExecutionReport | None = None,
     checkpoint: str | os.PathLike[str] | None = None,
@@ -247,16 +244,9 @@ def parallel_map(
     block-diagonal union CSR — stacked once here, shipped through the same
     segment — so union-stack engine calls in workers skip re-stacking.
     The segment lives for the duration of the map and is unlinked before
-    returning.
-
-    ``kernel_backend`` (multi-network only) names the flood-kernel compute
-    backend and travels on the payload container
-    (``NetworkTuple.kernel_backend``) — through the shared segment's
-    handle for process sharding — so engine calls inside workers adopt the
-    sweep-level backend choice (see :mod:`repro.sim.backends`).
-    ``channel`` (multi-network only) rides the container the same way
-    (``NetworkTuple.channel``), so the engines' container adoption picks
-    up a sweep-level lossy/noisy channel inside workers.
+    returning.  The payload carries network data only: run settings such
+    as the kernel backend or a channel model belong in the items, as
+    arguments that ``fn`` passes on to the engines.
     """
     if jobs is not None and jobs < 0:
         raise ValueError(f"jobs must be None or >= 0, got {jobs}")
@@ -269,26 +259,15 @@ def parallel_map(
             if multi:
                 from ..graphs.shared import NetworkTuple
 
-                if (
-                    isinstance(network, NetworkTuple)
-                    and (not union_csr or network.union_csr is not None)
-                    and (
-                        kernel_backend is None
-                        or network.kernel_backend == kernel_backend
-                    )
-                    and (channel is None or network.channel == channel)
+                if isinstance(network, NetworkTuple) and (
+                    not union_csr or network.union_csr is not None
                 ):
                     # A ready-made payload (the resident engine hands its
                     # cached NetworkTuple straight through): reuse it and
                     # its pre-stacked union CSR instead of re-stacking.
                     payload = network
                 else:
-                    payload = NetworkTuple.build(
-                        network,
-                        union=union_csr,
-                        backend=kernel_backend,
-                        channel=channel,
-                    )
+                    payload = NetworkTuple.build(network, union=union_csr)
             else:
                 payload = network
             if resilient:
@@ -299,10 +278,7 @@ def parallel_map(
         from ..graphs.shared import SharedNetworkPack
 
         shared = SharedNetworkPack.create(
-            list(network) if multi else [network],
-            union=union_csr,
-            backend=kernel_backend,
-            channel=channel,
+            list(network) if multi else [network], union=union_csr
         )
         with shared:
             call = _SharedNetworkCall(fn, shared, multi)

@@ -54,14 +54,12 @@ import signal
 import threading
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from .._types import AnyArray, Int64Array
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.channel import ChannelModel
 from .hgraph import HGraph
 from .smallworld import SmallWorldNetwork
 
@@ -87,30 +85,15 @@ class NetworkTuple(tuple[SmallWorldNetwork, ...]):
     adopts an attached CSR instead of re-stacking, which is how sharded
     union-stack sweeps amortize the concatenation across workers.
 
-    ``kernel_backend`` optionally names the flood-kernel compute backend
-    the engines should use for these networks (see
-    :mod:`repro.sim.backends`); the multi-network entry points adopt it
-    when no explicit ``backend=`` is given, which is how a sweep-level
-    backend choice survives the trip into sharded workers.
-
-    ``channel`` optionally carries a
-    :class:`~repro.sim.channel.ChannelModel` the same way: the
-    multi-network engines adopt it when no explicit ``channel=`` is
-    given, so a lossy/noisy scenario choice rides the container through
-    shared-memory reconstruction exactly like the backend does.
+    The container carries data only.  Run settings such as the kernel
+    backend and the channel model travel as arguments to the engines.
     """
 
     union_csr: UnionCSR | None = None
-    kernel_backend: str | None = None
-    channel: "ChannelModel | None" = None
 
     @classmethod
     def build(
-        cls,
-        networks: Iterable[SmallWorldNetwork],
-        union: bool = False,
-        backend: str | None = None,
-        channel: "ChannelModel | None" = None,
+        cls, networks: Iterable[SmallWorldNetwork], union: bool = False
     ) -> "NetworkTuple":
         """Wrap ``networks``; with ``union=True`` stack the union CSR once."""
         out = cls(networks)
@@ -118,10 +101,6 @@ class NetworkTuple(tuple[SmallWorldNetwork, ...]):
             from ..sim.flood import stack_union_csr
 
             out.union_csr = stack_union_csr(out)
-        if backend is not None:
-            out.kernel_backend = backend
-        if channel is not None:
-            out.channel = channel
         return out
 
 #: The array attributes that define a network, in serialization order.
@@ -356,8 +335,6 @@ class SharedNetworkPack:
         shm_name: str,
         per_net: tuple[tuple[tuple[_ArraySpec, ...], int, int, int], ...],
         union_specs: tuple[_ArraySpec, ...] | None = None,
-        kernel_backend: str | None = None,
-        channel: "ChannelModel | None" = None,
     ) -> None:
         self._shm_name = shm_name
         # per_net: one (specs, n, d, k) tuple per network, in input order.
@@ -365,13 +342,6 @@ class SharedNetworkPack:
         # union_specs: (indptr_spec, indices_spec) of the pre-concatenated
         # block-diagonal union CSR, or None when not shipped.
         self._union_specs = union_specs
-        # kernel_backend: sweep-level flood-kernel backend choice, restored
-        # onto the reconstructed NetworkTuple in every worker.
-        self._kernel_backend = kernel_backend
-        # channel: sweep-level lossy/noisy channel model, restored onto the
-        # reconstructed NetworkTuple the same way (plain frozen data, so it
-        # pickles inside the handle rather than living in the segment).
-        self._channel = channel
         self._owned_shm: Any = None  # set only in the creating process
 
     # ------------------------------------------------------------------
@@ -380,8 +350,6 @@ class SharedNetworkPack:
         cls,
         nets: Sequence[SmallWorldNetwork],
         union: bool = False,
-        backend: str | None = None,
-        channel: "ChannelModel | None" = None,
     ) -> "SharedNetworkPack":
         """Copy every network's arrays into one fresh shared segment.
 
@@ -438,13 +406,7 @@ class SharedNetworkPack:
             shm.close()
             shm.unlink()
             raise
-        handle = cls(
-            shm.name,
-            tuple(per_net),
-            union_specs,
-            kernel_backend=backend,
-            channel=channel,
-        )
+        handle = cls(shm.name, tuple(per_net), union_specs)
         handle._owned_shm = shm
         return handle
 
@@ -486,10 +448,6 @@ class SharedNetworkPack:
                 views.append(arr)
             sizes = tuple(n for _, n, _, _ in self._per_net)
             nets.union_csr = (sizes, views[0], views[1])
-        if self._kernel_backend is not None:
-            nets.kernel_backend = self._kernel_backend
-        if self._channel is not None:
-            nets.channel = self._channel
         _ATTACHED[self._shm_name] = (shm, nets)
         return nets
 
@@ -534,16 +492,12 @@ class SharedNetworkPack:
             "shm_name": self._shm_name,
             "per_net": self._per_net,
             "union_specs": self._union_specs,
-            "kernel_backend": self._kernel_backend,
-            "channel": self._channel,
         }
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self._shm_name = state["shm_name"]
         self._per_net = state["per_net"]
         self._union_specs = state.get("union_specs")
-        self._kernel_backend = state.get("kernel_backend")
-        self._channel = state.get("channel")
         self._owned_shm = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

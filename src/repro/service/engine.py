@@ -328,9 +328,7 @@ class ResidentEngine:
         payload = self._tuple_cache.get(key)
         if payload is None:
             payload = NetworkTuple.build(
-                [self.network(name) for name in names],
-                union=True,
-                backend=self._backend,
+                [self.network(name) for name in names], union=True
             )
             if len(self._tuple_cache) >= _TUPLE_CACHE_CAP:
                 self._tuple_cache.pop(next(iter(self._tuple_cache)))

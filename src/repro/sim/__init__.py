@@ -4,9 +4,6 @@ from .backends import (
     BackendUnavailableError,
     KernelBackend,
     available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
     resolve_backend,
 )
 from .engine import SynchronousEngine
@@ -30,9 +27,6 @@ __all__ = [
     "KernelBackend",
     "BackendUnavailableError",
     "available_backends",
-    "backend_names",
-    "get_backend",
-    "register_backend",
     "resolve_backend",
     "Message",
     "ColorMessage",

@@ -1,20 +1,21 @@
-"""Kernel backend registry and selection for the flood kernels.
+"""Kernel backend selection for the flood kernels.
 
-Backends implement the :class:`~.base.KernelBackend` protocol and are
-interchangeable bit-for-bit (see ``base.py``).  Selection is a
-first-class axis with this precedence:
+Two backends ship, ``numpy`` and ``numba``; both implement the
+:class:`~.base.KernelBackend` protocol and are interchangeable
+bit-for-bit (see ``base.py``).  Selection follows this precedence:
 
-1. An explicit ``backend=`` argument — a backend name, a
-   :class:`~.base.KernelBackend` instance, or ``"auto"``.  An unknown
-   *name* is a hard :class:`ValueError`; a known-but-unavailable name
-   falls back to numpy with a one-time :class:`RuntimeWarning`.
+1. An explicit ``backend=`` argument — ``"numpy"``, ``"numba"``,
+   ``"auto"``, or a :class:`~.base.KernelBackend` instance.  An unknown
+   *name* is a hard :class:`ValueError`; ``"numba"`` without numba
+   installed falls back to numpy with a one-time :class:`RuntimeWarning`.
 2. The ``REPRO_KERNEL_BACKEND`` environment variable (when no explicit
    argument is given).  Unknown values warn once and resolve as
    ``"auto"`` — an env typo must not crash every entry point.
 3. ``"auto"``: numba when importable, numpy otherwise.
 
 ``resolve_backend`` is called once per kernel construction (not per
-round), so the env lookup and availability probes are off the hot path.
+round), so the env lookup and availability probe are off the hot path.
+Every kernel shares one instance per backend.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from typing import Callable
 
-from . import numba_backend as _numba_mod
+from . import numba_backend
 from .base import BackendUnavailableError, KernelBackend
 from .numba_backend import NumbaBackend
 from .numpy_backend import NumpyBackend
@@ -36,80 +36,28 @@ __all__ = [
     "NumbaBackend",
     "NumpyBackend",
     "available_backends",
-    "backend_available",
-    "backend_names",
-    "get_backend",
-    "register_backend",
     "resolve_backend",
 ]
 
 #: Environment override consulted when no explicit ``backend=`` is given.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-_Factory = Callable[[], KernelBackend]
-_Probe = Callable[[], bool]
+#: The backend names, in ``available_backends`` order.
+_NAMES = ("numpy", "numba")
 
-_REGISTRY: dict[str, tuple[_Factory, _Probe | None]] = {}
-_INSTANCES: dict[str, KernelBackend] = {}
+_NUMPY = NumpyBackend()
+_NUMBA: NumbaBackend | None = None  # built on first selection
 _WARNED: set[str] = set()
 
 
-def register_backend(
-    name: str, factory: _Factory, available: _Probe | None = None
-) -> None:
-    """Register a backend factory under ``name``.
-
-    ``available`` is an optional zero-argument probe; ``None`` means
-    always available.  Re-registering a name replaces the factory and
-    drops any cached instance (a test seam, mainly).
-    """
-    _REGISTRY[name] = (factory, available)
-    _INSTANCES.pop(name, None)
-
-
-def backend_names() -> tuple[str, ...]:
-    """All registered backend names, available or not."""
-    return tuple(_REGISTRY)
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` is registered and its availability probe passes."""
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        return False
-    _, probe = entry
-    return probe is None or bool(probe())
-
-
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names whose availability probe passes."""
-    return tuple(name for name in _REGISTRY if backend_available(name))
+    """The backend names that can run here: numpy, plus numba if importable.
 
-
-def get_backend(name: str) -> KernelBackend:
-    """Instantiate (and cache) the backend registered under ``name``.
-
-    Raises :class:`ValueError` for an unregistered name and
-    :class:`BackendUnavailableError` for a registered one whose probe
-    fails.  Instances are singletons per name — backends are stateless
-    apart from memoization caches, so every kernel shares one.
+    Reads ``numba_backend.NUMBA_AVAILABLE`` on every call (not a captured
+    value), so tests can monkeypatch it and run the numba kernels as
+    plain Python.
     """
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; registered: {sorted(_REGISTRY)}"
-        )
-    if not backend_available(name):
-        raise BackendUnavailableError(
-            f"kernel backend {name!r} is registered but unavailable in this "
-            "environment"
-        )
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        factory, _ = entry
-        instance = factory()
-        _INSTANCES[name] = instance
-    return instance
+    return _NAMES if numba_backend.NUMBA_AVAILABLE else _NAMES[:1]
 
 
 def _user_stacklevel() -> int:
@@ -144,53 +92,37 @@ def resolve_backend(backend: str | KernelBackend | None = None) -> KernelBackend
     """Resolve a backend spec to an instance per the selection precedence.
 
     ``backend`` may be a :class:`KernelBackend` instance (returned as-is),
-    a registered name, ``"auto"``, or ``None`` (consult ``REPRO_KERNEL_
-    BACKEND``, then auto).  See the module docstring for the fallback and
-    warning semantics.
+    ``"numpy"``, ``"numba"``, ``"auto"``, or ``None`` (consult
+    ``REPRO_KERNEL_BACKEND``, then auto).  See the module docstring for
+    the fallback and warning semantics.
     """
+    global _NUMBA
     if backend is not None and not isinstance(backend, str):
         return backend
     name = backend
-    explicit = name is not None
     if name is None:
-        env = os.environ.get(ENV_VAR) or None
-        if env is not None:
-            if env in _REGISTRY or env == "auto":
-                name = env
-            else:
-                _warn_once(
-                    f"env:{env}",
-                    f"{ENV_VAR}={env!r} names no registered kernel backend "
-                    f"(registered: {sorted(_REGISTRY)}); using auto selection",
-                )
-    if name is None:
-        name = "auto"
-    if name == "auto":
-        return get_backend("numba" if backend_available("numba") else "numpy")
-    if name not in _REGISTRY:
-        if explicit:
-            raise ValueError(
-                f"unknown kernel backend {name!r}; registered: "
-                f"{sorted(_REGISTRY)}"
+        name = os.environ.get(ENV_VAR) or "auto"
+        if name != "auto" and name not in _NAMES:
+            _warn_once(
+                f"env:{name}",
+                f"{ENV_VAR}={name!r} names no kernel backend (known: "
+                f"{sorted(_NAMES)}); using auto selection",
             )
-        return get_backend("numpy")  # pragma: no cover - defensive
-    if not backend_available(name):
-        _warn_once(
-            f"unavailable:{name}",
-            f"kernel backend {name!r} is unavailable in this environment; "
-            "falling back to the numpy backend",
+            name = "auto"
+    elif name != "auto" and name not in _NAMES:
+        raise ValueError(
+            f"unknown kernel backend {name!r}; known: {sorted(_NAMES)}"
         )
-        return get_backend("numpy")
-    return get_backend(name)
-
-
-def _reset_selection_state() -> None:
-    """Test seam: drop cached instances and re-arm one-time warnings."""
-    _INSTANCES.clear()
-    _WARNED.clear()
-
-
-register_backend("numpy", NumpyBackend)
-# The probe reads the module attribute (not a captured value) so tests can
-# monkeypatch NUMBA_AVAILABLE and exercise the backend without numba.
-register_backend("numba", NumbaBackend, lambda: _numba_mod.NUMBA_AVAILABLE)
+    if name == "numpy":
+        return _NUMPY
+    if not numba_backend.NUMBA_AVAILABLE:
+        if name == "numba":
+            _warn_once(
+                "unavailable:numba",
+                "kernel backend 'numba' is unavailable in this environment; "
+                "falling back to the numpy backend",
+            )
+        return _NUMPY
+    if _NUMBA is None:
+        _NUMBA = NumbaBackend()
+    return _NUMBA

@@ -38,13 +38,11 @@ __all__ = ["BackendUnavailableError", "KernelBackend"]
 
 
 class BackendUnavailableError(RuntimeError):
-    """A registered backend cannot run in this environment.
+    """A shipped backend cannot run in this environment.
 
-    Raised by :func:`repro.sim.backends.get_backend` when a backend is
-    requested *by exact name* through the low-level API and its
-    availability probe fails (e.g. ``numba`` without numba installed).
-    The high-level :func:`repro.sim.backends.resolve_backend` never
-    raises this — it falls back to numpy with a one-time warning.
+    Raised by constructing :class:`~.numba_backend.NumbaBackend` directly
+    without numba installed.  :func:`repro.sim.backends.resolve_backend`
+    never raises this — it falls back to numpy with a one-time warning.
     """
 
 
@@ -54,12 +52,12 @@ class KernelBackend(Protocol):
 
     Implementations are stateless apart from memoization/warning caches,
     so one instance per backend name is shared by every kernel (see
-    :func:`repro.sim.backends.get_backend`).  ``kernel`` gives access to
+    :func:`repro.sim.backends.resolve_backend`).  ``kernel`` gives access to
     the CSR layout (``indptr``/``indices``), the row count ``n``, the
     uniform-degree fast-path metadata, and the cached gather plans.
     """
 
-    #: Registry name of the backend ("numpy", "numba", ...).
+    #: Name of the backend ("numpy" or "numba").
     name: str
 
     def neighbor_max(

@@ -166,8 +166,8 @@ class ChannelModel:
     value is corrupted by an additive offset uniform in
     ``[-noise_amp, +noise_amp]`` (clamped to ``>= 1``); ``noise_amp`` is at
     most :data:`MAX_NOISE_AMP`.  The dataclass is frozen and plain-data, so
-    it pickles into sweep task tuples and rides shared-memory handles the
-    same way ``kernel_backend`` does.
+    it pickles into sweep task tuples.  Like the kernel backend, it
+    reaches the engines only as their ``channel=`` argument.
     """
 
     loss_p: float = 0.0

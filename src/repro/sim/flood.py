@@ -69,9 +69,9 @@ class FloodKernel:
         ``H`` and ``G``); this is validated once at construction so the
         per-round kernel can use ``reduceat`` unguarded.
     backend:
-        Compute backend: a registered name (``"numpy"``, ``"numba"``),
-        ``"auto"``, a :class:`~repro.sim.backends.KernelBackend`
-        instance, or ``None`` (env override / auto — see
+        Compute backend: ``"numpy"``, ``"numba"``, ``"auto"``, a
+        :class:`~repro.sim.backends.KernelBackend` instance, or ``None``
+        (env override / auto — see
         :func:`repro.sim.backends.resolve_backend`).  Backends are
         bit-for-bit interchangeable; this selects speed, not semantics.
     """
@@ -82,29 +82,17 @@ class FloodKernel:
         indices: IntArray,
         backend: str | KernelBackend | None = None,
     ) -> None:
-        degrees = np.diff(indptr)
-        if degrees.size and degrees.min() <= 0:
-            raise ValueError("FloodKernel requires minimum degree >= 1")
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.n = indptr.shape[0] - 1
-        self._starts = self.indptr[:-1]
-        self._set_one_block()
         # Tiled gather/reduce offsets for the batched kernel, built lazily
         # and cached for the last batch size seen (phases shrink the active
         # trial set, so a handful of sizes recur within one run).
         self._batch_plans: dict[int, tuple[Int64Array, Int64Array]] = {}
-        # Regular graphs (H is a d-regular multigraph) admit a much faster
-        # batched kernel: whole-row gathers per neighbor slot, no reduceat.
-        self._uniform_degree = (
-            int(degrees[0]) if degrees.size and degrees.min() == degrees.max() else 0
-        )
         self._neighbor_cols: Int64Array | None = None
         # One-take gather plan of the numpy backend: the flat neighbor
         # columns plus one ``(degree * n, B)`` scratch, keyed by the
         # (dtype, B) of the last narrow-row gather (see :meth:`_take_plan`).
         self._take: tuple[tuple[np.dtype[Any], int], Int64Array, AnyArray] | None = None
         self._backend = resolve_backend(backend)
+        self.update_csr(indptr, indices)
 
     @property
     def backend(self) -> str:
@@ -157,7 +145,7 @@ class FloodKernel:
         invalidates exactly the cached plans — cheaper than constructing a
         kernel per epoch and a precise answer to "which caches does a
         churn delta invalidate" (all plans of the mutated overlay, nothing
-        else).
+        else).  The constructor sets the first adjacency through here too.
         """
         degrees = np.diff(indptr)
         if degrees.size and degrees.min() <= 0:
@@ -167,6 +155,8 @@ class FloodKernel:
         self.n = indptr.shape[0] - 1
         self._starts = self.indptr[:-1]
         self._set_one_block()
+        # Regular graphs (H is a d-regular multigraph) admit a much faster
+        # batched kernel: whole-row gathers per neighbor slot, no reduceat.
         self._uniform_degree = (
             int(degrees[0]) if degrees.size and degrees.min() == degrees.max() else 0
         )
@@ -277,30 +267,6 @@ class FloodKernel:
             take = (key, flat, np.empty((flat.shape[0], batch), dtype=dtype))
             self._take = take
         return take[1], take[2]
-
-    def spread_steps(self, seed_values: AnyArray, steps: int) -> Int64Array:
-        """Run ``steps`` rounds of running-max flooding from ``seed_values``.
-
-        Every node forwards its running maximum each round; returns the
-        final running-max array.  Used by baselines and tests; the protocol
-        engines inline the loop because they need per-round records.
-        """
-        cur = np.array(seed_values, dtype=np.int64, copy=True)
-        for _ in range(steps):
-            recv = self.neighbor_max(cur)
-            np.maximum(cur, recv, out=cur)
-        return cur
-
-    def rounds_to_saturation(self, seed_values: AnyArray, limit: int = 10_000) -> int:
-        """Number of rounds until running-max flooding reaches a fixed point."""
-        cur = np.array(seed_values, dtype=np.int64, copy=True)
-        for step in range(1, limit + 1):
-            recv = self.neighbor_max(cur)
-            nxt = np.maximum(cur, recv)
-            if np.array_equal(nxt, cur):
-                return step - 1
-            cur = nxt
-        raise RuntimeError(f"flooding did not saturate within {limit} rounds")
 
 
 def stack_union_csr(

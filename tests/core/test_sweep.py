@@ -787,9 +787,8 @@ class TestLayoutSelector:
 class TestShardedCarriesChannelAndBackend:
     """Sharded sweeps run every cell under the sweep's channel and backend.
 
-    The channel rides the shard task tuples; the backend rides the shared
-    network container (``NetworkTuple.kernel_backend``), for one network
-    as for several.  Each sharded sweep must equal its serial run bit for
+    Both ride the shard task tuples and reach the engines as arguments,
+    for one network as for several.  Each sharded sweep must equal its serial run bit for
     bit, and the serial lossy run must differ from a lossless one, so a
     channel dropped on the way to the workers cannot pass.
     """

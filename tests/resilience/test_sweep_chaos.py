@@ -14,6 +14,7 @@ The PR's headline contract, pinned end-to-end through ``run_sweep``:
 """
 
 import glob
+import warnings
 
 import numpy as np
 import pytest
@@ -181,3 +182,47 @@ class TestCheckpointResume:
         assert report.resumed_shards == 6
         assert report.total_attempts == 0
         assert ctrl.injected_faults() == []
+
+    def test_changed_backend_starts_fresh_journal(
+        self, net_small, byz_mask_small, baseline, tmp_path
+    ):
+        # The backend rides every shard task, so it is part of the plan
+        # key: a journal written under one backend never serves a re-run
+        # under another.  Backends agree bit for bit, so only the key
+        # can tell the two runs apart.
+        ckpt = tmp_path / "sweep.ckpt"
+        _run(net_small, byz_mask_small, jobs=2, checkpoint=ckpt)
+        report = ExecutionReport()
+        with pytest.warns(RuntimeWarning, match="different shard plan"):
+            again = _run(
+                net_small,
+                byz_mask_small,
+                jobs=2,
+                checkpoint=ckpt,
+                report=report,
+                backend="numba",
+            )
+        assert_sweeps_equal(again, baseline)
+        assert report.resumed_shards == 0
+
+    def test_same_backend_resumes_journal(
+        self, net_small, byz_mask_small, baseline, tmp_path
+    ):
+        # The key is stable for an unchanged backend: a re-run under the
+        # same explicit backend is served wholly from the journal.
+        ckpt = tmp_path / "sweep.ckpt"
+        _run(net_small, byz_mask_small, jobs=2, checkpoint=ckpt, backend="numpy")
+        report = ExecutionReport()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            again = _run(
+                net_small,
+                byz_mask_small,
+                jobs=2,
+                checkpoint=ckpt,
+                report=report,
+                backend="numpy",
+            )
+        assert_sweeps_equal(again, baseline)
+        assert report.resumed_shards == 6
+        assert report.total_attempts == 0

@@ -1,7 +1,6 @@
-"""Kernel backend registry, selection, and numba-kernel equivalence.
+"""Kernel backend selection and numba-kernel equivalence.
 
-The backends package has two jobs: (1) a registry/resolution layer that
-turns ``backend="numpy"|"numba"|"auto"`` / the ``REPRO_KERNEL_BACKEND``
+The backends package has two jobs: (1) a resolver that turns ``backend="numpy"|"numba"|"auto"`` / the ``REPRO_KERNEL_BACKEND``
 env var into a :class:`KernelBackend` instance with graceful numpy
 fallback, and (2) the backends themselves, which must be bit-for-bit
 interchangeable on the flooding kernels.
@@ -14,25 +13,25 @@ kernels execute as plain Python.  On a machine with numba installed the
 same tests cover the compiled path.
 """
 
-import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.batch import run_counting_batch, run_counting_unionstack
+from repro.core.batch import (
+    run_counting_batch,
+    run_counting_multinet,
+    run_counting_unionstack,
+)
 from repro.core.sweep import run_sweep
 from repro.graphs.shared import NetworkTuple, SharedNetworkPack
 from repro.graphs.smallworld import build_small_world
+from repro.sim import backends
 from repro.sim.backends import (
     ENV_VAR,
     BackendUnavailableError,
     KernelBackend,
-    _reset_selection_state,
     available_backends,
-    backend_available,
-    backend_names,
-    get_backend,
     numba_backend,
     resolve_backend,
 )
@@ -43,20 +42,23 @@ from repro.sim.flood import FloodKernel, MultiFloodKernel, UnionFloodKernel
 
 @pytest.fixture(autouse=True)
 def clean_selection(monkeypatch):
-    """Each test starts with no env override and cold singleton/warning state."""
+    """Each test starts with no env override, no numba instance built yet,
+    and the one-time warnings re-armed; monkeypatch restores all three."""
     monkeypatch.delenv(ENV_VAR, raising=False)
-    _reset_selection_state()
-    yield
-    _reset_selection_state()
+    monkeypatch.setattr(backends, "_NUMBA", None)
+    monkeypatch.setattr(backends, "_WARNED", set())
 
 
 @pytest.fixture
 def fake_numba(monkeypatch):
     """Pretend numba imported: the pure-Python kernels run un-jitted."""
     monkeypatch.setattr(numba_backend, "NUMBA_AVAILABLE", True)
-    _reset_selection_state()
-    yield
-    _reset_selection_state()
+
+
+@pytest.fixture
+def no_numba(monkeypatch):
+    """Pretend numba is missing, whether or not it is installed."""
+    monkeypatch.setattr(numba_backend, "NUMBA_AVAILABLE", False)
 
 
 #: Every rung of the batched engines' color-state dtype ladder.
@@ -72,43 +74,35 @@ def ragged_kernel(**kw):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# The two shipped backends
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_backend_names(self):
-        assert list(backend_names()) == ["numpy", "numba"]
+    """The closed set of two shipped backends, numpy and numba."""
 
-    def test_numpy_always_available(self):
-        assert backend_available("numpy")
-        assert "numpy" in available_backends()
+    def test_numpy_always_available(self, no_numba):
+        assert available_backends() == ("numpy",)
 
     def test_available_backends_tracks_numba(self):
         expected = ["numpy", "numba"] if numba_backend.NUMBA_AVAILABLE else ["numpy"]
         assert list(available_backends()) == expected
 
-    def test_get_backend_returns_singleton(self):
-        first = get_backend("numpy")
+    def test_available_backends_with_numba(self, fake_numba):
+        assert available_backends() == ("numpy", "numba")
+
+    def test_resolve_returns_shared_instance(self):
+        first = resolve_backend("numpy")
         assert isinstance(first, NumpyBackend)
-        assert get_backend("numpy") is first
+        assert resolve_backend("numpy") is first
 
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("cuda")
-
-    def test_get_backend_unavailable_raises(self):
-        if numba_backend.NUMBA_AVAILABLE:
-            pytest.skip("numba installed: the unavailable path cannot trigger")
-        with pytest.raises(BackendUnavailableError):
-            get_backend("numba")
-
-    def test_get_backend_numba_when_faked(self, fake_numba):
-        backend = get_backend("numba")
+    def test_numba_when_faked(self, fake_numba):
+        backend = resolve_backend("numba")
         assert isinstance(backend, NumbaBackend)
         assert backend.name == "numba"
+        assert resolve_backend("numba") is backend
 
     def test_backends_satisfy_protocol(self, fake_numba):
-        assert isinstance(get_backend("numpy"), KernelBackend)
-        assert isinstance(get_backend("numba"), KernelBackend)
+        assert isinstance(resolve_backend("numpy"), KernelBackend)
+        assert isinstance(resolve_backend("numba"), KernelBackend)
 
 
 # ----------------------------------------------------------------------
@@ -131,9 +125,7 @@ class TestResolution:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("cuda")
 
-    def test_explicit_unavailable_warns_once_and_falls_back(self):
-        if numba_backend.NUMBA_AVAILABLE:
-            pytest.skip("numba installed: the unavailable path cannot trigger")
+    def test_explicit_unavailable_warns_once_and_falls_back(self, no_numba):
         with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
             assert resolve_backend("numba").name == "numpy"
         with warnings.catch_warnings():
@@ -175,23 +167,14 @@ class TestWarningAttribution:
     ``resolve_backend(...)`` or through ``FloodKernel(...)`` construction.
     A hardcoded stacklevel can only be right for one of these."""
 
-    @pytest.fixture
-    def fake_unavailable(self):
-        from repro.sim.backends import _REGISTRY, register_backend
-
-        register_backend("fake", NumpyBackend, lambda: False)
-        yield
-        _REGISTRY.pop("fake", None)
-        _reset_selection_state()
-
-    def test_resolve_backend_warns_on_this_file(self, fake_unavailable):
+    def test_resolve_backend_warns_on_this_file(self, no_numba):
         with pytest.warns(RuntimeWarning, match="falling back") as rec:
-            resolve_backend("fake")
+            resolve_backend("numba")
         assert rec[0].filename == __file__
 
-    def test_kernel_construction_warns_on_this_file(self, fake_unavailable):
+    def test_kernel_construction_warns_on_this_file(self, no_numba):
         with pytest.warns(RuntimeWarning, match="falling back") as rec:
-            ragged_kernel(backend="fake")
+            ragged_kernel(backend="numba")
         assert rec[0].filename == __file__
 
     def test_env_typo_warns_on_this_file(self, monkeypatch):
@@ -207,7 +190,7 @@ class TestWarningAttribution:
 class TestNumbaKernelEquivalence:
     @pytest.fixture()
     def nb(self, fake_numba):
-        return get_backend("numba")
+        return NumbaBackend()
 
     def regular_kernel(self, **kw):
         return FloodKernel(*self._regular_csr(), **kw)
@@ -304,9 +287,7 @@ class TestNumbaKernelEquivalence:
             NumpyBackend().neighbor_max_batch(kern, values),
         )
 
-    def test_constructor_requires_numba(self):
-        if numba_backend.NUMBA_AVAILABLE:
-            pytest.skip("numba installed: the unavailable path cannot trigger")
+    def test_constructor_requires_numba(self, no_numba):
         with pytest.raises(BackendUnavailableError):
             NumbaBackend()
 
@@ -380,6 +361,18 @@ class TestEngineBackendKwarg:
             assert np.array_equal(a.decided_phase, b.decided_phase)
             assert a.meter.as_dict() == b.meter.as_dict()
 
+    def test_shipped_union_csr_takes_backend_argument(self, fake_numba):
+        # A container with a pre-stacked union CSR carries data only: the
+        # backend still comes from the argument.
+        nets = [build_small_world(64, 8, seed=1), build_small_world(96, 8, seed=2)]
+        bundle = NetworkTuple.build(nets, union=True)
+        assert not hasattr(bundle, "kernel_backend")
+        ref = run_counting_unionstack(nets, [3, 4], backend="numpy")
+        got = run_counting_unionstack(bundle, [3, 4], backend="numba")
+        for a, b in zip(ref, got):
+            assert np.array_equal(a.decided_phase, b.decided_phase)
+            assert a.meter.as_dict() == b.meter.as_dict()
+
     def test_run_sweep_backend(self, net_small):
         ref = run_sweep(net_small, seeds=[1, 2]).results
         got = run_sweep(net_small, seeds=[1, 2], backend="numpy").results
@@ -389,26 +382,61 @@ class TestEngineBackendKwarg:
 
 
 # ----------------------------------------------------------------------
-# The backend choice survives payload containers and shared memory
+# Network containers carry data only: the backend is an argument
 # ----------------------------------------------------------------------
-class TestBackendOnPayloads:
-    def test_network_tuple_carries_backend(self):
+@pytest.fixture
+def numba_calls(fake_numba, monkeypatch):
+    """Count the calls that reach the numba backend's kernels."""
+    calls = []
+    for name in ("neighbor_max", "neighbor_max_batch", "neighbor_max_stacked"):
+        inner = getattr(NumbaBackend, name)
+
+        def spy(self, *args, _inner=inner, _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(NumbaBackend, name, spy)
+    return calls
+
+
+class TestContainersCarryDataOnly:
+    def test_network_tuple_has_no_settings(self):
         nets = [build_small_world(48, 8, seed=1)]
-        bundle = NetworkTuple.build(nets, backend="numpy")
-        assert bundle.kernel_backend == "numpy"
-        assert NetworkTuple.build(nets).kernel_backend is None
+        bundle = NetworkTuple.build(nets, union=True)
+        assert not hasattr(bundle, "kernel_backend")
+        assert not hasattr(bundle, "channel")
+        with pytest.raises(TypeError):
+            NetworkTuple.build(nets, backend="numpy")
 
-    def test_shared_pack_pickle_roundtrip_keeps_backend(self):
+    def test_shared_pack_ships_no_settings(self):
         nets = [build_small_world(48, 8, seed=1), build_small_world(64, 8, seed=2)]
-        with SharedNetworkPack.create(nets, backend="numpy") as pack:
-            clone = pickle.loads(pickle.dumps(pack))
-            assert clone.nets.kernel_backend == "numpy"
+        with pytest.raises(TypeError):
+            SharedNetworkPack.create(nets, backend="numpy")
+        with SharedNetworkPack.create(nets, union=True) as pack:
+            assert set(pack.__getstate__()) == {"shm_name", "per_net", "union_specs"}
+            assert not hasattr(pack.nets, "kernel_backend")
 
-    def test_union_engine_adopts_container_backend(self, fake_numba):
+    def test_env_var_steers_engine_on_container(self, numba_calls, monkeypatch):
+        # With no argument, the environment picks the backend even when
+        # the engine is handed a container with a shipped union CSR.
         nets = [build_small_world(64, 8, seed=1), build_small_world(96, 8, seed=2)]
-        bundle = NetworkTuple.build(nets, union=True, backend="numba")
+        bundle = NetworkTuple.build(nets, union=True)
         ref = run_counting_unionstack(nets, [3, 4], backend="numpy")
+        assert numba_calls == []
+        monkeypatch.setenv(ENV_VAR, "numba")
         got = run_counting_unionstack(bundle, [3, 4])
+        assert numba_calls
+        for a, b in zip(ref, got):
+            assert np.array_equal(a.decided_phase, b.decided_phase)
+            assert a.meter.as_dict() == b.meter.as_dict()
+
+    def test_multinet_container_takes_backend_argument(self, numba_calls):
+        nets = [build_small_world(64, 8, seed=1), build_small_world(96, 8, seed=2)]
+        bundle = NetworkTuple.build(nets)
+        ref = run_counting_multinet(nets, [3, 4], backend="numpy")
+        assert numba_calls == []
+        got = run_counting_multinet(bundle, [3, 4], backend="numba")
+        assert numba_calls
         for a, b in zip(ref, got):
             assert np.array_equal(a.decided_phase, b.decided_phase)
             assert a.meter.as_dict() == b.meter.as_dict()
