@@ -4,19 +4,15 @@ These are the pieces whose throughput determines how large an ``n`` the
 experiment suite can reach: graph sampling, the vectorized flooding round,
 and full protocol runs (Algorithm 1 and Algorithm 2).
 
-The backend x layout grid at the bottom times one batched flooding round
-(``neighbor_max_stacked``, the engine hot path) for every registered
-kernel backend that is available on this machine (numpy always; numba
-when importable) against both CSR layouts the backends must cover:
-
-* **regular** — a uniform-degree H-graph: the numpy backend's one-take
-  gather for int8 state, its per-slot row-gather path for int32;
-* **ragged** — a block-diagonal union of two different-degree networks,
-  the general ``reduceat`` / CSR-walk path the union stack uses when
-  degrees differ.
-
-Each cell runs at int32 and at int8, the two ends of the engines' usual
-state-dtype ladder.
+The backend grid at the bottom times one batched flooding round
+(``neighbor_max_stacked``, the engine hot path) on a d-regular H-graph
+for every kernel backend that is available on this machine (numpy
+always; numba when importable), at int32 and at int8, the two ends of the
+engines' usual state-dtype ladder.  At ``GRID_B = 32`` the numpy
+backend's slot-major take fills its 512 KiB scratch in 1 run (int8) or
+2 runs (int32) at n = 1024, and in 2 or 8 runs at n = 4096.  A wide
+int32 case at n = 16384, B = 64 (64 runs) records the chunked path on a
+state far past the cap.
 """
 
 import numpy as np
@@ -31,14 +27,18 @@ from repro.core import (
 )
 from repro.graphs import build_small_world, generate_hgraph
 from repro.sim.backends import available_backends
-from repro.sim.flood import FloodKernel, UnionFloodKernel
+from repro.sim.flood import FloodKernel
 
 N = 1024
 D = 8
 
-#: backend x layout grid scales (ISSUE: reference microbenchmark sizes).
+#: Backend grid scales.
 GRID_NS = (1024, 4096)
 GRID_B = 32
+
+#: The wide case: an int32 state whose gather spans many scratch runs.
+WIDE_N = 16384
+WIDE_B = 64
 
 
 @pytest.fixture(scope="module")
@@ -99,35 +99,29 @@ def test_bench_algorithm2_inflation(benchmark, net):
 
 
 # ----------------------------------------------------------------------
-# Backend x layout grid: one stacked flooding round per combination.
+# Backend grid: one stacked flooding round per combination.
 # ----------------------------------------------------------------------
 
 
-def _grid_kernel(layout: str, n: int, backend: str) -> FloodKernel:
-    if layout == "regular":
-        reg = build_small_world(n, D, seed=3)
-        return FloodKernel(reg.h.indptr, reg.h.indices, backend=backend)
-    # Ragged: two half-size blocks at different degrees, so no uniform
-    # degree exists and the general reduceat / CSR-walk path runs.
-    nets = [
-        build_small_world(n // 2, D, seed=3),
-        build_small_world(n // 2, 6, seed=4),
-    ]
-    return UnionFloodKernel.from_networks(nets, backend=backend)
-
-
-@pytest.mark.parametrize("n", GRID_NS)
-@pytest.mark.parametrize("layout", ["regular", "ragged"])
-@pytest.mark.parametrize("backend", available_backends())
-@pytest.mark.parametrize("dtype", [np.int32, np.int8], ids=["int32", "int8"])
-def test_bench_stacked_round_grid(benchmark, dtype, backend, layout, n):
-    # int8 is the honest engines' state dtype: at GRID_B = 32 its rows are
-    # 32 bytes, which the numpy backend gathers with one np.take.
-    kernel = _grid_kernel(layout, n, backend)
+def _bench_stacked_round(benchmark, n, batch, dtype, backend):
+    reg = build_small_world(n, D, seed=3)
+    kernel = FloodKernel(reg.h.indptr, reg.h.indices, backend=backend)
     rng = np.random.default_rng(0)
-    values = rng.integers(1, 30, size=(kernel.n, GRID_B), dtype=dtype)
+    values = rng.integers(1, 30, size=(n, batch), dtype=dtype)
     out = np.empty_like(values)
     kernel.neighbor_max_stacked(values, out=out)  # warm (JIT-compiles numba)
 
     result = benchmark(kernel.neighbor_max_stacked, values, out=out)
-    assert result.shape == (kernel.n, GRID_B)
+    assert result.shape == (n, batch)
+
+
+@pytest.mark.parametrize("n", GRID_NS)
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("dtype", [np.int32, np.int8], ids=["int32", "int8"])
+def test_bench_stacked_round_grid(benchmark, dtype, backend, n):
+    _bench_stacked_round(benchmark, n, GRID_B, dtype, backend)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_bench_stacked_round_wide(benchmark, backend):
+    _bench_stacked_round(benchmark, WIDE_N, WIDE_B, np.int32, backend)

@@ -8,9 +8,8 @@ arithmetic.  Since trials are fully independent, the whole phase/subphase/
 round schedule vectorizes across them: :func:`run_counting_batch` keeps the
 protocol state as ``(n, B)`` trials-as-columns matrices and executes every
 flooding round for all ``B`` trials with one batched kernel call
-(:meth:`repro.sim.flood.FloodKernel.neighbor_max_stacked`; the ``(B, n)``
-``neighbor_max_batch`` reduceat kernel is its fallback for non-regular
-graphs).
+(:meth:`repro.sim.flood.FloodKernel.neighbor_max_stacked` over the
+d-regular H).
 
 Equivalence contract
 --------------------

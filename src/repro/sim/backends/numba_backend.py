@@ -1,28 +1,23 @@
 """Optional numba kernel backend: fused gather+max with in-kernel threading.
 
-One compiled loop replaces the numpy backend's d gathers + d-1
-``np.maximum`` passes (uniform degree) or the ``(B*nnz,)`` gather +
-``reduceat`` (general CSR): for each row the kernel walks the CSR
-neighbor span once and folds the running max straight into ``out``,
-with no ``(n, B)``-plane temporaries, and ``prange`` threads over rows
-*inside* the single kernel call.  The union-stack layout — one big
-d-regular CSR — compiles as-is.
+One compiled loop replaces the numpy backend's slot-major take + ``max``
+pass: for each row the kernel walks the row's CSR neighbor span once and
+folds the running max straight into ``out``, with no ``(d, n, B)``
+scratch, and ``prange`` threads over rows *inside* the single kernel
+call.  The union-stack layout — one big d-regular CSR — compiles as-is.
 
 The import is guarded: without numba the module still imports (``prange``
-aliases ``range`` and the kernels stay pure Python), so the backend's
+aliases ``range`` and the kernel stays pure Python), so the backend's
 logic is fully testable on numba-less runners by monkeypatching
 ``NUMBA_AVAILABLE``; only :func:`repro.sim.backends.resolve_backend`'s
 availability gate decides whether the backend is ever selected for real.
 
 Dtype support is int8/int16/int32/int64 — every rung of the engines'
-state-dtype ladder (see :mod:`repro.core.batch`); the loops are generic,
+state-dtype ladder (see :mod:`repro.core.batch`); the loop is generic,
 so numba compiles one specialization per dtype on first use.  Anything
 else falls back to the numpy backend per call, with a one-time warning
 per dtype — integer max is exact, so the fallback is bit-for-bit
 identical.
-The ``(B, n)`` tiled-``reduceat`` layout (``neighbor_max_batch``) always
-delegates to numpy: no engine hot path uses it, and the stacked layout is
-where fusion pays.
 """
 
 from __future__ import annotations
@@ -54,8 +49,8 @@ except ImportError:
 def _jit(fn: Callable[..., Any]) -> Callable[..., Any]:
     """Compile ``fn`` when numba is present; keep it pure Python otherwise.
 
-    The kernels are written once, in nopython-compatible Python, so the
-    uncompiled functions compute the exact same result — that is what the
+    The kernel is written once, in nopython-compatible Python, so the
+    uncompiled function computes the exact same result — that is what the
     monkeypatched-availability tests run.
     """
     if NUMBA_AVAILABLE:  # pragma: no cover - compiled path needs numba
@@ -64,32 +59,14 @@ def _jit(fn: Callable[..., Any]) -> Callable[..., Any]:
 
 
 @_jit
-def _flat_csr(
-    sent: AnyArray, indptr: AnyArray, indices: AnyArray, out: AnyArray
-) -> None:
-    """1-D neighbor-max: ``out[v] = max(sent[u] for u in N(v))``."""
-    n = out.shape[0]
-    for v in prange(n):
-        lo = indptr[v]
-        hi = indptr[v + 1]
-        best = sent[indices[lo]]
-        for e in range(lo + 1, hi):
-            u = indices[e]
-            if sent[u] > best:
-                best = sent[u]
-        out[v] = best
-
-
-@_jit
 def _stacked_csr(
     values: AnyArray, indptr: AnyArray, indices: AnyArray, out: AnyArray
 ) -> None:
     """Fused gather+max over an ``(n, B)`` trials-as-columns matrix.
 
-    Covers the uniform-degree and general CSR layouts alike: row ``v``'s
-    neighbor span is walked once, the first neighbor initializes
-    ``out[v]``, and every further neighbor folds in with a branch-free
-    running max over the B contiguous column values.
+    Row ``v``'s neighbor span is walked once: the first neighbor
+    initializes ``out[v]``, and every further neighbor folds in with a
+    branch-free running max over the B contiguous column values.
     """
     n = out.shape[0]
     b = out.shape[1]
@@ -114,7 +91,7 @@ _SUPPORTED_DTYPES = frozenset(
 
 
 class NumbaBackend:
-    """``@njit(parallel=True, cache=True)`` fused gather+max kernels."""
+    """``@njit(parallel=True, cache=True)`` fused gather+max kernel."""
 
     name = "numba"
 
@@ -140,34 +117,6 @@ class NumbaBackend:
                 stacklevel=4,
             )
         return False
-
-    def neighbor_max(
-        self, kernel: FloodKernel, sent: AnyArray, out: AnyArray | None = None
-    ) -> AnyArray:
-        sent = np.ascontiguousarray(sent)
-        if not self._supported(sent):
-            return self._numpy.neighbor_max(kernel, sent, out)
-        if (
-            out is None
-            or out.dtype != sent.dtype
-            or not out.flags["C_CONTIGUOUS"]
-            or np.may_share_memory(out, sent)
-        ):
-            buf = np.empty(kernel.n, dtype=sent.dtype)
-            _flat_csr(sent, kernel.indptr, kernel.indices, buf)
-            if out is not None:
-                np.copyto(out, buf)
-                return out
-            return buf
-        _flat_csr(sent, kernel.indptr, kernel.indices, out)
-        return out
-
-    def neighbor_max_batch(
-        self, kernel: FloodKernel, sent: AnyArray, out: AnyArray | None = None
-    ) -> AnyArray:
-        # The (B, n) tiled-reduceat layout has no compiled variant; the
-        # engines' hot path is the stacked layout below.
-        return self._numpy.neighbor_max_batch(kernel, sent, out)
 
     def neighbor_max_stacked(
         self, kernel: FloodKernel, values: AnyArray, out: AnyArray | None = None

@@ -2,18 +2,20 @@
 
 This is the hot path of the whole library: one protocol run performs
 ``Theta(log^3 n)`` flooding rounds, each of which computes, for every node,
-the maximum of its neighbors' transmitted values.  Per the HPC guide, the
-inner loop is replaced by a single gather + segmented reduction
-(``np.maximum.reduceat``), giving O(n d) work per round with no Python-level
-iteration.
+the maximum of its neighbors' transmitted values.  The flooded graph is
+always H, which is d-regular by construction (the union of ``d / 2``
+random Hamiltonian cycles), so a kernel requires one degree ``d >= 1`` at
+every node and rejects any other CSR.
 
 Independent trials (seeds x configs) run the *same* adjacency, so the
-kernel also offers :meth:`FloodKernel.neighbor_max_batch`: a ``(B, n)``
-value matrix is flattened and gathered through tiled CSR offsets (trial
-``b`` reads ``indices + b * n``, reduces at ``indptr[:-1] + b * nnz``), so
-one ``reduceat`` call serves all ``B`` trials.  At experiment sizes a
-single trial's arrays are small enough that numpy call overhead dominates;
-batching amortizes it across trials (see ``benchmarks/bench_batch.py``).
+batched kernel, :meth:`FloodKernel.neighbor_max_stacked`, floods an
+``(n, B)`` trials-as-columns matrix in one call: every node's ``B`` trial
+values are one contiguous row, gathered whole for each neighbor slot.  At
+experiment sizes a single trial's arrays are small enough that numpy call
+overhead dominates; batching amortizes it across trials (see
+``benchmarks/bench_batch.py``).  The 1-D :meth:`FloodKernel.neighbor_max`
+of the scalar runner and baselines is a plain gather + segmented
+``np.maximum.reduceat`` that shares no gather code with the batched one.
 
 Colors are positive integers; ``0`` is the sentinel for "nothing sent"
 (crashed node, suppressed message), so a plain integer max implements
@@ -25,11 +27,10 @@ sum of the sizes; each column holds one trial per network), so one plain
 :meth:`FloodKernel.neighbor_max_stacked` call over the concatenated CSR
 floods *all* the networks at once with zero padding rows, no per-segment
 scratch copies, and no masked zeroing — the union of d-regular blocks is
-itself d-regular, so the fast uniform-degree row-gather path applies to
-the whole stack.  Blocks share no edges, so values can never cross a block
-boundary; the per-network row segments (``offsets``) drive the engine's
-segment-wise bookkeeping (decided counting, message and witness
-metering).  A plain :class:`FloodKernel` is the one-block case of the
+itself d-regular, so one row gather covers the whole stack.  Blocks share
+no edges, so values can never cross a block boundary; the per-network
+row segments (``offsets``) drive the engine's segment-wise bookkeeping
+(decided counting, message and witness metering).  A plain :class:`FloodKernel` is the one-block case of the
 same interface (``sizes == (n,)``), which is how one engine serves both.
 
 :class:`MultiFloodKernel` is the older padded layout: a ``(n_pad, B)``
@@ -60,14 +61,14 @@ __all__ = ["FloodKernel", "MultiFloodKernel", "UnionFloodKernel", "stack_union_c
 
 
 class FloodKernel:
-    """Per-round neighbor-max over a fixed CSR adjacency.
+    """Per-round neighbor-max over a fixed d-regular CSR adjacency.
 
     Parameters
     ----------
     indptr, indices:
-        CSR adjacency.  Every node must have degree >= 1 (true for both
-        ``H`` and ``G``); this is validated once at construction so the
-        per-round kernel can use ``reduceat`` unguarded.
+        CSR adjacency.  Every node must have the same degree ``d >= 1``
+        (true of H, the only graph the protocol floods); this is validated
+        once per adjacency, so the per-round kernels run unguarded.
     backend:
         Compute backend: ``"numpy"``, ``"numba"``, ``"auto"``, a
         :class:`~repro.sim.backends.KernelBackend` instance, or ``None``
@@ -82,15 +83,10 @@ class FloodKernel:
         indices: IntArray,
         backend: str | KernelBackend | None = None,
     ) -> None:
-        # Tiled gather/reduce offsets for the batched kernel, built lazily
-        # and cached for the last batch size seen (phases shrink the active
-        # trial set, so a handful of sizes recur within one run).
-        self._batch_plans: dict[int, tuple[Int64Array, Int64Array]] = {}
         self._neighbor_cols: Int64Array | None = None
-        # One-take gather plan of the numpy backend: the flat neighbor
-        # columns plus one ``(degree * n, B)`` scratch, keyed by the
-        # (dtype, B) of the last narrow-row gather (see :meth:`_take_plan`).
-        self._take: tuple[tuple[np.dtype[Any], int], Int64Array, AnyArray] | None = None
+        # Gather plan of the numpy backend: its runs of nodes, keyed by
+        # the (dtype, B, byte cap) of the last gather (see :meth:`_take_plan`).
+        self._take: tuple[tuple[np.dtype[Any], int, int], list[Any]] | None = None
         self._backend = resolve_backend(backend)
         self.update_csr(indptr, indices)
 
@@ -99,15 +95,14 @@ class FloodKernel:
         """Name of the compute backend this kernel dispatches to."""
         return self._backend.name
 
-    def _set_one_block(self) -> None:
-        """Row blocks of a plain kernel: it is a one-block union stack.
+    def _block_sizes(self, n: int) -> tuple[int, ...]:
+        """Row blocks of an ``n``-row CSR: a plain kernel is one block.
 
         ``sizes`` are the block sizes and ``offsets[g]`` block ``g``'s
-        first row (``offsets[-1] == n``); :class:`UnionFloodKernel`
-        overwrites both with its member blocks.
+        first row (``offsets[-1] == n``); :class:`UnionFloodKernel` keeps
+        its member blocks instead.
         """
-        self.sizes: tuple[int, ...] = (self.n,)
-        self.offsets: Int64Array = np.array([0, self.n], dtype=np.int64)
+        return (n,)
 
     def segment_sum(self, values: AnyArray, dtype: Any = None) -> AnyArray:
         """Per-(block, column) sums of an ``(N, B)`` numeric matrix.
@@ -120,19 +115,28 @@ class FloodKernel:
         return np.add.reduceat(values, self.offsets[:-1], axis=0, dtype=dtype)
 
     def neighbor_max(self, sent: AnyArray, out: AnyArray | None = None) -> AnyArray:
-        """``out[v] = max(sent[u] for u in N(v))`` (0 if all neighbors silent)."""
-        return self._backend.neighbor_max(self, sent, out)
+        """``out[v] = max(sent[u] for u in N(v))`` (0 if all neighbors silent).
+
+        The scalar runner's kernel: one gather plus one segmented
+        ``np.maximum.reduceat`` over the CSR, on every backend.  It shares
+        no code with :meth:`neighbor_max_stacked`, so the scalar engine is
+        an independent oracle for the batched one.
+        """
+        result = np.maximum.reduceat(sent[self.indices], self.indptr[:-1])
+        if out is None:
+            return result
+        np.copyto(out, result)
+        return out
 
     def invalidate_plans(self) -> None:
-        """Drop every cached gather plan (batch plans, neighbor columns,
-        the one-take flat columns and their scratch).
+        """Drop every cached gather plan (the neighbor columns, and the
+        numpy backend's runs and their scratch).
 
         Plans are pure functions of the CSR, so they only need dropping
         when the adjacency itself changes — :meth:`update_csr` calls this;
         long-lived holders (the resident churn engine) may also call it to
         release plan memory for an overlay going idle.
         """
-        self._batch_plans.clear()
         self._neighbor_cols = None
         self._take = None
 
@@ -146,57 +150,23 @@ class FloodKernel:
         kernel per epoch and a precise answer to "which caches does a
         churn delta invalidate" (all plans of the mutated overlay, nothing
         else).  The constructor sets the first adjacency through here too.
+        A union kernel keeps its blocks, so the new CSR must have as many
+        rows as they sum to.  A rejected CSR leaves the kernel unchanged.
         """
         degrees = np.diff(indptr)
-        if degrees.size and degrees.min() <= 0:
-            raise ValueError("FloodKernel requires minimum degree >= 1")
+        if not degrees.size or degrees[0] < 1 or np.any(degrees != degrees[0]):
+            raise ValueError(
+                "FloodKernel needs a CSR of one degree >= 1 at every node "
+                "(H is d-regular)"
+            )
+        sizes = self._block_sizes(degrees.size)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.n = indptr.shape[0] - 1
-        self._starts = self.indptr[:-1]
-        self._set_one_block()
-        # Regular graphs (H is a d-regular multigraph) admit a much faster
-        # batched kernel: whole-row gathers per neighbor slot, no reduceat.
-        self._uniform_degree = (
-            int(degrees[0]) if degrees.size and degrees.min() == degrees.max() else 0
-        )
+        self.n = degrees.size
+        self.sizes: tuple[int, ...] = sizes
+        self.offsets: Int64Array = np.cumsum((0, *sizes), dtype=np.int64)
+        self._uniform_degree = int(degrees[0])
         self.invalidate_plans()
-
-    def _batch_plan(self, batch: int) -> tuple[Int64Array, Int64Array]:
-        plan = self._batch_plans.get(batch)
-        if plan is None:
-            nnz = self.indices.shape[0]
-            shifts = np.arange(batch, dtype=np.int64)[:, None]
-            gather_idx = (self.indices[None, :] + shifts * self.n).reshape(-1)
-            starts = (self._starts[None, :] + shifts * nnz).reshape(-1)
-            plan = (gather_idx, starts)
-            if len(self._batch_plans) >= 8:
-                # Evict only the oldest entry (insertion order): clearing
-                # the whole dict would make a 9th recurring batch size
-                # thrash every cached plan.
-                self._batch_plans.pop(next(iter(self._batch_plans)))
-            self._batch_plans[batch] = plan
-        return plan
-
-    def neighbor_max_batch(
-        self, sent: AnyArray, out: AnyArray | None = None
-    ) -> AnyArray:
-        """Row-wise :meth:`neighbor_max` over a ``(B, n)`` value matrix.
-
-        Equivalent to ``np.stack([self.neighbor_max(row) for row in sent])``
-        but executed as one gather + one ``reduceat`` over the flattened
-        matrix with tiled CSR offsets.  Segments never straddle trial
-        boundaries: trial ``b``'s last segment ends exactly at ``(b+1)*nnz``,
-        which is the next trial's first start.
-        """
-        sent = np.asarray(sent)
-        if sent.ndim == 1:
-            return self.neighbor_max(sent, out=out)
-        if sent.ndim != 2 or sent.shape[1] != self.n:
-            raise ValueError(
-                f"expected a (B, {self.n}) matrix, got shape {sent.shape}"
-            )
-        return self._backend.neighbor_max_batch(self, sent, out)
 
     def neighbor_max_stacked(
         self,
@@ -208,19 +178,15 @@ class FloodKernel:
         """Batched neighbor-max over an ``(n, B)`` trials-as-columns matrix.
 
         This is the batched engine's hot kernel.  The transposed layout
-        keeps each node's ``B`` trial values contiguous, so on a
-        uniform-degree graph the numpy backend gathers whole rows: when a
-        row is at most 32 bytes (int8 state up to ``B = 32``, int32 up to
-        ``B = 8``) one ``np.take`` of every neighbor slot into a cached
-        scratch plus one ``max(axis=0)``; wider rows take ``degree``
-        per-slot row gathers combined with in-place ``np.maximum``.  Both
-        are several times faster than the segmented ``reduceat`` of
-        :meth:`neighbor_max_batch`, whose giant ``(B*nnz,)`` intermediate
-        disappears.  Non-regular graphs fall back to that general kernel
-        (transpose in, transpose out).  The engines hand this method the
-        narrowest integer dtype that holds their phase's values (see
-        :mod:`repro.core.batch`); any integer dtype is exact, and ``out``
-        may alias ``values``.
+        keeps each node's ``B`` trial values contiguous, so the backends
+        gather whole rows: the numpy backend takes the rows of every
+        neighbor slot with one ``np.take`` into a cached scratch and
+        reduces the ``(d, n, B)`` stack with one ``max(axis=0)``, in runs
+        of nodes when the stack would exceed its byte cap; the numba
+        backend walks each row's neighbors in one fused loop.  The engines
+        hand this method the narrowest integer dtype that holds their
+        phase's values (see :mod:`repro.core.batch`); any integer dtype is
+        exact, and ``out`` may alias ``values``.
 
         When ``channel`` is given, the transmitted values are first passed
         through :meth:`repro.sim.channel.ChannelState.corrupt` (per-round
@@ -247,26 +213,43 @@ class FloodKernel:
         return self._neighbor_cols
 
     def _take_plan(
-        self, dtype: np.dtype[Any], batch: int
-    ) -> tuple[Int64Array, AnyArray]:
-        """Flat ``(degree * n,)`` neighbor columns and a matching scratch.
+        self, dtype: np.dtype[Any], batch: int, max_bytes: int
+    ) -> list[tuple[Int64Array, AnyArray, AnyArray, int, int]]:
+        """Runs of nodes for the numpy backend's slot-major take.
 
-        Slot-major like :meth:`_cols` (entry ``j * n + v`` is node ``v``'s
-        j-th neighbor), so ``np.take`` of an ``(n, B)`` matrix lands as a
-        ``(degree, n, B)`` stack whose ``max(axis=0)`` is the neighbor-max.
-        One scratch is kept, for the last ``(dtype, B)`` seen: an engine
-        phase holds both fixed across its rounds, so the scratch is
-        rebuilt only when a phase changes them, and memory stays one
-        ``degree * n * B`` plane.  Plans are pure functions of the current CSR, so
-        :meth:`invalidate_plans` (hence :meth:`update_csr`) drops it.
+        Nodes are cut into runs of ``rows`` nodes (the last may be
+        shorter), the most whose ``(degree * rows, B)`` gather fits in
+        ``max_bytes``.  A run of ``r`` nodes from node ``lo`` to ``hi`` is
+        ``(cols, span, stack, lo, hi)``: its ``degree * r`` neighbor
+        columns, slot-major like :meth:`_cols` (entry ``j * r + i`` is the
+        run's node ``i``'s j-th neighbor), so ``np.take`` of an ``(n, B)``
+        matrix into the ``(degree * r, B)`` scratch view ``span`` lands as
+        the ``(degree, r, B)`` view ``stack`` whose ``max(axis=0)`` is the
+        run's neighbor-max.  Every run shares one scratch, and a single
+        run's columns are a view of :meth:`_cols`.  One plan is kept, for
+        the last ``(dtype, B, max_bytes)`` seen: an engine phase holds them
+        fixed across its rounds, so the scratch is rebuilt only when a
+        phase changes them.  Plans are pure functions of the current CSR,
+        so :meth:`invalidate_plans` (hence :meth:`update_csr`) drops it.
         """
-        key = (dtype, batch)
+        key = (dtype, batch, max_bytes)
         take = self._take
         if take is None or take[0] != key:
-            flat = self._cols().reshape(-1)
-            take = (key, flat, np.empty((flat.shape[0], batch), dtype=dtype))
+            degree = self._uniform_degree
+            row_bytes = degree * max(batch, 1) * dtype.itemsize
+            rows = max(1, min(self.n, max_bytes // row_bytes))
+            cols = self._cols()
+            scratch = np.empty((degree * rows, batch), dtype=dtype)
+            runs = []
+            for lo in range(0, self.n, rows):
+                hi = min(lo + rows, self.n)
+                span = scratch[: degree * (hi - lo)]
+                run_cols = np.ascontiguousarray(cols[:, lo:hi]).reshape(-1)
+                stack = span.reshape(degree, hi - lo, batch)
+                runs.append((run_cols, span, stack, lo, hi))
+            take = (key, runs)
             self._take = take
-        return take[1], take[2]
+        return take[1]
 
 
 def stack_union_csr(
@@ -303,12 +286,12 @@ class UnionFloodKernel(FloodKernel):
     The batched engine's multi-network layout: the member networks' H
     graphs are concatenated block-diagonally, so every
     round over an ``(N, B)`` trials-as-columns state (``N`` = total rows)
-    is one ordinary :meth:`FloodKernel.neighbor_max_stacked` call — when
-    every block is d-regular the union is d-regular too and the
-    uniform-degree row-gather fast path covers the whole stack.
+    is one ordinary :meth:`FloodKernel.neighbor_max_stacked` call.  Every
+    block must share one degree ``d``, so the union is d-regular too.
     ``offsets[g]`` is block ``g``'s first row; :meth:`segment_sum` reduces
     an ``(N, B)`` matrix to per-(block, column) values for the engine's
-    message and witness bookkeeping.
+    message and witness bookkeeping.  :meth:`update_csr` keeps the blocks:
+    the new CSR must have ``sum(sizes)`` rows.
 
     Blocks share no edges by construction, so no value can cross a block
     boundary (enforced by ``tests/property/test_unionstack_properties.py``).
@@ -321,18 +304,18 @@ class UnionFloodKernel(FloodKernel):
         indices: IntArray,
         backend: str | KernelBackend | None = None,
     ) -> None:
-        super().__init__(indptr, indices, backend=backend)
         self.sizes = tuple(int(s) for s in sizes)
         if not self.sizes:
             raise ValueError("UnionFloodKernel needs at least one block")
-        if sum(self.sizes) != self.n:
+        super().__init__(indptr, indices, backend=backend)
+
+    def _block_sizes(self, n: int) -> tuple[int, ...]:
+        if sum(self.sizes) != n:
             raise ValueError(
                 f"block sizes sum to {sum(self.sizes)} but the union CSR has "
-                f"{self.n} rows"
+                f"{n} rows"
             )
-        self.offsets = np.concatenate(
-            [[0], np.cumsum(np.asarray(self.sizes, dtype=np.int64))]
-        ).astype(np.int64)
+        return self.sizes
 
     @classmethod
     def from_networks(
@@ -465,9 +448,8 @@ class MultiFloodKernel:
                 group = []
             group.append(run)
         if len(self._plan_cache) >= 16:
-            # Evict only the oldest assignment, mirroring
-            # FloodKernel._batch_plan: recurring live-column sets must not
-            # flush each other out wholesale.
+            # Evict only the oldest assignment: recurring live-column sets
+            # must not flush each other out wholesale.
             self._plan_cache.pop(next(iter(self._plan_cache)))
         plan = _ColumnPlan(batch, segments)
         self._plan_cache[key] = plan

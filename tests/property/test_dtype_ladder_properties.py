@@ -39,7 +39,7 @@ from repro.sim.channel import MAX_NOISE_AMP, ChannelModel
 from repro.sim.flood import FloodKernel, MultiFloodKernel, UnionFloodKernel
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
-_KERNEL_METHODS = ("neighbor_max", "neighbor_max_batch", "neighbor_max_stacked")
+_KERNEL_METHODS = ("neighbor_max", "neighbor_max_stacked")
 
 seeds = st.integers(min_value=0, max_value=2**31)
 

@@ -17,6 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
+from flood_reference import reference_neighbor_max
 
 from repro.core.batch import (
     run_counting_batch,
@@ -65,11 +66,11 @@ def no_numba(monkeypatch):
 LADDER_DTYPES = [np.int8, np.int16, np.int32, np.int64]
 
 
-def ragged_kernel(**kw):
-    # Degrees 1, 3, 2, 2 — no uniform degree, so the general CSR layout
-    # (reduceat on numpy, the indptr walk on numba) is exercised.
-    indptr = np.array([0, 1, 4, 6, 8], dtype=np.int64)
-    indices = np.array([1, 0, 2, 3, 1, 3, 1, 2], dtype=np.int64)
+def small_kernel(**kw):
+    # A 4-cycle: the smallest d-regular CSR, a cheap vehicle for the
+    # selection tests.
+    indptr = np.arange(5, dtype=np.int64) * 2
+    indices = np.array([3, 1, 0, 2, 1, 3, 2, 0], dtype=np.int64)
     return FloodKernel(indptr, indices, **kw)
 
 
@@ -174,7 +175,7 @@ class TestWarningAttribution:
 
     def test_kernel_construction_warns_on_this_file(self, no_numba):
         with pytest.warns(RuntimeWarning, match="falling back") as rec:
-            ragged_kernel(backend="numba")
+            small_kernel(backend="numba")
         assert rec[0].filename == __file__
 
     def test_env_typo_warns_on_this_file(self, monkeypatch):
@@ -201,17 +202,8 @@ class TestNumbaKernelEquivalence:
         return net.h.indptr, net.h.indices
 
     @pytest.mark.parametrize("dtype", LADDER_DTYPES)
-    def test_neighbor_max_matches_numpy(self, nb, dtype):
+    def test_neighbor_max_stacked_matches_numpy(self, nb, dtype):
         kern = self.regular_kernel()
-        values = np.random.default_rng(0).integers(0, 99, size=kern.n).astype(dtype)
-        assert np.array_equal(
-            nb.neighbor_max(kern, values), NumpyBackend().neighbor_max(kern, values)
-        )
-
-    @pytest.mark.parametrize("dtype", LADDER_DTYPES)
-    @pytest.mark.parametrize("make", ["regular", "ragged"])
-    def test_neighbor_max_stacked_matches_numpy(self, nb, make, dtype):
-        kern = self.regular_kernel() if make == "regular" else ragged_kernel()
         values = np.random.default_rng(1).integers(
             0, 99, size=(kern.n, 7)
         ).astype(dtype)
@@ -219,6 +211,9 @@ class TestNumbaKernelEquivalence:
         got = nb.neighbor_max_stacked(kern, values)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+        assert np.array_equal(
+            got, reference_neighbor_max(kern.indptr, kern.indices, values)
+        )
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int16])
     def test_narrow_dtypes_run_without_fallback(self, nb, dtype):
@@ -277,16 +272,6 @@ class TestNumbaKernelEquivalence:
             warnings.simplefilter("error")  # same dtype again: silent
             nb.neighbor_max_stacked(kern, values)
 
-    def test_batch_delegates_to_numpy(self, nb):
-        kern = self.regular_kernel()
-        values = np.random.default_rng(6).integers(
-            0, 99, size=(3, kern.n)
-        ).astype(np.int64)
-        assert np.array_equal(
-            nb.neighbor_max_batch(kern, values),
-            NumpyBackend().neighbor_max_batch(kern, values),
-        )
-
     def test_constructor_requires_numba(self, no_numba):
         with pytest.raises(BackendUnavailableError):
             NumbaBackend()
@@ -297,14 +282,14 @@ class TestNumbaKernelEquivalence:
 # ----------------------------------------------------------------------
 class TestKernelBackendAxis:
     def test_flood_kernel_backend_property(self):
-        assert ragged_kernel().backend == "numpy"
-        assert ragged_kernel(backend="numpy").backend == "numpy"
+        assert small_kernel().backend == "numpy"
+        assert small_kernel(backend="numpy").backend == "numpy"
 
     def test_flood_kernel_backend_numba(self, fake_numba):
-        kern = ragged_kernel(backend="numba")
+        kern = small_kernel(backend="numba")
         assert kern.backend == "numba"
         values = np.array([[5, 1], [0, 1], [2, 1], [9, 1]], dtype=np.int64)
-        ref = ragged_kernel(backend="numpy")
+        ref = small_kernel(backend="numpy")
         assert np.array_equal(
             kern.neighbor_max_stacked(values), ref.neighbor_max_stacked(values)
         )
@@ -329,7 +314,7 @@ class TestKernelBackendAxis:
 
     def test_env_var_steers_kernel_construction(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
-        assert ragged_kernel().backend == "numpy"
+        assert small_kernel().backend == "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -388,14 +373,13 @@ class TestEngineBackendKwarg:
 def numba_calls(fake_numba, monkeypatch):
     """Count the calls that reach the numba backend's kernels."""
     calls = []
-    for name in ("neighbor_max", "neighbor_max_batch", "neighbor_max_stacked"):
-        inner = getattr(NumbaBackend, name)
+    inner = NumbaBackend.neighbor_max_stacked
 
-        def spy(self, *args, _inner=inner, _name=name, **kwargs):
-            calls.append(_name)
-            return _inner(self, *args, **kwargs)
+    def spy(self, *args, **kwargs):
+        calls.append("neighbor_max_stacked")
+        return inner(self, *args, **kwargs)
 
-        monkeypatch.setattr(NumbaBackend, name, spy)
+    monkeypatch.setattr(NumbaBackend, "neighbor_max_stacked", spy)
     return calls
 
 

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from flood_reference import reference_neighbor_max
 
 from repro.graphs.balls import bfs_distances
-from repro.sim.flood import FloodKernel
+from repro.graphs.smallworld import build_small_world
+from repro.sim.flood import FloodKernel, UnionFloodKernel, stack_union_csr
+
+#: Every rung of the batched engines' color-state dtype ladder.
+LADDER_DTYPES = [np.int8, np.int16, np.int32, np.int64]
 
 
 def cycle_kernel(n):
@@ -43,102 +48,105 @@ class TestNeighborMax:
             FloodKernel(indptr, indices)
 
 
-class TestNeighborMaxBatch:
-    def ragged_kernel(self):
-        # Degrees 1, 3, 2, 2 — exercises the reduceat fallback paths.
-        indptr = np.array([0, 1, 4, 6, 8], dtype=np.int64)
-        indices = np.array([1, 0, 2, 3, 1, 3, 1, 2], dtype=np.int64)
-        return FloodKernel(indptr, indices)
+class TestCsrContract:
+    """Every kernel floods a CSR of one degree >= 1 at every node."""
 
-    @pytest.mark.parametrize("batch", [1, 2, 5])
-    def test_matches_per_row_kernel(self, h_small, batch):
-        kern = FloodKernel(h_small.indptr, h_small.indices)
-        values = np.random.default_rng(batch).integers(
-            0, 50, size=(batch, h_small.n)
-        ).astype(np.int64)
-        expected = np.stack([kern.neighbor_max(row) for row in values])
-        assert np.array_equal(kern.neighbor_max_batch(values), expected)
+    # Degrees 1, 3, 2, 2: every node has a neighbor, but no one degree.
+    RAGGED = (
+        np.array([0, 1, 4, 6, 8], dtype=np.int64),
+        np.array([1, 0, 2, 3, 1, 3, 1, 2], dtype=np.int64),
+    )
 
-    def test_ragged_degrees(self):
-        kern = self.ragged_kernel()
-        values = np.array([[5, 0, 2, 9], [1, 1, 1, 1]], dtype=np.int64)
-        expected = np.stack([kern.neighbor_max(row) for row in values])
-        assert np.array_equal(kern.neighbor_max_batch(values), expected)
+    def test_ragged_csr_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="one degree"):
+            FloodKernel(*self.RAGGED)
+        with pytest.raises(ValueError, match="one degree"):
+            UnionFloodKernel((4,), *self.RAGGED)
 
-    def test_out_buffer_and_1d_passthrough(self):
+    def test_union_of_mixed_degrees_rejected(self):
+        nets = [build_small_world(48, 8, seed=1), build_small_world(48, 6, seed=2)]
+        with pytest.raises(ValueError, match="one degree"):
+            UnionFloodKernel.from_networks(nets)
+
+    def test_empty_csr_rejected(self):
+        with pytest.raises(ValueError, match="one degree"):
+            FloodKernel(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    def test_ragged_csr_rejected_at_update_csr(self):
         kern = cycle_kernel(4)
-        values = np.array([[1, 2, 3, 4]], dtype=np.int64)
-        buf = np.zeros((1, 4), dtype=np.int64)
-        assert kern.neighbor_max_batch(values, out=buf) is buf
-        assert buf.tolist() == [[4, 3, 4, 3]]
-        # 1-D input degrades to the scalar kernel.
-        assert kern.neighbor_max_batch(values[0]).tolist() == [4, 3, 4, 3]
+        indptr, indices = kern.indptr, kern.indices
+        with pytest.raises(ValueError, match="one degree"):
+            kern.update_csr(*self.RAGGED)
+        # The rejected CSR left the kernel as it was.
+        assert kern.indptr is indptr and kern.indices is indices
+        assert kern.neighbor_max(np.array([1, 2, 3, 4])).tolist() == [4, 3, 4, 3]
 
-    def test_wrong_width_rejected(self):
+
+class TestUnionUpdateCsr:
+    """Re-pointing a union kernel keeps its blocks."""
+
+    @pytest.fixture()
+    def nets(self):
+        return [build_small_world(48, 8, seed=1), build_small_world(64, 8, seed=2)]
+
+    def test_update_csr_keeps_blocks(self, nets):
+        union = UnionFloodKernel.from_networks(nets)
+        others = [build_small_world(48, 8, seed=3), build_small_world(64, 8, seed=4)]
+        sizes, indptr, indices = stack_union_csr(others)
+        union.update_csr(indptr, indices)
+        assert union.sizes == sizes == (48, 64)
+        assert union.offsets.tolist() == [0, 48, 112]
+        ones = np.ones((112, 1), dtype=np.int64)
+        assert union.segment_sum(ones).ravel().tolist() == [48, 64]
+        values = np.random.default_rng(0).integers(0, 99, size=(112, 3))
+        assert np.array_equal(
+            union.neighbor_max_stacked(values),
+            reference_neighbor_max(indptr, indices, values),
+        )
+
+    def test_update_csr_rejects_other_row_count(self, nets):
+        union = UnionFloodKernel.from_networks(nets)
+        other = build_small_world(96, 8, seed=3)
+        with pytest.raises(ValueError, match="block sizes sum to 112"):
+            union.update_csr(other.h.indptr, other.h.indices)
+        assert union.n == 112 and union.sizes == (48, 64)
+
+    def test_plain_kernel_follows_its_csr(self):
         kern = cycle_kernel(4)
-        with pytest.raises(ValueError, match="matrix"):
-            kern.neighbor_max_batch(np.zeros((2, 5), dtype=np.int64))
-
-    def test_plan_cache_reused(self):
-        kern = cycle_kernel(6)
-        values = np.arange(12, dtype=np.int64).reshape(2, 6)
-        first = kern.neighbor_max_batch(values)
-        assert 2 in kern._batch_plans
-        assert np.array_equal(kern.neighbor_max_batch(values), first)
-
-    def test_plan_cache_evicts_only_the_oldest(self):
-        # The cap must behave as FIFO eviction, not a full clear: a 9th
-        # batch size drops size 1 and ONLY size 1, so the other recurring
-        # sizes keep their cached plans.
-        kern = cycle_kernel(6)
-        for batch in range(1, 9):
-            kern._batch_plan(batch)
-        assert sorted(kern._batch_plans) == list(range(1, 9))
-        kept = {b: kern._batch_plans[b] for b in range(2, 9)}
-        kern._batch_plan(9)
-        assert sorted(kern._batch_plans) == list(range(2, 10))
-        for batch, plan in kept.items():
-            assert kern._batch_plans[batch] is plan  # untouched, not rebuilt
-
-    def test_plan_cache_eviction_keeps_results_exact(self):
-        kern = cycle_kernel(6)
-        values = np.arange(12, dtype=np.int64).reshape(2, 6)
-        expected = kern.neighbor_max_batch(values)
-        for batch in range(1, 10):  # churn past the cap
-            kern._batch_plan(batch)
-        assert np.array_equal(kern.neighbor_max_batch(values), expected)
+        kern.update_csr(cycle_kernel(6).indptr, cycle_kernel(6).indices)
+        assert kern.sizes == (6,)
+        assert kern.offsets.tolist() == [0, 6]
 
 
 class TestNeighborMaxStacked:
-    def test_uniform_degree_fast_path(self, h_small):
+    @pytest.mark.parametrize("dtype", LADDER_DTYPES)
+    def test_matches_reference(self, h_small, dtype):
         kern = FloodKernel(h_small.indptr, h_small.indices)
         assert kern._uniform_degree == 8
         values = np.random.default_rng(7).integers(
-            0, 50, size=(h_small.n, 3)
-        ).astype(np.int32)
-        expected = np.stack(
-            [kern.neighbor_max(values[:, b].astype(np.int64)) for b in range(3)],
-            axis=1,
+            -50, 99, size=(h_small.n, 3)
+        ).astype(dtype)
+        want = reference_neighbor_max(h_small.indptr, h_small.indices, values)
+        got = kern.neighbor_max_stacked(values)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        assert kern.neighbor_max_stacked(values, out=values) is values
+        assert np.array_equal(values, want)
+
+    def test_scalar_kernel_matches_reference(self, h_small):
+        kern = FloodKernel(h_small.indptr, h_small.indices)
+        values = np.random.default_rng(8).integers(0, 99, size=h_small.n)
+        assert np.array_equal(
+            kern.neighbor_max(values),
+            reference_neighbor_max(h_small.indptr, h_small.indices, values),
         )
-        assert np.array_equal(kern.neighbor_max_stacked(values), expected)
 
     def test_out_buffer(self):
-        kern = cycle_kernel(4)  # degree 2 everywhere -> fast path
+        kern = cycle_kernel(4)
         values = np.array([[1], [2], [3], [4]], dtype=np.int64)
         buf = np.zeros((4, 1), dtype=np.int64)
         assert kern.neighbor_max_stacked(values, out=buf) is buf
         assert buf.ravel().tolist() == [4, 3, 4, 3]
-
-    def test_ragged_fallback(self):
-        indptr = np.array([0, 1, 4, 6, 8], dtype=np.int64)
-        indices = np.array([1, 0, 2, 3, 1, 3, 1, 2], dtype=np.int64)
-        kern = FloodKernel(indptr, indices)
-        assert kern._uniform_degree == 0
-        values = np.array([[5, 1], [0, 1], [2, 1], [9, 1]], dtype=np.int64)
-        expected = np.stack(
-            [kern.neighbor_max(values[:, b]) for b in range(2)], axis=1
-        )
-        assert np.array_equal(kern.neighbor_max_stacked(values), expected)
 
     def test_degree_one_graph(self):
         indptr = np.array([0, 1, 2], dtype=np.int64)
