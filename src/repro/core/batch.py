@@ -503,13 +503,13 @@ def _validate_batch_plan(
     that do not relay (``None`` when every column relays), and
     ``[lo, hi]`` the range of every value the plan can write
     (``lo <= 0 <= hi``), which sets the subphase's dtype rung.  A
-    mis-shaped array, a negative injected value or a negative count
-    raises :class:`ValueError` here, before anything is applied.
+    non-integer array raises :class:`TypeError`; a mis-shaped array, a
+    negative injected value or a negative count raises
+    :class:`ValueError`; both before anything is applied.
     """
     lo = hi = 0
-    initial = plan.initial_colors
+    initial = _plan_ints("initial_colors", plan.initial_colors)
     if initial is not None:
-        initial = np.asarray(initial, dtype=np.int64)
         if initial.shape != (byz_count, batch):
             raise ValueError(
                 f"initial_colors must have shape ({byz_count}, {batch}), "
@@ -517,25 +517,24 @@ def _validate_batch_plan(
             )
         if initial.size:
             lo, hi = min(0, int(initial.min())), max(0, int(initial.max()))
-    injections, counts, resend = plan.injections, plan.counts, plan.resend
+    injections = _plan_ints("injections", plan.injections)
+    counts = _plan_ints("counts", plan.counts)
+    resend = _plan_ints("resend", plan.resend)
     if injections is not None:
-        injections = np.asarray(injections, dtype=np.int64)
         if injections.ndim != 3 or injections.shape[1:] != (byz_count, batch):
             raise ValueError(
                 f"injections must have shape (T, {byz_count}, {batch}), "
                 f"got {injections.shape}"
             )
         rounds = injections.shape[0]
-        if counts is None or np.shape(counts) != (rounds, batch):
+        if counts is None or counts.shape != (rounds, batch):
             raise ValueError(
                 f"counts must have shape ({rounds}, {batch}), got "
-                f"{None if counts is None else np.shape(counts)}"
+                f"{None if counts is None else counts.shape}"
             )
-        counts = np.asarray(counts, dtype=np.int64)
         if counts.size and int(counts.min()) < 0:
             raise ValueError("injection counts must be non-negative")
     if resend is not None:
-        resend = np.asarray(resend, dtype=np.int64)
         if injections is None or resend.shape != injections.shape:
             raise ValueError(
                 "resend must have the injections' shape, got "
@@ -556,6 +555,21 @@ def _validate_batch_plan(
     else:
         off = None if relay.all() else np.flatnonzero(~relay)
     return initial, injections, counts, off, resend, lo, hi
+
+
+def _plan_ints(name: str, values: Any) -> Int64Array | None:
+    """One plan array as int64, ``None`` if absent.
+
+    Raises :class:`TypeError` for values of a non-integer dtype (floats,
+    NaN, bools, objects): a cast would truncate them silently.  Python
+    int lists pass; an empty array has no value to truncate.
+    """
+    if values is None:
+        return None
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _shift_plans(
@@ -1037,7 +1051,7 @@ def _draw_phase_colors(
         return draws, None, draw_max
     # Flat state offset ``row * B_live + col`` of every (col, row) of und.
     flat = np.arange(0, rows_n * b_live, b_live)[None, :] + np.arange(b_live)[:, None]
-    return draws, flat[und], draw_max
+    return draws, flat.ravel().compress(und.ravel()), draw_max
 
 
 def _cell_results(
@@ -1365,17 +1379,18 @@ def _run_config_group(
         above_thr = np.empty((rows_n, b_live), dtype=bool)
         phase_inj_acc = np.zeros((blocks, b_live), dtype=np.int64)
         phase_inj_rej = np.zeros((blocks, b_live), dtype=np.int64)
-        msg_senders = np.zeros((blocks, b_live), dtype=np.int64)
-        msg_records = np.zeros((blocks, b_live), dtype=np.int64)
-        # Per-node round counters, reset every subphase and reduced into
-        # the per-block totals once per subphase.  A subphase has
-        # ``phase <= max_phase`` rounds, so ``min_scalar_type(phase)``
-        # holds every count without overflow.
+        # Per-node round counters over the whole phase, reduced into the
+        # per-block totals once at its end.  A phase has ``n_sub * phase``
+        # rounds, so ``min_scalar_type(n_sub * phase)`` holds every count
+        # without overflow.
         round_mask = np.empty((rows_n, b_live), dtype=bool)
         round_bytes = round_mask.view(np.uint8)
-        counter_dtype = np.min_scalar_type(phase)
-        sent_rounds = np.empty((rows_n, b_live), dtype=counter_dtype)
-        record_rounds = np.empty((rows_n, b_live), dtype=counter_dtype)
+        counter_dtype = np.min_scalar_type(n_sub * phase)
+        sent_rounds = np.zeros((rows_n, b_live), dtype=counter_dtype)
+        record_rounds = np.zeros((rows_n, b_live), dtype=counter_dtype)
+        # The send counts at the last adaptation point, which this
+        # subphase's traffic is measured from.
+        sent_mark = np.zeros_like(sent_rounds) if adaptive_groups else None
         if channel is not None:
             # One slot per live (network, column) cell over its own block
             # segment: a dead cell stops consuming draws exactly when its
@@ -1530,10 +1545,6 @@ def _run_config_group(
             monotone = chan is None and not silenced
             if phase == 1 or not monotone:
                 prev_kt.fill(0)
-            if count_sent:
-                sent_rounds.fill(0)
-            if count_records:
-                record_rounds.fill(0)
             for t in range(1, phase + 1):
                 # --- accepted injections: a running max over the cells a
                 # layer marks nonzero -------------------------------------
@@ -1561,7 +1572,7 @@ def _run_config_group(
 
                 # --- accounting (before the running-max update eats the
                 # new-record evidence): per-node rounds with a send / a
-                # new record, reduced per block once per subphase ---------
+                # new record, reduced per block once per phase ------------
                 if count_sent:
                     np.not_equal(sent, 0, out=round_mask)
                     np.add(sent_rounds, round_bytes, out=sent_rounds)
@@ -1581,17 +1592,14 @@ def _run_config_group(
             np.greater(k_last, thr_floor, out=above_thr)
             np.logical_and(round_mask, above_thr, out=round_mask)
             np.logical_or(flag_continue, round_mask, out=flag_continue)
-            if config.count_messages:
-                msg_senders += ukernel.segment_sum(sent_rounds, dtype=np.int64)
-            if count_records:
-                msg_records += ukernel.segment_sum(record_rounds, dtype=np.int64)
 
             # --- between-subphase adaptation (mobility, re-planning) -----
-            if adaptive_groups:
+            if sent_mark is not None:
                 # Traffic since the last adaptation point is this
                 # subphase's per-node count of rounds with a send, kept
                 # narrow and widened to int64 only if a hook reads it.
-                traffic = sent_rounds.copy()
+                traffic = sent_rounds - sent_mark
+                np.copyto(sent_mark, sent_rounds)
                 for grp in adaptive_groups:
                     if grp.sel.shape[0] == 0:
                         continue
@@ -1614,8 +1622,10 @@ def _run_config_group(
                         byz_cn[grp.cols, grp.lo : grp.hi] = grp.byz
 
         if config.count_messages:
+            msg_senders = ukernel.segment_sum(sent_rounds, dtype=np.int64)
             meters.add_messages(live_ids, (msg_senders * d)[alive_live])
             if verify:
+                msg_records = ukernel.segment_sum(record_rounds, dtype=np.int64)
                 meters.add_messages(
                     live_ids,
                     (2 * msg_records * witness_cap[:, None])[alive_live],

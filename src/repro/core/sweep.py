@@ -16,23 +16,24 @@ drives one batch), so :func:`run_sweep` fuses each strategy's
 Network axis
 ------------
 The paper's claims are *scaling* statements, so the sweeps that matter
-most iterate over network sizes.  :func:`run_multi_sweep` (equivalently,
-passing a list of networks to :func:`run_sweep`) extends the fusion across
-the network axis; a single-network :func:`run_sweep` is the one-network
-case of the same planner, ``run_multi_sweep([network], ...).sweep(0)``.
-Sweeps run on the block-diagonal **union stack**: networks stack on
-the *row* axis and each column is one (placement, config, seed) cell, so
-each flooding round is a single row-gather over the concatenated CSR with
-no padding rows (see :mod:`repro.core.batch`).  A rectangular grid (one
-shared seed axis) runs through
-:func:`repro.core.batch.run_counting_unionstack`, one seed replicated
-across every network; a ragged grid (one seed axis per network, lengths
-free to differ) runs through :func:`repro.core.batch.run_counting_multinet`,
-whose shorter blocks leave their tail cells absent.  All networks in one
-multi-sweep must share the degree ``d`` — the phase schedule is
-``d``-dependent.  A ``numpy`` ``Generator`` seed feeds exactly one cell, so
-a shared seed axis of Generators over two or more networks is rejected
-with a :class:`TypeError` (give each network its own axis instead).
+most iterate over network sizes.  :func:`run_multi_sweep` extends the
+fusion across the network axis; a single-network :func:`run_sweep` is
+the one-network case of the same planner,
+``run_multi_sweep([network], ...).sweep(0)``, and :func:`run_sweep`
+takes one network only.  Every sweep plans one grid of cells: each
+network has its own seed axis (a shared axis is every network's axis,
+per-network axes may differ in length), and each cell is one (network,
+placement, config, seed) trial.  Shards run through
+:func:`repro.core.batch.run_counting_multinet` on the block-diagonal
+**union stack**: networks stack on the *row* axis and the cells of each
+network fill its block's columns, so each flooding round is a single
+row-gather over the concatenated CSR with no padding rows (see
+:mod:`repro.core.batch`); a shorter block leaves its tail cells absent.
+All networks in one multi-sweep must share the degree ``d`` — the phase
+schedule is ``d``-dependent.  A ``numpy`` ``Generator`` seed feeds
+exactly one cell, so a shared seed axis of Generators over two or more
+networks is rejected with a :class:`TypeError` (give each network its
+own axis instead).
 
 Equivalence contract
 --------------------
@@ -58,27 +59,26 @@ Sharding
 :func:`repro.experiments.common.parallel_map`, and every sweep ships its
 whole network axis, one network or many, as one
 :class:`~repro.graphs.shared.SharedNetworkPack` (workers attach its one
-shared-memory segment zero-copy).  Rectangular sweeps over two or more
-networks also ship the pre-stacked union CSR through it, so workers skip
+shared-memory segment zero-copy).  Over two or more networks the pack
+also carries the pre-stacked union CSR, and a shard whose networks, in
+first-appearance order, are the whole axis adopts it instead of
 re-stacking; one network needs none.  The pack carries network data
-only: the kernel backend and the channel model ride every shard task, as
-given, and the worker passes them to the engine as arguments.  Being part
-of the tasks, they are part of the checkpoint plan key too, so a changed
-backend or channel starts a fresh journal.
+only: the kernel backend and the channel model ride every shard task,
+as given, and the worker passes them to the engine as arguments.  Being
+part of the tasks, they are part of the checkpoint plan key too, so a
+changed backend or channel starts a fresh journal.
 
 Shard boundaries are **cost weighted**: each cell's expected cost is
 modeled as ``n x round_complexity_bound(n, eps, d) x strategy factor``
 (early-stop attacks end runs after a few phases, inflation floods every
 phase — see :data:`STRATEGY_COST_FACTORS`), and boundaries are placed so
 shards carry roughly equal *cost* rather than equal cell counts, which
-balances the pool when sizes or strategies are skewed.  Rectangular
-shards cut on *column* boundaries of the union stack (a column spans every
-network, so its cost is the per-column sum over the network axis; on one
-network a column is one cell); ragged shards cut on cell boundaries.
-Chunks never drop below :data:`MIN_SHARD_CELLS` cells/columns, never
-straddle a strategy boundary, and can be forced back to fixed-size
-slicing with ``shard_cells``.  Only that cost-targeted plan (``jobs > 1``,
-no ``shard_cells``) evaluates the cost model.  For ``jobs > 1`` every
+balances the pool when sizes or strategies are skewed.  Shards cut on
+cell boundaries of one strategy block, in network-major order.  Chunks
+never drop below :data:`MIN_SHARD_CELLS` cells, never straddle a
+strategy boundary, and can be forced back to fixed-size slicing with
+``shard_cells``.  Only that cost-targeted plan (``jobs > 1``, no
+``shard_cells``) evaluates the cost model.  For ``jobs > 1`` every
 strategy spec must be picklable — a name from
 :data:`~repro.core.estimator.ADVERSARIES`, a module-level factory, or a
 plain adversary instance.
@@ -94,8 +94,9 @@ import numpy as np
 
 from .._types import BoolArray, SeedLike
 from ..adversary.base import Adversary
+from ..graphs.shared import NetworkTuple
 from ..sim.channel import ChannelModel, _normalize_channel
-from .batch import run_counting_multinet, run_counting_unionstack
+from .batch import run_counting_multinet
 from .config import CountingConfig
 from .results import BatchCountingResult, CountingResult
 
@@ -315,14 +316,15 @@ def _validate_seeds(seeds: Any) -> list[SeedLike]:
 
 def _split_seed_axes(
     seeds: Any, networks: Sequence[SmallWorldNetwork]
-) -> tuple[list[SeedLike] | None, list[list[SeedLike]] | None]:
-    """Split ``seeds`` into a shared axis or per-network (ragged) axes.
+) -> tuple[list[list[SeedLike]], list[SeedLike] | None]:
+    """Split ``seeds`` into one seed axis per network.
 
     A list/tuple whose every element is itself a sequence is read as
     per-network seed axes (one per network, lengths may differ — the
-    ragged form); anything else is the
-    shared rectangular axis.  Exactly one element of the returned pair is
-    non-None, each validated by :func:`_validate_seeds`.
+    ragged form); anything else is one shared axis, which becomes every
+    network's own axis.  Returns ``(axes, shared)``: the per-network
+    axes, each validated by :func:`_validate_seeds`, and the shared axis
+    (``None`` for per-network axes).
     """
     if (
         isinstance(seeds, (list, tuple))
@@ -335,23 +337,28 @@ def _split_seed_axes(
                 f"per-network seed axes must give one axis per network "
                 f"({len(networks)}), got {len(axes)}"
             )
-        return None, axes
-    return _validate_seeds(seeds), None
+        return axes, None
+    shared = _validate_seeds(seeds)
+    return [shared] * len(networks), shared
 
 
-def _run_multi_shard(
-    networks: Sequence[SmallWorldNetwork], task: tuple[Any, ...]
-) -> list[CountingResult]:
+def _run_multi_shard(networks: NetworkTuple, task: tuple[Any, ...]) -> list[CountingResult]:
     """Module-level worker: one fused multi-network (strategy, chunk) batch.
 
-    ``networks`` is the shared tuple of sweep networks (attached from one
-    shared-memory segment inside workers); ``task`` carries per-trial
-    indices into it plus per-trial masks over each trial's own network —
-    the ragged grid's cells, which the engine regroups into union blocks.
+    ``networks`` is the shared :class:`~repro.graphs.shared.NetworkTuple`
+    of sweep networks (attached from one shared-memory segment inside
+    workers; with two or more networks it carries the pre-stacked union
+    CSR); ``task`` carries per-trial indices into it plus per-trial masks
+    over each trial's own network — the grid's cells, which the engine
+    regroups into union blocks.  A shard whose networks, in
+    first-appearance order, are the whole payload hands the shipped CSR
+    to the engine, which adopts it instead of re-stacking.
     """
     spec, seeds, configs, net_ids, masks, backend, channel = task
     factory = _strategy_factory(spec)
-    trial_nets = [networks[i] for i in net_ids]
+    trial_nets = NetworkTuple(networks[i] for i in net_ids)
+    if list(dict.fromkeys(net_ids)) == list(range(len(networks))):
+        trial_nets.union_csr = networks.union_csr
     if factory is None:
         return list(
             run_counting_multinet(
@@ -363,43 +370,6 @@ def _run_multi_shard(
             trial_nets,
             seeds,
             config=configs,
-            adversary_factory=factory,
-            byz_mask=masks,
-            backend=backend,
-            channel=channel,
-        )
-    )
-
-
-def _run_union_shard(
-    networks: Sequence[SmallWorldNetwork], task: tuple[Any, ...]
-) -> list[CountingResult]:
-    """Module-level worker: one fused union-stack (strategy, columns) batch.
-
-    ``networks`` is the shared :class:`~repro.graphs.shared.NetworkTuple`
-    (attached from one shared-memory segment inside workers; with two or
-    more networks the pre-stacked union CSR is included, so the engine
-    adopts it without re-stacking);
-    ``task`` carries the shard's seed columns, per-column configs, and
-    per-network per-column masks.
-    """
-    spec, col_seeds, col_configs, masks, backend, channel = task
-    factory = _strategy_factory(spec)
-    if factory is None:
-        return list(
-            run_counting_unionstack(
-                networks,
-                col_seeds,
-                config=col_configs,
-                backend=backend,
-                channel=channel,
-            )
-        )
-    return list(
-        run_counting_unionstack(
-            networks,
-            col_seeds,
-            config=col_configs,
             adversary_factory=factory,
             byz_mask=masks,
             backend=backend,
@@ -526,7 +496,7 @@ class MultiSweepResult:
     seed_axes: list[list[SeedLike]] | None = None
 
     def seed_axis(self, network: int = 0) -> list[SeedLike]:
-        """Network ``network``'s seed axis (the shared one if rectangular)."""
+        """Network ``network``'s seed axis (the shared one, if one was given)."""
         if self.seed_axes is None:
             assert self.seeds is not None
             return self.seeds
@@ -661,12 +631,11 @@ def run_sweep(
     Parameters
     ----------
     network:
-        The shared :class:`~repro.graphs.smallworld.SmallWorldNetwork`
+        The one :class:`~repro.graphs.smallworld.SmallWorldNetwork`
         every cell runs on; the sweep runs as the one-network
-        :func:`run_multi_sweep` and returns its only block.  A *list or
-        tuple of networks* adds the network axis (placements then follow
-        :func:`run_multi_sweep`'s per-network conventions, and a
-        :class:`MultiSweepResult` is returned).
+        :func:`run_multi_sweep` and returns its only block.  A list or
+        tuple of networks raises :class:`TypeError`: the network axis is
+        :func:`run_multi_sweep`'s.
     seeds:
         Seed axis; a materialized sequence whose entries are anything
         :func:`repro.sim.rng.make_rng` accepts.  Empty axes, duplicate
@@ -691,11 +660,8 @@ def run_sweep(
         :func:`repro.experiments.common.parallel_map` with the network in
         shared memory.
     shard_cells:
-        Override the cost-weighted shard splitter with fixed-size chunks.
-        The unit is one union-stack **column** — ``len(networks)``
-        cells, so one cell on a single network — on rectangular sweeps
-        (those shards can only cut on column boundaries), and one cell
-        on ragged multi-network sweeps.
+        Override the cost-weighted shard splitter with fixed-size chunks
+        of this many grid cells.
     backend:
         Flood-kernel compute backend (``"numpy"``, ``"numba"``,
         ``"auto"``) or ``None`` for the default resolution — the
@@ -731,8 +697,18 @@ def run_sweep(
         Grid-shaped results, each cell bit-for-bit equal to its scalar
         sequential run (see the module docstring).
     """
-    kwargs: dict[str, Any] = dict(
+    if isinstance(network, (list, tuple)):
+        raise TypeError(
+            "run_sweep takes one network; sweep a list or tuple of networks "
+            "with run_multi_sweep"
+        )
+    # Typed seed-axis errors surface here, before any grid is planned.
+    seeds = _validate_seeds(seeds)
+    return run_multi_sweep(
+        [network],
+        seeds=seeds,
         configs=configs,
+        placements=[placements],
         strategies=strategies,
         jobs=jobs,
         shard_cells=shard_cells,
@@ -741,13 +717,6 @@ def run_sweep(
         policy=policy,
         report=report,
         checkpoint=checkpoint,
-    )
-    if isinstance(network, (list, tuple)):
-        return run_multi_sweep(network, seeds=seeds, placements=placements, **kwargs)
-    # Typed seed-axis errors surface here, before any grid is planned.
-    seeds = _validate_seeds(seeds)
-    return run_multi_sweep(
-        [network], seeds=seeds, placements=[placements], **kwargs
     ).sweep(0)
 
 
@@ -770,12 +739,12 @@ def run_multi_sweep(
     across the network axis.
 
     Cells on *different networks* — including different sizes — fuse into
-    one union-stack batch: :func:`repro.core.batch.run_counting_unionstack`
-    for rectangular grids, :func:`repro.core.batch.run_counting_multinet`
-    for ragged ones; all networks must share the degree ``d``.  Every cell
-    is bit-for-bit equal to the scalar run it replaces (same network,
-    config, strategy, placement, seed; see the module docstring).  A
-    single-network :func:`run_sweep` is this function on one network.
+    one union-stack batch through
+    :func:`repro.core.batch.run_counting_multinet`; all networks must
+    share the degree ``d``.  Every cell is bit-for-bit equal to the
+    scalar run it replaces (same network, config, strategy, placement,
+    seed; see the module docstring).  A single-network :func:`run_sweep`
+    is this function on one network.
 
     Parameters
     ----------
@@ -783,16 +752,14 @@ def run_multi_sweep(
         The network axis (a non-empty sequence; repeats of one sampled
         graph are allowed and share kernels).
     seeds:
-        Either one shared seed axis (the rectangular grid: every network
-        runs every seed), or per-network axes — a sequence of sequences,
-        one per network, lengths free to differ (the ragged grid).  A
-        ``numpy`` ``Generator`` on a shared axis over two or more
+        Either one shared seed axis (every network runs every seed: it
+        becomes each network's own axis), or per-network axes — a
+        sequence of sequences, one per network, lengths free to differ.
+        A ``numpy`` ``Generator`` on a shared axis over two or more
         networks is rejected with a :class:`TypeError`.
     configs, strategies, jobs, shard_cells:
         As in :func:`run_sweep` (configs/strategies are shared grid
-        axes).  Note ``shard_cells`` counts union-stack *columns* — each
-        ``len(networks)`` cells — on rectangular grids; ragged sweeps
-        count cells.
+        axes; ``shard_cells`` counts grid cells).
     placements:
         Per-network placement axes, because a ``(n,)`` mask only fits one
         network: ``None`` (no Byzantine nodes anywhere), a *callable*
@@ -829,7 +796,7 @@ def run_multi_sweep(
         )
     d = networks[0].d
     channel = _normalize_channel(channel)
-    shared_seeds, seed_axes = _split_seed_axes(seeds, networks)
+    axes, shared_seeds = _split_seed_axes(seeds, networks)
     if (
         shared_seeds is not None
         and len(networks) > 1
@@ -878,108 +845,63 @@ def run_multi_sweep(
             "placements; give those cells an adversary strategy"
         )
 
-    n_g, n_s, n_c = len(networks), len(strategy_axis), len(config_axis)
+    n_s, n_c = len(strategy_axis), len(config_axis)
+    net_off = [0]
+    for ax in axes:
+        net_off.append(net_off[-1] + n_s * n_p * n_c * len(ax))
+    # One strategy block's cells across all networks, in network-major
+    # (network, placement, config, seed) order — the trials the engine
+    # regroups into union blocks.  The results come back in grid order
+    # (network, strategy, placement, config, seed).
+    cells = [
+        (g, p, c, b)
+        for g, ax in enumerate(axes)
+        for p in range(n_p)
+        for c in range(n_c)
+        for b in range(len(ax))
+    ]
     cost_cache: dict[tuple[int, CountingConfig], float] = {}
-    # Every shard is one task plus the flat grid index of each result it
-    # returns; the grid is network-major (network, strategy, placement,
-    # config, seed).
-    tasks: list[tuple[Any, ...]] = []
-    task_flats: list[list[int]] = []
 
-    if shared_seeds is not None:
-        # ---- rectangular grid: one shared seed axis ---------------------
-        # Columns of the union stack are the (placement, config, seed)
-        # triples in intra-network flat order; every column spans the
-        # whole network axis, so shard boundaries cut on column
-        # boundaries and a column's modeled cost sums over the networks.
-        n_b = len(shared_seeds)
-        block = n_s * n_p * n_c * n_b  # cells per network
-        cols = [(p, c, b) for p in range(n_p) for c in range(n_c) for b in range(n_b)]
-
-        def col_costs() -> list[float]:
-            return [
-                sum(_cell_cost(int(net.n), d, config_axis[c], cost_cache) for net in networks)
-                for _p, c, _b in cols
-            ]
-
-        for s, spec, lo, hi in _plan_shards(
-            strategy_axis, len(cols), col_costs, jobs, shard_cells
-        ):
-            chunk = cols[lo:hi]
-            masks: list[list[BoolArray | None]] | None = None
-            if spec is not None:
-                masks = [[per_net_placements[g][p] for p, _c, _b in chunk] for g in range(n_g)]
-            tasks.append(
-                (
-                    spec,
-                    [shared_seeds[b] for _p, _c, b in chunk],
-                    [config_axis[c] for _p, c, _b in chunk],
-                    masks,
-                    backend,
-                    channel,
-                )
-            )
-            offs = [((s * n_p + p) * n_c + c) * n_b + b for p, c, b in chunk]
-            task_flats.append([g * block + off for g in range(n_g) for off in offs])
-        worker: Callable[[Any, tuple[Any, ...]], list[CountingResult]] = _run_union_shard
-    else:
-        # ---- ragged grid: one seed axis per network, sharded by cell -----
-        assert seed_axes is not None
-        net_off = [0]
-        for ax in seed_axes:
-            net_off.append(net_off[-1] + n_s * n_p * n_c * len(ax))
-        # One strategy block's cells across all networks, in network-major
-        # (network, placement, config, seed) order — the trials the engine
-        # regroups into union blocks.
-        cells = [
-            (g, p, c, b)
-            for g, ax in enumerate(seed_axes)
-            for p in range(n_p)
-            for c in range(n_c)
-            for b in range(len(ax))
+    def cell_costs() -> list[float]:
+        return [
+            _cell_cost(int(networks[g].n), d, config_axis[c], cost_cache)
+            for g, _p, c, _b in cells
         ]
 
-        def cell_costs() -> list[float]:
-            return [
-                _cell_cost(int(networks[g].n), d, config_axis[c], cost_cache)
-                for g, _p, c, _b in cells
+    tasks: list[tuple[Any, ...]] = []
+    task_flats: list[list[int]] = []
+    for s, spec, lo, hi in _plan_shards(
+        strategy_axis, len(cells), cell_costs, jobs, shard_cells
+    ):
+        chunk = cells[lo:hi]
+        masks: list[BoolArray | None] | None = None
+        if spec is not None:
+            masks = [per_net_placements[g][p] for g, p, _c, _b in chunk]
+        tasks.append(
+            (
+                spec,
+                [axes[g][b] for g, _p, _c, b in chunk],
+                [config_axis[c] for _g, _p, c, _b in chunk],
+                [g for g, _p, _c, _b in chunk],
+                masks,
+                backend,
+                channel,
+            )
+        )
+        task_flats.append(
+            [
+                net_off[g] + ((s * n_p + p) * n_c + c) * len(axes[g]) + b
+                for g, p, c, b in chunk
             ]
-
-        for s, spec, lo, hi in _plan_shards(
-            strategy_axis, len(cells), cell_costs, jobs, shard_cells
-        ):
-            chunk = cells[lo:hi]
-            cell_masks: list[BoolArray | None] | None = None
-            if spec is not None:
-                cell_masks = [per_net_placements[g][p] for g, p, _c, _b in chunk]
-            tasks.append(
-                (
-                    spec,
-                    [seed_axes[g][b] for g, _p, _c, b in chunk],
-                    [config_axis[c] for _g, _p, c, _b in chunk],
-                    [g for g, _p, _c, _b in chunk],
-                    cell_masks,
-                    backend,
-                    channel,
-                )
-            )
-            task_flats.append(
-                [
-                    net_off[g] + ((s * n_p + p) * n_c + c) * len(seed_axes[g]) + b
-                    for g, p, c, b in chunk
-                ]
-            )
-        worker = _run_multi_shard
+        )
 
     from ..experiments.common import parallel_map
 
     shard_results = parallel_map(
-        worker,
+        _run_multi_shard,
         tasks,
         jobs=jobs,
         network=networks_payload if networks_payload is not None else networks,
-        # One network needs no stacking: the engine runs its own H CSR.
-        union_csr=shared_seeds is not None and n_g > 1,
         policy=policy,
         report=report,
         checkpoint=checkpoint,
@@ -996,5 +918,5 @@ def run_multi_sweep(
         placements=per_net_placements,
         strategies=strategy_axis,
         results=results,  # type: ignore[arg-type]
-        seed_axes=seed_axes,
+        seed_axes=None if shared_seeds is not None else axes,
     )

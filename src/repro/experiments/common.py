@@ -204,7 +204,6 @@ def parallel_map(
     jobs: int | None = None,
     *,
     network: SmallWorldNetwork | Sequence[SmallWorldNetwork] | None = None,
-    union_csr: bool = False,
     policy: RetryPolicy | None = None,
     report: ExecutionReport | None = None,
     checkpoint: str | os.PathLike[str] | None = None,
@@ -238,11 +237,11 @@ def parallel_map(
     zero-copy, once per process.  A *list or tuple of networks* pins the
     whole set in one such segment and calls
     ``fn(networks_tuple, item)`` — this is how sweeps ship their entire
-    network axis to workers in one handle.  With ``union_csr=True``
-    (multi-network only) the payload is a
-    :class:`repro.graphs.shared.NetworkTuple` carrying the pre-stacked
-    block-diagonal union CSR — stacked once here, shipped through the same
-    segment — so union-stack engine calls in workers skip re-stacking.
+    network axis to workers in one handle.  The payload is then a
+    :class:`repro.graphs.shared.NetworkTuple`; over two or more networks
+    it carries the pre-stacked block-diagonal union CSR — stacked once
+    here, shipped through the same segment — so union-stack engine calls
+    in workers skip re-stacking.
     The segment lives for the duration of the map and is unlinked before
     returning.  The payload carries network data only: run settings such
     as the kernel backend or a channel model belong in the items, as
@@ -259,15 +258,16 @@ def parallel_map(
             if multi:
                 from ..graphs.shared import NetworkTuple
 
+                union = len(network) > 1
                 if isinstance(network, NetworkTuple) and (
-                    not union_csr or network.union_csr is not None
+                    not union or network.union_csr is not None
                 ):
                     # A ready-made payload (the resident engine hands its
                     # cached NetworkTuple straight through): reuse it and
                     # its pre-stacked union CSR instead of re-stacking.
                     payload = network
                 else:
-                    payload = NetworkTuple.build(network, union=union_csr)
+                    payload = NetworkTuple.build(network, union=union)
             else:
                 payload = network
             if resilient:
@@ -277,9 +277,7 @@ def parallel_map(
             return [fn(payload, item) for item in items]
         from ..graphs.shared import SharedNetworkPack
 
-        shared = SharedNetworkPack.create(
-            list(network) if multi else [network], union=union_csr
-        )
+        shared = SharedNetworkPack.create(list(network) if multi else [network])
         with shared:
             call = _SharedNetworkCall(fn, shared, multi)
             return _resilient_map(call, items, jobs, policy, report, checkpoint)

@@ -21,13 +21,15 @@ Usage (the ``network=`` parameter of
 Union-stack sweeps over two or more networks additionally need the
 *block-diagonal concatenation* of the networks' H adjacencies
 (:func:`repro.sim.flood.stack_union_csr`).
-``SharedNetworkPack.create(nets, union=True)`` stacks it once in the
-owner and lays the two concatenated arrays into the same segment;
-``pack.nets`` then returns a :class:`NetworkTuple` whose ``union_csr``
-attribute exposes zero-copy views, so every worker (and every task) of a
-sharded union sweep skips re-stacking entirely —
-:func:`repro.core.batch.run_counting_unionstack` adopts the attached CSR
-directly.
+``SharedNetworkPack.create(nets)`` stacks it once in the owner whenever
+``nets`` holds two or more networks and lays the two concatenated arrays
+into the same segment; ``pack.nets`` then returns a
+:class:`NetworkTuple` whose ``union_csr`` attribute exposes zero-copy
+views, so every worker (and every task) of a sharded sweep skips
+re-stacking — the union-stack engines
+(:func:`repro.core.batch.run_counting_multinet` and
+:func:`repro.core.batch.run_counting_unionstack`) adopt an attached CSR
+whose block sizes match their networks.
 
 The creating process owns the segment and unlinks it on ``close()`` /
 context exit; attached workers hold it alive until they drop their
@@ -81,9 +83,11 @@ class NetworkTuple(tuple[SmallWorldNetwork, ...]):
     ``union_csr`` is ``(sizes, indptr, indices)`` — the block-diagonal
     concatenation of the member graphs' H adjacencies, as produced by
     :func:`repro.sim.flood.stack_union_csr` — or ``None`` when no union
-    layout was requested.  :func:`repro.core.batch.run_counting_unionstack`
-    adopts an attached CSR instead of re-stacking, which is how sharded
-    union-stack sweeps amortize the concatenation across workers.
+    layout was requested.  The union-stack engines
+    (:func:`repro.core.batch.run_counting_multinet` and
+    :func:`repro.core.batch.run_counting_unionstack`) adopt an attached
+    CSR instead of re-stacking, which is how sharded sweeps amortize the
+    concatenation across workers.
 
     The container carries data only.  Run settings such as the kernel
     backend and the channel model travel as arguments to the engines.
@@ -346,17 +350,14 @@ class SharedNetworkPack:
 
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls,
-        nets: Sequence[SmallWorldNetwork],
-        union: bool = False,
-    ) -> "SharedNetworkPack":
+    def create(cls, nets: Sequence[SmallWorldNetwork]) -> "SharedNetworkPack":
         """Copy every network's arrays into one fresh shared segment.
 
-        With ``union=True`` the block-diagonal union CSR
+        With two or more networks the block-diagonal union CSR
         (:func:`repro.sim.flood.stack_union_csr`) is stacked once here and
         laid into the same segment, so workers read it zero-copy instead
-        of re-concatenating per process.
+        of re-concatenating per process.  One network needs none: the
+        engines run its own H CSR.
 
         The segment is named ``repro-<pid>-<hex>`` and registered with
         the owner-side cleanup guard; if populating it fails partway the
@@ -379,7 +380,7 @@ class SharedNetworkPack:
                 offset += arr.nbytes
             per_net.append((tuple(specs), net.n, net.d, net.k))
         union_specs: tuple[_ArraySpec, ...] | None = None
-        if union:
+        if len(nets) > 1:
             from ..sim.flood import stack_union_csr
 
             _sizes, u_indptr, u_indices = stack_union_csr(nets)
@@ -420,9 +421,9 @@ class SharedNetworkPack:
     def nets(self) -> "NetworkTuple":
         """The networks, backed by the shared segment (attached lazily).
 
-        When the pack was created with ``union=True`` the returned
-        :class:`NetworkTuple` carries ``union_csr`` views into the same
-        segment, so the union kernel builds without re-stacking.
+        With two or more networks the returned :class:`NetworkTuple`
+        carries ``union_csr`` views into the same segment, so the union
+        kernel builds without re-stacking.
         """
         cached = _ATTACHED.get(self._shm_name)
         if cached is not None:

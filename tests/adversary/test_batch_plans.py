@@ -280,6 +280,70 @@ class TestLazyTraffic:
         assert bool(calls) is widened
 
 
+class _FixedPlan(Adversary):
+    """A native batch adversary whose every plan is ``make(byz, B)``."""
+
+    make = staticmethod(lambda byz, b: BatchSubphasePlan())
+
+    def batch_subphase_plan(self, state):
+        return _FixedPlan.make(state.byz_nodes.shape[0], len(state.trials))
+
+
+def _injecting(dtype=np.int64, field="injections"):
+    """One round injecting 5 everywhere, ``field`` held in ``dtype``."""
+
+    def make(byz, b):
+        arrays = {
+            "injections": np.full((1, byz, b), 5, dtype=np.int64),
+            "counts": np.full((1, b), byz, dtype=np.int64),
+            "resend": np.full((1, byz, b), 5, dtype=np.int64),
+        }
+        arrays[field] = arrays[field].astype(dtype)
+        return BatchSubphasePlan(relay=False, **arrays)
+
+    return make
+
+
+class TestPlanDtypes:
+    """Plan arrays must hold integers: a cast would truncate silently."""
+
+    def _run(self, net, make, monkeypatch):
+        monkeypatch.setattr(_FixedPlan, "make", staticmethod(make))
+        return run_counting_batch(
+            net,
+            seeds=[3, 4],
+            config=CountingConfig(max_phase=4),
+            adversary_factory=_FixedPlan,
+            byz_mask=random_placement(net.n, 4, rng=5),
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda byz, b: BatchSubphasePlan(initial_colors=np.full((byz, b), 2.7)),
+            lambda byz, b: BatchSubphasePlan(initial_colors=np.full((byz, b), np.nan)),
+            lambda byz, b: BatchSubphasePlan(initial_colors=np.ones((byz, b), dtype=bool)),
+            _injecting(float, "injections"),
+            _injecting(float, "counts"),
+            _injecting(float, "resend"),
+        ],
+        ids=["truncating", "nan", "bool", "injections", "counts", "resend"],
+    )
+    def test_non_integer_plan_raises_type_error(self, net_small, monkeypatch, make):
+        with pytest.raises(TypeError, match="integers"):
+            self._run(net_small, make, monkeypatch)
+
+    def test_integer_plans_run(self, net_small, monkeypatch):
+        lists = lambda byz, b: BatchSubphasePlan(initial_colors=[[2] * b] * byz)
+        arrays = lambda byz, b: BatchSubphasePlan(
+            initial_colors=np.full((byz, b), 2, dtype=np.int32)
+        )
+        got = self._run(net_small, lists, monkeypatch)
+        want = self._run(net_small, arrays, monkeypatch)
+        assert np.array_equal(got.decided_matrix(), want.decided_matrix())
+        self._run(net_small, _injecting(np.uint8, "counts"), monkeypatch)
+
+
 class TestNativeBatchDetection:
     def test_builtins_are_native(self):
         for name in ("early-stop", "inflation", "suppression", "silent",

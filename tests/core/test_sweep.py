@@ -631,14 +631,48 @@ class TestRunMultiSweep:
             for a, b in zip(single.results, got.results):
                 assert_trial_equal(a, b)
 
-    def test_run_sweep_accepts_network_list(self):
+    def test_run_sweep_rejects_network_list(self):
         nets = self._nets()
         cfg = CountingConfig(verification=False, max_phase=10)
-        multi = run_sweep(nets, seeds=[1, 2], configs=cfg)
+        for axis in (nets, tuple(nets), nets[:1]):
+            with pytest.raises(TypeError, match="run_multi_sweep"):
+                run_sweep(axis, seeds=[1, 2], configs=cfg)
+        multi = run_multi_sweep(nets, seeds=[1, 2], configs=cfg)
         for g, net in enumerate(nets):
             for b, s in enumerate([1, 2]):
                 ref = run_counting(net, cfg, seed=s)
                 assert_trial_equal(ref, multi.cell(network=g, seed=b))
+
+    def test_whole_payload_shards_adopt_the_shipped_csr(self, monkeypatch):
+        # The map stacks the union CSR once; a shard whose networks are
+        # the whole payload adopts it instead of re-stacking.
+        import traceback
+
+        from repro.sim import flood
+
+        stack = flood.stack_union_csr
+        in_shard: list[bool] = []
+
+        def counting(networks):
+            names = {frame.name for frame in traceback.extract_stack()}
+            in_shard.append("_run_multi_shard" in names)
+            return stack(networks)
+
+        monkeypatch.setattr(flood, "stack_union_csr", counting)
+        nets = self._nets()
+        cfg = CountingConfig(verification=False, max_phase=10)
+        run_multi_sweep(nets, seeds=[1, 2], configs=cfg)
+        assert in_shard == [False]
+        in_shard.clear()
+        # 2-cell shards: cells (0, 3) and (1, 4) span both networks, then
+        # (1, 5) and (1, 6) run on network 1 alone.
+        ragged = run_multi_sweep(
+            nets, seeds=[[3], [4, 5, 6]], configs=cfg, shard_cells=2
+        )
+        assert in_shard == [False]
+        for g, b, s in ((0, 0, 3), (1, 0, 4), (1, 2, 6)):
+            ref = run_counting(nets[g], cfg, seed=s)
+            assert_trial_equal(ref, ragged.cell(network=g, seed=b))
 
     def test_sharded_equals_serial(self):
         nets = self._nets()

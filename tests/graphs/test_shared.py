@@ -143,7 +143,7 @@ def _union_probe(networks, item):
 
 
 class TestSharedNetworkPackUnion:
-    """The pack optionally ships the pre-concatenated union CSR."""
+    """A pack of two or more networks ships the pre-concatenated union CSR."""
 
     def test_pack_ships_union_csr_views(self):
         from repro.graphs.shared import NetworkTuple
@@ -151,7 +151,7 @@ class TestSharedNetworkPackUnion:
 
         nets = _two_nets()
         ref_sizes, ref_indptr, ref_indices = stack_union_csr(nets)
-        with SharedNetworkPack.create(nets, union=True) as pack:
+        with SharedNetworkPack.create(nets) as pack:
             attached = pack.nets
             assert isinstance(attached, NetworkTuple)
             sizes, indptr, indices = attached.union_csr
@@ -161,15 +161,15 @@ class TestSharedNetworkPackUnion:
             assert not indptr.flags.writeable
             assert not indices.flags.writeable
 
-    def test_pack_without_union_has_no_csr(self):
-        with SharedNetworkPack.create(_two_nets()) as pack:
+    def test_one_network_pack_has_no_csr(self):
+        with SharedNetworkPack.create(_two_nets()[:1]) as pack:
             assert pack.nets.union_csr is None
 
     def test_engine_adopts_shipped_csr(self):
         from repro.core.batch import run_counting_batch, run_counting_unionstack
 
         nets = _two_nets()
-        with SharedNetworkPack.create(nets, union=True) as pack:
+        with SharedNetworkPack.create(nets) as pack:
             out = run_counting_unionstack(pack.nets, [3, 4], config=CFG)
         for g, net in enumerate(nets):
             for j, s in enumerate([3, 4]):
@@ -184,10 +184,8 @@ class TestSharedNetworkPackUnion:
         nets = _two_nets()
         sizes, indptr, indices = stack_union_csr(nets)
         expected = (tuple(sizes), int(indptr[-1]), int(indices.shape[0]))
-        serial = parallel_map(_union_probe, [1, 2], network=nets, union_csr=True)
-        sharded = parallel_map(
-            _union_probe, [1, 2], jobs=2, network=nets, union_csr=True
-        )
+        serial = parallel_map(_union_probe, [1, 2], network=nets)
+        sharded = parallel_map(_union_probe, [1, 2], jobs=2, network=nets)
         assert serial == sharded == [expected + (1,), expected + (2,)]
 
 

@@ -396,7 +396,7 @@ class TestContainersCarryDataOnly:
         nets = [build_small_world(48, 8, seed=1), build_small_world(64, 8, seed=2)]
         with pytest.raises(TypeError):
             SharedNetworkPack.create(nets, backend="numpy")
-        with SharedNetworkPack.create(nets, union=True) as pack:
+        with SharedNetworkPack.create(nets) as pack:
             assert set(pack.__getstate__()) == {"shm_name", "per_net", "union_specs"}
             assert not hasattr(pack.nets, "kernel_backend")
 
